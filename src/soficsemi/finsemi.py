@@ -4,6 +4,8 @@ Elements are canonical indices 0..n-1.  A semigroup built from generators
 carries per element a shortlex generator-word witness; element numbering
 follows the deterministic BFS discovery order (words compared by length
 first, ties broken by generator position as listed in the input).
+Every semigroup keeps that order as `_order` (a table's own numbering may
+differ from it), so each element comes after its witness-tree `_parent`.
 """
 
 from __future__ import annotations
@@ -135,6 +137,7 @@ class FiniteSemigroup:
         if zero != "auto" and zero is not None:
             assert all(self.mul(zero, s) == zero == self.mul(s, zero) for s in range(n))
         self._green = None
+        self._aggm = None
 
     # -- construction ---------------------------------------------------
 
@@ -148,12 +151,14 @@ class FiniteSemigroup:
         self.witness = witness
         self._parent = parent
         self._lastgen = lastgen
+        self._order = range(self.n)
         self._table = None
         if self.n <= TABLE_LIMIT:
             self._materialize_table()
         self.zero = self._find_zero()
         self.identity = self._find_identity()
         self._green = None
+        self._aggm = None
         return self
 
     def _check_associative(self, seed):
@@ -203,15 +208,15 @@ class FiniteSemigroup:
         self.witness = witness
         self._parent = parent
         self._lastgen = lastgen
+        self._order = order
 
     def _materialize_table(self):
         # Fill the table column by column in discovery order:
         # x*(z*g) = (x*z)*g needs only Cayley lookups.
         n = self.n
-        cols = sorted(range(n), key=lambda y: (len(self.witness[y]), self.witness[y]))
         table = [[0] * n for _ in range(n)]
         cay = self._cayley
-        for y in cols:
+        for y in self._order:
             if self._parent[y] is None:
                 j = self._lastgen[y]
                 for x in range(n):
@@ -249,8 +254,7 @@ class FiniteSemigroup:
             return self._table[g]
         n = self.n
         row = [None] * n
-        order = sorted(range(n), key=lambda y: (len(self.witness[y]), self.witness[y]))
-        for y in order:
+        for y in self._order:
             if self._parent[y] is None:
                 row[y] = self._cayley[g][self._lastgen[y]]
             else:
@@ -605,15 +609,9 @@ class SemigroupMorphism:
         """Extend generator images along witnesses; fails if not a morphism."""
         assert len(gen_images) == len(source.generators)
         mapping = [None] * source.n
-        order = sorted(range(source.n),
-                       key=lambda y: (len(source.witness[y]), source.witness[y]))
-        for y in order:
-            w = source.witness[y]
-            if len(w) == 1:
-                mapping[y] = gen_images[w[0]]
-            else:
-                z = source.eval_word(w[:-1])
-                mapping[y] = target.mul(mapping[z], gen_images[w[-1]])
+        for y in source._order:
+            z, g = source._parent[y], gen_images[source._lastgen[y]]
+            mapping[y] = g if z is None else target.mul(mapping[z], g)
         m = cls(source, target, tuple(mapping))
         if check:
             m.validate()

@@ -48,7 +48,8 @@ class SyntacticData:
 
     def distinguished_class(self):
         ok, j = is_aggm(self.semigroup)
-        assert ok, "syntactic semigroup of an irreducible sofic shift must be AGGM"
+        if not ok:
+            raise CheckFailed("syntactic semigroup is not AGGM", self.semigroup)
         return j
 
 
@@ -119,11 +120,20 @@ def context_profile_classes(P, max_word_len, max_context_len):
 def is_aggm(S):
     """Generalized group mapping with aperiodic distinguished ideal.
 
-    Returns (flag, distinguished J-class elements or None).  A semigroup
-    passes when it is trivial, or when it has a 0-minimal (or minimal)
-    regular ideal on which it acts faithfully on both sides and whose
-    non-zero part has only trivial H-classes.
+    Returns (flag, distinguished J-class elements or None), cached on S.  A
+    semigroup passes when it is trivial, or when it has a 0-minimal (or
+    minimal) regular ideal on which it acts faithfully on both sides and
+    whose non-zero part has only trivial H-classes.  Each x in the J-class
+    is u*r with r in R0 n L_x for one fixed R-class R0, so S acts faithfully
+    on the right of the ideal iff it does on R0, and dually on the left with
+    one L-class L0: O(|S| * (|R0| + |L0|)) lookups instead of O(|S|^2).
     """
+    if S._aggm is None:
+        S._aggm = _distinguished(S)
+    return S._aggm
+
+
+def _distinguished(S):
     if S.n == 1:
         return True, (0,)
     g = S.green()
@@ -134,55 +144,74 @@ def is_aggm(S):
             for c in range(len(g.j_classes))
             if c != zcls and g.j_below[c] == frozenset({c, zcls})
         ]
-        ideals = [(c, set(g.j_classes[c]) | {S.zero}) for c in candidates]
     else:
-        minimal = g.minimal_j_classes()
-        assert len(minimal) == 1
-        ideals = [(minimal[0], set(g.j_classes[minimal[0]]))]
-    winners = []
-    for c, ideal in ideals:
-        if not g.regular[c]:
-            continue
-        if not _faithful_both_sides(S, ideal):
-            continue
-        if any(
-            len(g.h_classes[g.h_class[x]]) != 1
-            for x in g.j_classes[c]
-        ):
-            continue
-        winners.append(c)
+        candidates = g.minimal_j_classes()
+        if len(candidates) != 1:
+            raise CheckFailed("minimal J-class is not unique", candidates)
+    winners = [
+        c
+        for c in candidates
+        if g.regular[c]
+        and all(len(g.h_classes[g.h_class[x]]) == 1 for x in g.j_classes[c])
+        and _faithful_both_sides(S, g.j_classes[c])
+    ]
     if not winners:
         return False, None
-    assert len(winners) == 1, "distinguished ideal must be unique"
+    if len(winners) != 1:
+        raise CheckFailed("distinguished ideal is not unique", winners)
     return True, tuple(g.j_classes[winners[0]])
 
 
-def _faithful_both_sides(S, ideal):
-    ideal = sorted(ideal)
-    right = {}
-    left = {}
-    for s in range(S.n):
-        right.setdefault(tuple(S.mul(x, s) for x in ideal), []).append(s)
-        lr = S.left_row(s)
-        left.setdefault(tuple(lr[x] for x in ideal), []).append(s)
-    return all(len(v) == 1 for v in right.values()) and all(
-        len(v) == 1 for v in left.values()
-    )
+def _faithful_both_sides(S, j_elems):
+    g = S.green()
+    x = j_elems[0]
+    l0 = g.l_classes[g.l_class[x]] + (() if S.zero is None else (S.zero,))
+    return (len(set(_right_action(S, g.r_classes[g.r_class[x]]))) == S.n
+            and len(set(_left_action(S, l0))) == S.n)
+
+
+def _right_action(S, points):
+    """Per element s, (x*s for x in points); x*(p*g) = (x*p)*g is one lookup."""
+    cay, parent, lastgen = S._cayley, S._parent, S._lastgen
+    acts = [None] * S.n
+    for s in S._order:
+        p, j = parent[s], lastgen[s]
+        acts[s] = tuple(cay[x][j] for x in (points if p is None else acts[p]))
+    return acts
+
+
+def _left_action(S, points):
+    """Per element s, the positions of s*x for x in points, which must be
+    closed under left multiplication; s*x = p*(g*x) is one lookup."""
+    pos = {x: i for i, x in enumerate(points)}
+    gens = [tuple(pos[S.mul(g, x)] for x in points) for g in S.generators]
+    acts = [None] * S.n
+    for s in S._order:
+        p, gen = S._parent[s], gens[S._lastgen[s]]
+        acts[s] = gen if p is None else tuple(acts[p][i] for i in gen)
+    return acts
 
 
 def separating_contexts(S, j_elems):
     """The Rhodes criterion: elements are separated by J-class membership of
-    two-sided translates into the distinguished class."""
-    jset = set(j_elems)
+    two-sided translates into the distinguished class.
+
+    Groups s by the pairs (x, y) in J x J with x*s*y in J, under an
+    equivalent key.  With r in R0 n L_x for one R-class R0, x*s*y is in J
+    iff r*s is in J and L(r*s) n R(y) holds an idempotent (Clifford-Miller).
+    So the key is the tuple, over one r in R0 per L-class, of the R-classes
+    of the idempotents in L(r*s), or None where there are none (as when r*s
+    is not in J): |S| * #L products instead of |S| * |J|^2.
+    """
+    g = S.green()
+    lsig = {
+        l: frozenset(g.r_class[e] for e in g.l_classes[l] if S.is_idempotent(e)) or None
+        for l in {g.l_class[x] for x in j_elems}
+    }
+    reps = {g.l_class[r]: r for r in g.r_classes[g.r_class[j_elems[0]]]}
     profiles = {}
-    for s in range(S.n):
-        key = frozenset(
-            (x, y)
-            for x in j_elems
-            for y in j_elems
-            if S.mul(S.mul(x, s), y) in jset
-        )
-        profiles.setdefault(key, []).append(s)
+    for s, act in enumerate(_right_action(S, tuple(reps.values()))):
+        profiles.setdefault(tuple(lsig.get(g.l_class[v]) for v in act), []).append(s)
     return profiles
 
 
@@ -314,22 +343,22 @@ def fischer_cover(D):
     alphabet = D.alphabet if D.alphabet is not None else tuple(sorted(D.letter_map))
     if S.n == 1:
         cover = Presentation(1, [(0, a, 0) for a in alphabet], alphabet)
-        assert factor_dfa(cover).equivalent(D.dfa)
-        return cover
-    ok, j = is_aggm(S)
-    if not ok:
-        raise NotAGGM("Fischer cover needs an AGGM syntactic semigroup")
-    cover = _schutzenberger_graph(S, j, D.letter_map)
-    dfa_cover = factor_dfa(cover)
-    assert dfa_cover.equivalent(D.dfa), "cover language differs from the source"
+    else:
+        ok, j = is_aggm(S)
+        if not ok:
+            raise NotAGGM("Fischer cover needs an AGGM syntactic semigroup")
+        cover = _schutzenberger_graph(S, j, D.letter_map)
+    d = factor_dfa(cover)
+    if not d.equivalent(D.dfa):
+        witness = (d.difference_witness(D.dfa), D.dfa.difference_witness(d))
+        raise CheckFailed("cover language differs from the source", witness)
     return cover
 
 
 def _schutzenberger_graph(S, j_elems, letter_map):
     g = S.green()
     e0 = min(x for x in j_elems if S.is_idempotent(x))
-    r_id = g.r_class[e0]
-    members = sorted(x for x in j_elems if g.r_class[x] == r_id)
+    members = g.r_classes[g.r_class[e0]]
     pos = {x: i for i, x in enumerate(members)}
     edges = []
     for x in members:
@@ -340,10 +369,12 @@ def _schutzenberger_graph(S, j_elems, letter_map):
     # right-resolving by construction: the action is a partial function
     seen = set()
     for s, a, _ in edges:
-        assert (s, a) not in seen
+        if (s, a) in seen:
+            raise CheckFailed("Schutzenberger graph is not right-resolving", (s, a))
         seen.add((s, a))
     cover = Presentation(len(members), edges)
-    assert cover.irreducible, "Schutzenberger graph must be strongly connected"
+    if not cover.irreducible:
+        raise CheckFailed("Schutzenberger graph is not strongly connected", e0)
     return cover
 
 

@@ -22,6 +22,7 @@ from corpus import (
     group_with_zero,
     period2_syntactic_table,
     period_shift,
+    random_presentation,
     random_transformation_semigroup,
     trivial_semigroup,
 )
@@ -37,6 +38,7 @@ from soficsemi import (
     entropy_gap_check,
     evaluate_zimin,
     factor_dfa,
+    fischer_cover,
     higher_block,
     is_aggm,
     lift_jclass,
@@ -269,3 +271,22 @@ def test_criterion_8_lifting_conclusions():
         done += 1
     elapsed = time.time() - start
     report(8, "lifting conclusions on 10 random surjections", True, f"{elapsed:.1f}s")
+
+
+def test_criterion_9_fischer_cover_above_table_limit():
+    start = time.time()
+    D = syntactic_semigroup(random_presentation(22, 10, "abc"))
+    cover = fischer_cover(D)  # checks its own language against the source
+    elapsed = time.time() - start
+    assert D.semigroup.n == 5546
+    report(9, "Fischer cover of a 5546-element syntactic semigroup",
+           elapsed <= 10, f"{cover.n_states} states, {elapsed:.1f}s")
+
+
+def test_criterion_10_aggm_forward_check_time():
+    start = time.time()
+    rep = aggm_forward_check(random_presentation(47, 10, "abc"))
+    elapsed = time.time() - start
+    assert rep["semigroup_size"] == 1093
+    report(10, "AGGM forward check on a 1093-element syntactic semigroup",
+           elapsed <= 5, f"{elapsed:.1f}s")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from corpus import golden_mean, period_shift
+from soficsemi import syntactic
 from soficsemi.cli import main
 from soficsemi.finsemi import format_semigroup
 from soficsemi.shiftspace import format_presentation, parse_presentation
@@ -51,6 +52,15 @@ def test_aggm_verb(capsys, p2_path):
     assert "is_aggm true" in out
     assert "distinguished_class_size 4" in out
     assert "fischer_states 2" in out
+
+
+def test_aggm_verb_computes_aggm_once(capsys, p2_path, monkeypatch):
+    calls = []
+    body = syntactic._distinguished
+    monkeypatch.setattr(syntactic, "_distinguished", lambda S: calls.append(S) or body(S))
+    code, _ = run(capsys, ["aggm", p2_path])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_syntactic_and_green_verbs(capsys, gm_path, tmp_path):

@@ -77,9 +77,15 @@ def test_close_generators_cap():
 
 
 def test_witnesses_evaluate_to_their_element():
-    S = random_transformation_semigroup(5, 4, 2)
-    for x in range(S.n):
-        assert S.eval_word(S.witness[x]) == x
+    # a closure numbers elements in discovery order; a table need not
+    for S in (random_transformation_semigroup(5, 4, 2), period2_syntactic_table()):
+        for x in range(S.n):
+            assert S.eval_word(S.witness[x]) == x
+        # the stored order is shortlex by witness, parents first
+        shortlex = sorted(range(S.n), key=lambda y: (len(S.witness[y]), S.witness[y]))
+        assert list(S._order) == shortlex
+        assert all(S._parent[y] is None or S._parent[y] in shortlex[:i]
+                   for i, y in enumerate(shortlex))
 
 
 def test_table_matches_carrier_products():

@@ -1,9 +1,16 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import soficsemi
 from corpus import (
     chain_semilattice,
+    corpus_presentations,
+    cyclic_group,
     even_shift,
     full_shift,
     golden_mean,
@@ -11,6 +18,8 @@ from corpus import (
     group_with_zero,
     period2_syntactic_table,
     period_shift,
+    random_presentation,
+    random_transformation_semigroup,
     trivial_semigroup,
 )
 from soficsemi import (
@@ -25,7 +34,9 @@ from soficsemi import (
     syntactic_semigroup,
 )
 from soficsemi.errors import NoCompatibleTriangle, NotAGGM
+from soficsemi.finsemi import parse_semigroup
 from soficsemi.syntactic import (
+    _faithful_both_sides,
     context_profile_classes,
     generator_isomorphic,
     separating_contexts,
@@ -200,3 +211,137 @@ def test_image_apex_rejects_incompatible():
     bad = SemigroupMorphism(S2, S2, tuple(range(S2.n)))
     with pytest.raises(NoCompatibleTriangle):
         image_apex(bad, D)
+
+
+# -- whole-ideal oracles for the AGGM check ------------------------------
+
+
+def faithful_oracle(S, ideal):
+    """S acts faithfully on both sides of the ideal: |S| rows of |ideal|
+    products on each side."""
+    ideal = sorted(ideal)
+    right = {tuple(S.mul(x, s) for x in ideal) for s in range(S.n)}
+    left = {tuple(S.mul(s, x) for x in ideal) for s in range(S.n)}
+    return len(right) == len(left) == S.n
+
+
+def is_aggm_oracle(S):
+    """is_aggm on the whole ideal J u {0} of every (0-)minimal J-class."""
+    if S.n == 1:
+        return True, (0,)
+    g = S.green()
+    zcls = None if S.zero is None else g.j_class[S.zero]
+    winners = [
+        c
+        for c, J in enumerate(g.j_classes)
+        if c != zcls
+        and g.j_below[c] <= {c, zcls}
+        and g.regular[c]
+        and faithful_oracle(S, set(J) | ({S.zero} - {None}))
+        and all(len(g.h_classes[g.h_class[x]]) == 1 for x in J)
+    ]
+    assert len(winners) <= 1
+    return (True, tuple(g.j_classes[winners[0]])) if winners else (False, None)
+
+
+def separating_contexts_oracle(S, j_elems):
+    """Elements grouped by the pairs (x, y) in J x J with x*s*y in J."""
+    jset = set(j_elems)
+    profiles = {}
+    for s in range(S.n):
+        key = frozenset(
+            (x, y) for x in j_elems for y in j_elems if S.mul(S.mul(x, s), y) in jset
+        )
+        profiles.setdefault(key, []).append(s)
+    return list(profiles.values())
+
+
+def assert_aggm_matches_oracle(S):
+    assert is_aggm(S) == is_aggm_oracle(S)
+    g = S.green()
+    zcls = None if S.zero is None else g.j_class[S.zero]
+    for c, J in enumerate(g.j_classes):
+        if c != zcls and g.j_below[c] <= {c, zcls}:
+            ideal = set(J) | ({S.zero} - {None})
+            assert _faithful_both_sides(S, J) == faithful_oracle(S, ideal), c
+        assert list(separating_contexts(S, J).values()) == separating_contexts_oracle(S, J), c
+
+
+def small_syntactic_semigroups():
+    """Syntactic semigroups with |S| <= 300 of the named corpus and of
+    random presentations."""
+    presentations = [P for _, P in corpus_presentations()] + [
+        random_presentation(seed, states, alphabet)
+        for seed in range(12)
+        for states in (3, 4, 5)
+        for alphabet in ("ab", "abc")
+    ]
+    sizes = (syntactic_semigroup(P).semigroup for P in presentations)
+    return [S for S in sizes if S.n <= 300]
+
+
+def relabelled(S, seed):
+    """S renumbered at random and read back from its `.sg` text, so that its
+    witness-tree order is not its index order."""
+    new = list(range(S.n))
+    random.Random(seed).shuffle(new)
+    old = sorted(range(S.n), key=new.__getitem__)
+    rows = [" ".join(str(new[S.mul(old[x], old[y])]) for y in range(S.n)) for x in range(S.n)]
+    gens = " ".join(str(new[g]) for g in S.generators)
+    text = f"semigroup {S.n} {len(S.generators)}\n" + "\n".join(rows) + f"\ngenerators {gens}\n"
+    return parse_semigroup(text)
+
+
+def test_aggm_matches_oracle_on_syntactic_semigroups():
+    semigroups = small_syntactic_semigroups()
+    assert len(semigroups) > 60
+    for S in semigroups:
+        assert_aggm_matches_oracle(S)
+
+
+def test_aggm_matches_oracle_on_hand_built_tables():
+    tables = [
+        trivial_semigroup(),
+        chain_semilattice(),
+        period2_syntactic_table(),
+        golden_mean_syntactic_table(),
+        group_with_zero(2),
+        group_with_zero(3),
+        cyclic_group(3),
+    ] + [random_transformation_semigroup(seed, 4, 2) for seed in range(10)]
+    for S in tables:
+        assert_aggm_matches_oracle(S)
+
+
+def test_aggm_matches_oracle_on_parsed_tables():
+    presentations = [P for _, P in corpus_presentations()] + [
+        random_presentation(seed, 4, "abc") for seed in range(4)
+    ]
+    semigroups = [syntactic_semigroup(P).semigroup for P in presentations]
+    semigroups = [S for S in semigroups if 5 <= S.n <= 100]
+    for seed, S in enumerate(semigroups):
+        T = relabelled(S, seed)
+        assert list(T._order) != list(range(T.n))
+        assert_aggm_matches_oracle(T)
+
+
+def test_distinguished_class_check_survives_optimize():
+    """The named check raises under `python -O`, where an assert would not."""
+    code = (
+        "from corpus import group_with_zero\n"
+        "from soficsemi.errors import CheckFailed\n"
+        "from soficsemi.syntactic import SyntacticData\n"
+        "S = group_with_zero(2)\n"
+        "assert False, 'asserts are on'\n"
+        "try:\n"
+        "    SyntacticData(S, {}, None, None, S.zero).distinguished_class()\n"
+        "except CheckFailed as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(soficsemi.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("syntactic semigroup is not AGGM, witness")
