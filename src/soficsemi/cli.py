@@ -71,14 +71,14 @@ def _print_eggbox(S):
     for c in order:
         elems = g.j_classes[c]
         print(f"jclass {c} regular={_bool(g.regular[c])} size={len(elems)}")
+        cells = {}
+        for x in elems:
+            cells.setdefault((g.r_class[x], g.l_class[x]), []).append(str(x))
         r_ids = sorted({g.r_class[x] for x in elems}, key=lambda r: min(g.r_classes[r]))
         l_ids = sorted({g.l_class[x] for x in elems}, key=lambda l: min(g.l_classes[l]))
         for r in r_ids:
-            cells = []
-            for l in l_ids:
-                cell = [x for x in elems if g.r_class[x] == r and g.l_class[x] == l]
-                cells.append(",".join(str(x) for x in cell) if cell else "-")
-            print("  row " + " | ".join(cells))
+            row = (",".join(cells[r, l]) if (r, l) in cells else "-" for l in l_ids)
+            print("  row " + " | ".join(row))
 
 
 def cmd_green(args):
@@ -169,17 +169,27 @@ def cmd_idempotent(args):
         S = D.semigroup
         gens_map = D.letter_map
     res = zimin_mod.evaluate_zimin(T, S, gens_map)
-    digits = len(str(res.bound))
     pairs = [
         ("rho", res.value),
         ("stop_index", res.stop_index),
         ("loop_states", T.m),
         ("bound_terms", f"|X|+...+|X|^{T.m * (S.n + 1) - 1}"),
-        ("bound", res.bound if digits <= 40 else f"~10^{digits - 1}"),
+        ("bound", _format_bound(res.bound)),
         ("witness", res.term.pretty()),
     ]
     _emit(pairs, args.format)
     return 0
+
+
+def _format_bound(bound):
+    """The bound itself up to 40 digits, else ~10^(digits - 1); the digits
+    are counted without str(), which refuses integers above 4300 digits."""
+    # floor((bits - 1) * log10 2) + 1, with log10 2 rounded down, is the digit
+    # count or almost always one short of it
+    digits = (bound.bit_length() - 1) * 30102999566398119 // 10 ** 17 + 1
+    while bound >= 10 ** digits:
+        digits += 1
+    return bound if digits <= 40 else f"~10^{digits - 1}"
 
 
 def cmd_cover(args):

@@ -66,6 +66,13 @@ class CheckFailed(SoficSemiError):
         super().__init__(message if witness is None else f"{message}, witness {witness}")
 
 
+def check(cond, message, witness=None):
+    """Raise CheckFailed(message, witness) unless cond holds; unlike `assert`,
+    this survives `python -O`."""
+    if not cond:
+        raise CheckFailed(message, witness)
+
+
 class NoCompatibleTriangle(SoficSemiError):
     pass
 

@@ -692,11 +692,16 @@ def lift_jclass(phi, j_target):
     return j_prime
 
 
+def omega_exponent(S, s):
+    """Least k >= 1 with s^k idempotent: the least multiple of the period
+    that is at least the index."""
+    i, q = S.index_period(s)
+    return q * ((i + q - 1) // q)
+
+
 def omega_power(S, s):
     """The unique idempotent in the cyclic subsemigroup generated by s."""
-    i, q = S.index_period(s)
-    k = q * ((i + q - 1) // q)
-    return S.power(s, k)
+    return S.power(s, omega_exponent(S, s))
 
 
 # -- file format ---------------------------------------------------------

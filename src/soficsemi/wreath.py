@@ -3,7 +3,8 @@ wreath products, and the group-cover construction with full verification.
 
 Wreath products are carried by row-monomial matrices over a group-with-zero;
 iterated wreath products by block row-monomial matrices whose blocks are
-row-monomial matrices.
+row-monomial matrices, stored as indices into the closed table of the
+semigroup they generate.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    CheckFailed,
     DimensionMismatch,
     HypothesisViolated,
     NotFaithful,
@@ -19,6 +21,7 @@ from .errors import (
     NotTransitive,
     PrimeSearchFailed,
     RankTooHigh,
+    check,
 )
 from .finsemi import (
     FiniteSemigroup,
@@ -27,6 +30,7 @@ from .finsemi import (
     close_generators,
     group_inverse,
     maximal_subgroup,
+    omega_exponent,
     omega_power,
 )
 
@@ -147,57 +151,86 @@ class RowMonomialMatrix:
         )
 
 
+class InnerBlocks:
+    """The inner semigroup T of row-monomial blocks, closed once into a table.
+
+    `index` numbers the blocks of T, `table[t][u]` is the index of t*u, and
+    `dead` is the index of the zero block (None when T has none).
+    """
+
+    __slots__ = ("semigroup", "index", "table", "dead", "size")
+
+    def __init__(self, gens, cap):
+        T = close_generators(gens, cap=cap)
+        self.semigroup = T
+        self.index = {blk: t for t, blk in enumerate(T.names)}
+        self.table = [T.left_row(t) for t in range(T.n)]
+        self.size = gens[0].size
+        self.dead = self.index.get(RowMonomialMatrix.zero(gens[0].group, self.size))
+
+    @property
+    def blocks(self):
+        return self.semigroup.names
+
+
 class BlockMatrix:
-    """Block row-monomial matrix: per block row at most one non-zero block,
-    each block a non-zero RowMonomialMatrix."""
+    """Block row-monomial matrix: per block row at most one non-zero block.
 
-    __slots__ = ("p", "inner", "rows", "_hash")
+    Blocks are elements of an InnerBlocks semigroup T; a row is stored as
+    (column, index into T) or None, so a product is one T-table lookup per
+    row, and a row whose product is T's zero block dies.
+    """
 
-    def __init__(self, p, inner, rows):
+    __slots__ = ("inner", "rows", "_hash")
+
+    def __init__(self, inner, rows):
         rows = tuple(rows)
-        assert len(rows) == p
         for r in rows:
             if r is not None:
-                c, blk = r
-                assert 0 <= c < p and blk.size == inner and not blk.is_zero()
-        self.p = p
+                c, t = r
+                if not (0 <= c < len(rows) and 0 <= t < len(inner.table)) or t == inner.dead:
+                    raise DimensionMismatch(f"block row {r} out of range or zero")
         self.inner = inner
         self.rows = rows
         self._hash = hash(rows)
 
     @property
+    def p(self):
+        return len(self.rows)
+
+    @property
     def dim(self):
-        return ("block", self.p, self.inner)
+        return ("block", len(self.rows), self.inner.size)
 
     @classmethod
-    def zero(cls, p, inner):
-        return cls(p, inner, (None,) * p)
+    def zero(cls, inner, p):
+        return cls(inner, (None,) * p)
 
     def __mul__(self, other):
         if not isinstance(other, BlockMatrix):
             return NotImplemented
-        if (self.p, self.inner) != (other.p, other.inner):
+        inner = self.inner
+        if other.inner is not inner or len(other.rows) != len(self.rows):
             raise DimensionMismatch("block shapes differ")
+        table, dead, orows = inner.table, inner.dead, other.rows
         out = []
         for r in self.rows:
-            if r is None:
-                out.append(None)
-                continue
-            c, blk = r
-            nxt = other.rows[c]
+            nxt = None if r is None else orows[r[0]]
             if nxt is None:
                 out.append(None)
                 continue
-            c2, blk2 = nxt
-            prod = blk * blk2
-            out.append(None if prod.is_zero() else (c2, prod))
-        return BlockMatrix(self.p, self.inner, tuple(out))
+            t = table[r[1]][nxt[1]]
+            out.append(None if t == dead else (nxt[0], t))
+        prod = object.__new__(BlockMatrix)
+        prod.inner = inner
+        prod.rows = rows = tuple(out)
+        prod._hash = hash(rows)
+        return prod
 
     def __eq__(self, other):
         return (
             isinstance(other, BlockMatrix)
-            and self.p == other.p
-            and self.inner == other.inner
+            and self.inner is other.inner
             and self.rows == other.rows
         )
 
@@ -205,7 +238,7 @@ class BlockMatrix:
         return self._hash
 
     def __repr__(self):
-        return f"Block[{self.p}x{self.p} of {self.inner}]"
+        return f"Block[{self.p}x{self.p} of {self.inner.size}]"
 
     def is_zero(self):
         return all(r is None for r in self.rows)
@@ -213,11 +246,11 @@ class BlockMatrix:
     def block(self, i, j):
         r = self.rows[i]
         if r is not None and r[0] == j:
-            return r[1]
+            return self.inner.blocks[r[1]]
         return None
 
     def block_entries(self):
-        return [r[1] for r in self.rows if r is not None]
+        return [self.inner.blocks[r[1]] for r in self.rows if r is not None]
 
     def block_columns(self):
         return {r[0] for r in self.rows if r is not None}
@@ -228,9 +261,9 @@ class BlockMatrix:
         rows = [None] * p
         for i, r in enumerate(self.rows):
             if r is not None:
-                c, blk = r
-                rows[(i - shift) % p] = ((c - shift) % p, blk)
-        return BlockMatrix(p, self.inner, tuple(rows))
+                c, t = r
+                rows[(i - shift) % p] = ((c - shift) % p, t)
+        return BlockMatrix(self.inner, rows)
 
 
 # -- representations on a regular J-class --------------------------------
@@ -665,8 +698,7 @@ class CoverResult:
             f"cover p {self.p} m {self.m} ell {self.ell} size {self.s_prime.n}",
             f"column_shift {self.column}",
         ]
-        for i, a in enumerate(self.alphabet):
-            mat = self.generator_matrices()[i]
+        for a, mat in zip(self.alphabet, self.generator_matrices()):
             out.append(f"generator {a}")
             if mat.is_zero():
                 out.append("zero")
@@ -674,9 +706,8 @@ class CoverResult:
             for r, row in enumerate(mat.rows):
                 if row is None:
                     continue
-                c, blk = row
-                out.append(f"block {r} {c}")
-                for rr in blk.rows:
+                out.append(f"block {r} {row[0]}")
+                for rr in mat.block(r, row[0]).rows:
                     out.append("-" if rr is None else f"{rr[0]} {rr[1]}")
         for x in range(self.s_prime.n):
             out.append(f"rho {x} {self.rho[x]}")
@@ -786,13 +817,19 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=2_000_000, max_prim
     b = len(emb.rees.b_ids)
     kernel = [h for h in range(H.n) if alpha[h] == K.identity]
     ell = len(kernel) ** b
-    msigma = {
-        a: emb.matrices[phi[a]].map_entries(lambda k: sigma[k], H) for a in X[:n]
-    }
-    z_mat = msigma[z_word[0]]
-    for a in z_word[1:]:
-        z_mat = z_mat * msigma[a]
-    m = _idempotent_exponent(z_mat)
+    lifted = [
+        emb.matrices[phi[a]].map_entries(lambda k: sigma[k], H) for a in X[:n]
+    ]
+    twists = [
+        RowMonomialMatrix.diagonal(H, values)
+        for values in _kernel_tuples(kernel, b, H)
+    ]
+    check(len(twists) == ell and twists[0] == RowMonomialMatrix.diagonal(H, (H.identity,) * b),
+          "twists must be the kernel tuples, identity first", len(twists))
+    inner = InnerBlocks(lifted + [t * lifted[n - 1] for t in twists], cap)
+    T = inner.semigroup
+    letter_pos = {a: i for i, a in enumerate(X)}
+    m = omega_exponent(T, T.eval_word([letter_pos[a] for a in z_word]))
     count_x1 = sum(1 for a in z_word if a == X[0])
     floor = max(m, ell, count_x1)
     p = floor + 1
@@ -801,57 +838,56 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=2_000_000, max_prim
         if p > max_prime:
             raise PrimeSearchFailed(f"no admissible prime <= {max_prime} above {floor}")
 
-    twists = [
-        RowMonomialMatrix.diagonal(H, values)
-        for values in _kernel_tuples(kernel, b, H)
-    ]
-    assert len(twists) == ell and twists[0] == RowMonomialMatrix.diagonal(
-        H, (H.identity,) * b
-    )
-
+    # blocks as T-indices: tgen[i] is the lifted letter x_{i+1} for i < n,
+    # tgen[n + j] the j-th twist of the lifted x_n
+    tgen = T.generators
     gens = []
-    for i, a in enumerate(X):
+    for i in range(n_plus):
         if i == 0:
-            rows = tuple(((j + 1) % p, msigma[a]) for j in range(p))
+            rows = tuple(((j + 1) % p, tgen[i]) for j in range(p))
         elif i < n - 1:
-            rows = tuple((j, msigma[a]) for j in range(p))
+            rows = tuple((j, tgen[i]) for j in range(p))
         elif i == n - 1:
-            rows = tuple(
-                (0, twists[j] * msigma[a]) if j < ell else (0, msigma[a])
-                for j in range(p)
-            )
+            rows = tuple((0, tgen[n + j] if j < ell else tgen[i]) for j in range(p))
         else:
             rows = (None,) * p
-        gens.append(BlockMatrix(p, b, rows))
+        gens.append(BlockMatrix(inner, rows))
     s_prime = close_generators(gens, cap=cap)
 
-    zero_prime = s_prime.names.index(BlockMatrix.zero(p, b))
-    assert zero_prime == s_prime.zero
+    zero_prime = s_prime.zero
+    check(
+        zero_prime is not None and s_prime.names[zero_prime].is_zero(),
+        "the zero block matrix must be the zero of S'",
+        zero_prime,
+    )
 
-    # rho: apply alpha entrywise to any block entry and read off the S element
-    abar = {}
-
-    def alpha_entrywise(blk):
-        if blk not in abar:
-            abar[blk] = blk.map_entries(lambda h: alpha[h], K)
-        return abar[blk]
-
+    # rho: the S element whose matrix is the alpha-image of any block (one
+    # image per block of T), compared with phi of the witness word, which is
+    # computed along the closure's witness tree
+    block_rho = [
+        emb.lookup.get(blk.map_entries(lambda h: alpha[h], K)) for blk in inner.blocks
+    ]
+    phi_w = SemigroupMorphism.from_generator_map(
+        s_prime, S, [phi[a] for a in X], check=False
+    ).mapping
     rho = []
-    letter_pos = {a: i for i, a in enumerate(X)}
     for x in range(s_prime.n):
-        mat = s_prime.names[x]
-        w = s_prime.word_letters(x, X)
-        phi_w = D.image(w)
-        if mat.is_zero():
-            assert phi_w == D.zero, "eta(u) = 0 must force phi(u) = 0"
+        rows = s_prime.names[x].rows
+        if x == zero_prime:
+            if phi_w[x] != D.zero:
+                raise CheckFailed("eta(u) = 0 must force phi(u) = 0", s_prime.word_letters(x, X))
             rho.append(D.zero)
             continue
-        assert phi_w != D.zero, "phi(u) = 0 must force eta(u) = 0"
-        assert len(mat.block_entries()) == mat.p, "non-zero elements are total on [p]"
-        images = {alpha_entrywise(blk) for blk in mat.block_entries()}
-        assert len(images) == 1, "block entries must agree under alpha"
-        rho.append(emb.lookup[images.pop()])
-        assert rho[-1] == phi_w, "rho . eta must equal phi"
+        if phi_w[x] == D.zero:
+            raise CheckFailed("phi(u) = 0 must force eta(u) = 0", s_prime.word_letters(x, X))
+        if None in rows:
+            raise CheckFailed("non-zero elements are total on [p]", s_prime.word_letters(x, X))
+        images = {block_rho[r[1]] for r in rows}
+        if len(images) != 1:
+            raise CheckFailed("block entries must agree under alpha", s_prime.word_letters(x, X))
+        if images != {phi_w[x]}:
+            raise CheckFailed("rho . eta must equal phi", s_prime.word_letters(x, X))
+        rho.append(phi_w[x])
     rho = tuple(rho)
 
     # eta(e_word) need not be idempotent in S'; the idempotent above e is the
@@ -862,12 +898,12 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=2_000_000, max_prim
     e_prime = omega_power(
         s_prime, s_prime.mul(z_om, s_prime.eval_word([letter_pos[a] for a in e_word]))
     )
-    assert s_prime.is_idempotent(e_prime)
-    assert rho[e_prime] == e, "the idempotent above e must map onto e"
-    assert s_prime.mul(z_om, e_prime) == e_prime
+    check(s_prime.is_idempotent(e_prime), "the element above e must be idempotent", e_prime)
+    check(rho[e_prime] == e, "the idempotent above e must map onto e", e_prime)
+    check(s_prime.mul(z_om, e_prime) == e_prime, "z^omega must fix the idempotent above e", e_prime)
     emat = s_prime.names[e_prime]
     cols = emat.block_columns()
-    assert len(cols) == 1, "blocks of eta(e) lie in one column"
+    check(len(cols) == 1, "blocks of eta(e) lie in one column", sorted(cols))
     column = cols.pop()
 
     gp = s_prime.green()
@@ -877,19 +913,23 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=2_000_000, max_prim
         for c in range(len(gp.j_classes))
         if c != zcls and gp.j_below[c] == frozenset({c, zcls})
     ]
-    assert len(minimal_nonzero) == 1, "S' must have a unique 0-minimal J-class"
+    check(len(minimal_nonzero) == 1, "S' must have a unique 0-minimal J-class", minimal_nonzero)
     j_prime = minimal_nonzero[0]
-    assert gp.j_class[e_prime] == j_prime
-    assert gp.regular[j_prime]
+    check(gp.j_class[e_prime] == j_prime, "the idempotent above e must lie in J'", e_prime)
+    check(gp.regular[j_prime], "J' must be regular", j_prime)
 
-    # single-column support on J'; blocks are among the preimages of one matrix
+    # single-column support on J'; blocks are among the twist preimages of
+    # one block (the twists form a group, so any block of the row will do)
+    preimages = [{inner.index.get(t * blk) for t in twists} for blk in inner.blocks]
     for x in gp.j_classes[j_prime]:
-        mat = s_prime.names[x]
-        assert len(mat.block_columns()) == 1
-        entries = set(mat.block_entries())
-        some = next(iter(entries))
-        preimages = {t * some for t in twists}
-        assert entries <= preimages, "block entries must be preimages of one matrix"
+        rows = s_prime.names[x].rows
+        if len({r[0] for r in rows}) != 1:
+            raise CheckFailed("blocks of J' lie in one column", s_prime.word_letters(x, X))
+        entries = {r[1] for r in rows}
+        if not entries <= preimages[rows[0][1]]:
+            raise CheckFailed(
+                "block entries must be preimages of one matrix", s_prime.word_letters(x, X)
+            )
 
     # eta(e): entries in scalar column b0 with values in the kernel, and the
     # corner entries of its blocks sweep the whole kernel (this is what makes
@@ -897,29 +937,31 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=2_000_000, max_prim
     kernel_set = set(kernel)
     for blk in emat.block_entries():
         for row in blk.rows:
-            if row is not None:
-                c2, h = row
-                assert c2 == 0 and h in kernel_set
+            check(row is None or (row[0] == 0 and row[1] in kernel_set),
+                  "entries of eta(e) must lie in column 0 with kernel values", blk)
     corner_values = {blk.entry(0, 0) for blk in emat.block_entries()}
-    assert corner_values == kernel_set, "corner entries of eta(e) must sweep the kernel"
+    check(corner_values == kernel_set, "corner entries of eta(e) must sweep the kernel",
+          sorted(corner_values, key=lambda h: (h is None, h)))
 
     sub = maximal_subgroup(s_prime, e_prime)
     theta = {}
     for x in sub.names:
-        mat = s_prime.names[x]
-        assert mat.block_columns() == {column}
-        blk = mat.block(column, column)
-        assert blk is not None
-        entry = blk.entry(0, 0)
-        assert entry is not None
+        blk = s_prime.names[x].block(column, column)
+        entry = None if blk is None else blk.entry(0, 0)
+        check(s_prime.names[x].block_columns() == {column} and entry is not None,
+              "the subgroup at eta(e) must carry its corner entry in the column of eta(e)",
+              s_prime.word_letters(x, X))
         theta[x] = entry
-    assert theta[e_prime] == H.identity
-    assert len(set(theta.values())) == len(theta) == H.n, "theta must be a bijection onto H"
+    check(theta[e_prime] == H.identity, "theta must send eta(e) to the identity", theta[e_prime])
+    check(len(set(theta.values())) == len(theta) == H.n, "theta must be a bijection onto H",
+          sorted(theta.values()))
     for x in sub.names:
         for y in sub.names:
-            assert theta[s_prime.mul(x, y)] == H.mul(theta[x], theta[y])
+            check(theta[s_prime.mul(x, y)] == H.mul(theta[x], theta[y]),
+                  "theta must be multiplicative", (theta[x], theta[y]))
     for x in sub.names:
-        assert alpha[theta[x]] == k_of[rho[x]], "alpha . theta must equal rho on the subgroup"
+        check(alpha[theta[x]] == k_of[rho[x]], "alpha . theta must equal rho on the subgroup",
+              theta[x])
 
     report = {
         "size": s_prime.n,
@@ -970,20 +1012,6 @@ def preimage_completeness_check(result, w):
     ]
     preimages = {t * some for t in twists}
     return blocks, preimages
-
-
-def _idempotent_exponent(mat):
-    seen = {}
-    cur = mat
-    e = 1
-    while cur not in seen:
-        seen[cur] = e
-        cur = cur * mat
-        e += 1
-    first = seen[cur]
-    period = e - first
-    k = period * ((first + period - 1) // period)
-    return k
 
 
 def _kernel_tuples(kernel, b, H):

@@ -4,6 +4,7 @@ Each criterion pins its tolerance and time budget; failures print the
 criterion number so the run is auditable at a glance.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -290,3 +291,18 @@ def test_criterion_10_aggm_forward_check_time():
     assert rep["semigroup_size"] == 1093
     report(10, "AGGM forward check on a 1093-element syntactic semigroup",
            elapsed <= 5, f"{elapsed:.1f}s")
+
+
+def test_criterion_11_z6_cover_time():
+    start = time.time()
+    D = syntactic_semigroup(even_shift(), extra_letters=("c",))
+    res = build_cover(D, cyclic_group(6), [0] * 6, ("a", "b", "b"), ("a",))
+    elapsed = time.time() - start
+    assert res.report == {
+        "size": 8704, "p": 37, "m": 1, "ell": 36, "subgroup_size": 6,
+        "theta_iso": True, "alpha_theta_is_rho": True,
+    }
+    digest = hashlib.sha256(res.serialize().encode()).hexdigest()
+    assert digest == "2dc0c5118d70575c754268f053dc15ec205354ced1ee77092b13bf4c93b46b17"
+    report(11, "Z6 cover of the even shift, 8704 elements, same serialization",
+           elapsed <= 3, f"{elapsed:.1f}s")

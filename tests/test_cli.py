@@ -1,10 +1,11 @@
 import json
+import math
 
 import pytest
 
 from corpus import golden_mean, period_shift
 from soficsemi import syntactic
-from soficsemi.cli import main
+from soficsemi.cli import _format_bound, _print_eggbox, main
 from soficsemi.finsemi import format_semigroup
 from soficsemi.shiftspace import format_presentation, parse_presentation
 from soficsemi import FiniteSemigroup, factor_dfa
@@ -150,3 +151,50 @@ def test_cap_exit_code(capsys, tmp_path, gm_path):
     code, out = run(capsys, ["--cap", "5", "cover", gm_path, str(h), str(spec)])
     assert code == 2
     assert out.startswith("ERR cap")
+
+
+def eggbox_by_cell_scan(S):
+    """The eggbox printed by rescanning the J-class for every cell: the
+    oracle for the bucketed version."""
+    g = S.green()
+    order = sorted(
+        range(len(g.j_classes)), key=lambda c: (len(g.j_below[c]), min(g.j_classes[c]))
+    )
+    out = []
+    for c in order:
+        elems = g.j_classes[c]
+        regular = "true" if g.regular[c] else "false"
+        out.append(f"jclass {c} regular={regular} size={len(elems)}")
+        r_ids = sorted({g.r_class[x] for x in elems}, key=lambda r: min(g.r_classes[r]))
+        l_ids = sorted({g.l_class[x] for x in elems}, key=lambda l: min(g.l_classes[l]))
+        for r in r_ids:
+            cells = []
+            for l in l_ids:
+                cell = [x for x in elems if g.r_class[x] == r and g.l_class[x] == l]
+                cells.append(",".join(str(x) for x in cell) if cell else "-")
+            out.append("  row " + " | ".join(cells))
+    return "\n".join(out) + "\n"
+
+
+def test_eggbox_matches_cell_scan(capsys):
+    from corpus import corpus_presentations, random_presentation
+
+    presentations = [P for _, P in corpus_presentations()]
+    presentations += [random_presentation(seed, 5, "abc") for seed in range(6)]
+    for P in presentations:
+        S = syntactic.syntactic_semigroup(P).semigroup
+        _print_eggbox(S)
+        assert capsys.readouterr().out == eggbox_by_cell_scan(S)
+
+
+def test_bound_digits_without_str():
+    """Bounds above str()'s 4300-digit limit print as ~10^(digits - 1)."""
+    assert _format_bound(10 ** 5000) == "~10^5000"
+    assert _format_bound(10 ** 5000 - 1) == "~10^4999"
+    assert _format_bound(7 ** 9000) == f"~10^{int(9000 * math.log10(7))}"
+    assert _format_bound(10 ** 40 - 1) == 10 ** 40 - 1
+    assert _format_bound(10 ** 40) == "~10^40"
+    for k in range(1, 4000, 7):
+        for n in (2 ** k - 1, 2 ** k, 10 ** (k // 3), 10 ** (k // 3) - 1 or 1, 3 ** k):
+            expect = n if n < 10 ** 40 else f"~10^{len(str(n)) - 1}"
+            assert _format_bound(n) == expect

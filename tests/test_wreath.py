@@ -1,11 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
+import soficsemi
 from corpus import cyclic_group, even_shift, golden_mean, period_shift
 from soficsemi import (
     FiniteSemigroup,
     PartialTransformation,
+    Presentation,
     RowMonomialMatrix,
     build_cover,
     is_aggm,
@@ -16,9 +22,9 @@ from soficsemi import (
     wreath_embed,
     wreath_product_0simple_check,
 )
-from soficsemi.errors import HypothesisViolated, NotTransitive, RankTooHigh
-from soficsemi.finsemi import close_generators
-from soficsemi.wreath import BlockMatrix, preimage_completeness_check
+from soficsemi.errors import CapExceeded, HypothesisViolated, NotTransitive, RankTooHigh
+from soficsemi.finsemi import close_generators, maximal_subgroup
+from soficsemi.wreath import BlockMatrix, InnerBlocks, preimage_completeness_check
 
 
 def t3_semigroup():
@@ -391,6 +397,147 @@ def test_row_monomial_and_block_arithmetic():
     assert (m * z).is_zero()
     d = RowMonomialMatrix.diagonal(Z2, (1, 1))
     assert (d * d).rows == ((0, 0), (1, 0))
-    b = BlockMatrix(2, 2, ((1, m), None))
-    assert (b * BlockMatrix.zero(2, 2)).is_zero()
+    T = InnerBlocks([m], cap=10)
+    b = BlockMatrix(T, ((1, T.index[m]), None))
+    assert (b * BlockMatrix.zero(T, 2)).is_zero()
     assert b.block(0, 1) == m and b.block(1, 0) is None
+
+
+class ObjectBlockMatrix:
+    """Block row-monomial matrix whose blocks are RowMonomialMatrix objects,
+    multiplied block by block: the oracle for the integer encoding."""
+
+    __slots__ = ("p", "inner", "rows", "_hash")
+
+    def __init__(self, p, inner, rows):
+        rows = tuple(rows)
+        assert len(rows) == p
+        for r in rows:
+            if r is not None:
+                c, blk = r
+                assert 0 <= c < p and blk.size == inner and not blk.is_zero()
+        self.p = p
+        self.inner = inner
+        self.rows = rows
+        self._hash = hash(rows)
+
+    @property
+    def dim(self):
+        return ("block", self.p, self.inner)
+
+    def __mul__(self, other):
+        out = []
+        for r in self.rows:
+            nxt = None if r is None else other.rows[r[0]]
+            if nxt is None:
+                out.append(None)
+                continue
+            prod = r[1] * nxt[1]
+            out.append(None if prod.is_zero() else (nxt[0], prod))
+        return ObjectBlockMatrix(self.p, self.inner, out)
+
+    def __eq__(self, other):
+        return isinstance(other, ObjectBlockMatrix) and self.rows == other.rows
+
+    def __hash__(self):
+        return self._hash
+
+    def is_zero(self):
+        return all(r is None for r in self.rows)
+
+    def block(self, i, j):
+        r = self.rows[i]
+        return r[1] if r is not None and r[0] == j else None
+
+    def block_entries(self):
+        return [r[1] for r in self.rows if r is not None]
+
+    def rotate(self, shift):
+        rows = [None] * self.p
+        for i, r in enumerate(self.rows):
+            if r is not None:
+                rows[(i - shift) % self.p] = ((r[0] - shift) % self.p, r[1])
+        return ObjectBlockMatrix(self.p, self.inner, rows)
+
+
+def decoded_rows(mat):
+    return tuple(None if r is None else (r[0], mat.inner.blocks[r[1]]) for r in mat.rows)
+
+
+def assert_matches_object_closure(D, res, alpha):
+    """Closing the generators as object matrices gives the same elements in
+    the same order, the same Cayley graph, rho, theta and serialization."""
+    S = res.s_prime
+    size = S.names[0].inner.size
+    gens = [ObjectBlockMatrix(res.p, size, decoded_rows(S.names[g])) for g in S.generators]
+    oracle = close_generators(gens, cap=10 ** 6)
+    assert oracle.n == S.n and oracle.generators == S.generators
+    assert oracle._cayley == S._cayley
+    assert all(oracle.names[x].rows == decoded_rows(S.names[x]) for x in range(S.n))
+    for g in S.generators:  # the cyclic renaming, also for shifts other than the column
+        for shift in range(res.p):
+            assert decoded_rows(S.names[g].rotate(shift)) == oracle.names[g].rotate(shift).rows
+    emb, K = res.embedding, res.embedding.group
+    rho = tuple(
+        D.zero if mat.is_zero()
+        else emb.lookup[mat.block_entries()[0].map_entries(lambda h: alpha[h], K)]
+        for mat in oracle.names
+    )
+    assert rho == res.rho
+    assert all(rho[x] == D.image(oracle.word_letters(x, D.alphabet)) for x in range(S.n))
+    theta = {
+        x: oracle.names[x].block(res.column, res.column).entry(0, 0)
+        for x in maximal_subgroup(oracle, res.e_prime).names
+    }
+    assert theta == res.theta
+    assert replace(res, s_prime=oracle, rho=rho, theta=theta).serialize() == res.serialize()
+
+
+def test_integer_blocks_match_object_closure():
+    for D, e_word, z_word in ((even3_data(), ("a", "b", "b"), ("a",)),
+                              (gm3_data(), ("a", "b"), ("a",))):
+        for k in (2, 3):
+            res = build_cover(D, cyclic_group(k), [0] * k, e_word, z_word)
+            assert_matches_object_closure(D, res, [0] * k)
+    full2 = Presentation(1, [(0, "a", 0), (0, "b", 0)])
+    D = syntactic_semigroup(full2, extra_letters=("c",))
+    res = build_cover(D, cyclic_group(3), [0, 0, 0], ("a", "b"), ("a",))
+    assert_matches_object_closure(D, res, [0, 0, 0])
+    P = Presentation(3, [(0, "a", 0), (0, "b", 1), (1, "a", 0), (0, "c", 2), (2, "a", 0)])
+    D = syntactic_semigroup(P, extra_letters=("d",))
+    res = build_cover(D, cyclic_group(2), [0, 0], ("a", "c"), ("a", "b"))
+    assert_matches_object_closure(D, res, [0, 0])
+
+
+def test_cover_inner_closure_honours_cap():
+    D = even3_data()
+    res = build_cover(D, cyclic_group(2), [0, 0], ("a", "b", "b"), ("a",))
+    inner = res.s_prime.names[0].inner.semigroup
+    assert inner.n < res.s_prime.n
+    with pytest.raises(CapExceeded):
+        build_cover(D, cyclic_group(2), [0, 0], ("a", "b", "b"), ("a",), cap=inner.n - 1)
+    again = build_cover(D, cyclic_group(2), [0, 0], ("a", "b", "b"), ("a",), cap=res.s_prime.n)
+    assert again.serialize() == res.serialize()
+
+
+def test_cover_check_survives_optimize():
+    """A non-group H with an identity passes the hypothesis checks; the named
+    corner-sweep check rejects it under `python -O`, where an assert would not."""
+    code = (
+        "from test_wreath import gm3_data\n"
+        "from soficsemi import FiniteSemigroup, build_cover\n"
+        "from soficsemi.errors import CheckFailed\n"
+        "H = FiniteSemigroup([[0, 1], [1, 1]], [0, 1], check=False)\n"
+        "assert False, 'asserts are on'\n"
+        "try:\n"
+        "    build_cover(gm3_data(), H, [0, 0], ('a', 'b'), ('a',))\n"
+        "except CheckFailed as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(soficsemi.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("corner entries of eta(e) must sweep the kernel, witness")
