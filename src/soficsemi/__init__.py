@@ -9,7 +9,6 @@ from .entropy import (
     entropy_estimate,
     entropy_gap_check,
     spectral_radius,
-    word_entropy,
 )
 from .errors import SoficSemiError
 from .finsemi import (
@@ -20,7 +19,6 @@ from .finsemi import (
     apex,
     close_generators,
     green_structure,
-    idempotents,
     lift_jclass,
     maximal_subgroup,
     omega_power,
@@ -44,7 +42,6 @@ from .syntactic import (
     SyntacticData,
     aggm_backward_check,
     aggm_forward_check,
-    aggm_theorem_check,
     fischer_cover,
     image_apex,
     is_aggm,
@@ -69,7 +66,6 @@ from .zimin import (
     loop_language,
     power_factorial,
     rational_bound_check,
-    shortlex_stream,
 )
 
 __version__ = "0.1.0"

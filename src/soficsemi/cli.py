@@ -201,6 +201,9 @@ def cmd_cover(args):
             parts = line.split()
             if parts:
                 spec[parts[0]] = parts[1:]
+    for key in ("e", "z"):
+        if not spec.get(key):
+            raise ValueError(f"cover spec needs an '{key} <word>' line")
     extra = tuple(spec.get("extra", ()))
     D = syntactic_mod.syntactic_semigroup(P, extra_letters=extra)
     e_word = parse_word(spec["e"][0], D.alphabet)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotASubshift, ToleranceNotReached
+from .errors import NotASubshift, ToleranceNotReached, check
+from .graph import sccs
 from .shiftspace import factor_dfa
 
 
@@ -25,27 +26,35 @@ class ComplexityProfile:
         return self.counts[n - 1]
 
     def counting_estimate(self):
-        """Ratio-based estimate log2(q(n)/q(n-1)); 0 exactly when q stalls."""
-        if len(self.counts) < 2 or self.counts[-1] == self.counts[-2]:
-            return 0.0
-        return math.log2(self.counts[-1] / self.counts[-2])
+        return _ratio_estimate(self.counts)
+
+
+def _ratio_estimate(counts):
+    """Ratio-based estimate log2(q(n)/q(n-1)); 0 exactly when q stalls."""
+    if len(counts) < 2 or counts[-1] == counts[-2]:
+        return 0.0
+    return math.log2(counts[-1] / counts[-2])
+
+
+def _checked_counts(P, n_max):
+    """The factor DFA and q(1..n_max), checked positive and submultiplicative."""
+    if not 1 <= n_max <= 64:
+        raise ValueError(f"n_max must lie in 1..64, got {n_max}")
+    d = factor_dfa(P)
+    counts = d.count_words(n_max)
+    check(all(c > 0 for c in counts), "factor counts must be positive", counts)
+    for n in range(1, n_max + 1):
+        for m in range(1, n_max - n + 1):
+            check(counts[n + m - 1] <= counts[n - 1] * counts[m - 1],
+                  "submultiplicativity fails", (n, m))
+    return d, counts
 
 
 def complexity(P, n_max):
-    assert 1 <= n_max <= 64
-    P.require_irreducible()
-    d = factor_dfa(P)
-    counts = d.count_words(n_max)
-    assert all(c > 0 for c in counts)
-    for i in range(n_max):
-        for j in range(n_max - i - 1):
-            n, m = i + 1, j + 1
-            assert counts[n + m - 1] <= counts[n - 1] * counts[m - 1], (
-                f"submultiplicativity fails at ({n},{m})"
-            )
+    d, counts = _checked_counts(P, n_max)
     upper = min(math.log2(counts[n - 1]) / n for n in range(1, n_max + 1))
     perron = math.log2(_live_spectral_radius(d, tol=1e-12))
-    assert upper >= perron - 1e-9, "counting bounds must dominate the entropy"
+    check(upper >= perron - 1e-9, "counting bounds must dominate the entropy", (upper, perron))
     return ComplexityProfile(tuple(counts), upper, perron)
 
 
@@ -73,12 +82,9 @@ def spectral_radius(mat, tol=1e-9, max_iter=200000):
     shift by the identity makes each irreducible block primitive).
     """
     n = len(mat)
-    if n == 0:
-        return 0.0
-    comp = _scc_ids(mat)
+    adj = [[j for j in range(n) if mat[i][j]] for i in range(n)]
     best = 0.0
-    for cid in range(max(comp) + 1):
-        nodes = [i for i in range(n) if comp[i] == cid]
+    for nodes in sccs(n, adj.__getitem__)[1]:
         if len(nodes) == 1:
             i = nodes[0]
             best = max(best, float(mat[i][i]))
@@ -86,55 +92,6 @@ def spectral_radius(mat, tol=1e-9, max_iter=200000):
         sub = [[mat[i][j] for j in nodes] for i in nodes]
         best = max(best, _primitive_radius(sub, tol, max_iter))
     return best
-
-
-def _scc_ids(mat):
-    n = len(mat)
-    adj = [[j for j in range(n) if mat[i][j]] for i in range(n)]
-    index = [None] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack = []
-    comp = [None] * n
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if index[w] is None:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                elif onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comp
 
 
 def _primitive_radius(sub, tol, max_iter):
@@ -163,15 +120,12 @@ class EntropyResult:
 
 
 def entropy_estimate(P, n_max=24, tol=1e-9):
-    profile = complexity(P, n_max)
-    d = factor_dfa(P)
+    d, counts = _checked_counts(P, n_max)
     value = math.log2(_live_spectral_radius(d, tol))
-    cert = tuple(
-        (n, profile.q(n), math.log2(profile.q(n)) / n) for n in range(1, n_max + 1)
-    )
-    for _, _, ub in cert:
-        assert ub >= value - 10 * tol
-    return EntropyResult(value, cert, profile.counting_estimate())
+    cert = tuple((n, q, math.log2(q) / n) for n, q in enumerate(counts, 1))
+    for n, _, ub in cert:
+        check(ub >= value - 10 * tol, "counting bound below the entropy", n)
+    return EntropyResult(value, cert, _ratio_estimate(counts))
 
 
 def subshift_inclusion_witnesses(P, P_sub):
@@ -195,8 +149,3 @@ def entropy_gap_check(P, P_sub, tol=1e-6):
     h = entropy_estimate(P).value
     h_sub = entropy_estimate(P_sub).value
     return h_sub < h - tol
-
-
-def word_entropy(w):
-    """Entropy of a finite word; zero by definition."""
-    return 0.0

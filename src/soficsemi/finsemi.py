@@ -22,6 +22,7 @@ from .errors import (
     NotRegular,
     NotSurjective,
 )
+from .graph import reach, sccs
 
 TABLE_LIMIT = 2000  # above this, the full n x n table is not materialized eagerly
 
@@ -55,13 +56,6 @@ class PartialTransformation:
     @classmethod
     def empty(cls, dim):
         return cls([None] * dim)
-
-    @classmethod
-    def from_dict(cls, dim, pairs):
-        m = [None] * dim
-        for k, v in pairs.items():
-            m[k] = v
-        return cls(m, dim)
 
     def __call__(self, i):
         return self.mapping[i]
@@ -124,6 +118,8 @@ class FiniteSemigroup:
                     raise ValueError("table entry out of range")
         if generators is None:
             generators = list(range(n))
+        if not all(0 <= g < n for g in generators):
+            raise ValueError("generator out of range")
         self.n = n
         self._table = table
         self.generators = list(generators)
@@ -411,62 +407,6 @@ class GreenStructure:
         return [c for c in ids if self.j_below[c] == frozenset([c])]
 
 
-def _sccs(n, out_edges):
-    """Iterative Tarjan; returns component id per node (discovery-ordered)."""
-    indices = [None] * n
-    low = [0] * n
-    comp = [None] * n
-    on_stack = [False] * n
-    stack = []
-    counter = 0
-    comps = []
-    for root in range(n):
-        if indices[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                indices[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            edges = out_edges(v)
-            while pi < len(edges):
-                w = edges[pi]
-                pi += 1
-                if indices[w] is None:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                elif on_stack[w]:
-                    low[v] = min(low[v], indices[w])
-            if recurse:
-                continue
-            if low[v] == indices[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = len(comps)
-                    members.append(w)
-                    if w == v:
-                        break
-                comps.append(members)
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    # renumber components by their minimal element for determinism
-    order = sorted(range(len(comps)), key=lambda c: min(comps[c]))
-    renum = {old: new for new, old in enumerate(order)}
-    comp = tuple(renum[c] for c in comp)
-    classes = tuple(tuple(sorted(comps[old])) for old in order)
-    return comp, classes
-
-
 def green_structure(S):
     """Green partitions via SCC condensation of the Cayley reachability graphs."""
     n = S.n
@@ -474,11 +414,9 @@ def green_structure(S):
     right = S._cayley
     left = [S.left_row(g) for g in S.generators]
 
-    r_class, r_classes = _sccs(n, lambda v: [right[v][j] for j in range(k)])
-    l_class, l_classes = _sccs(n, lambda v: [left[j][v] for j in range(k)])
-    j_class, j_classes = _sccs(
-        n, lambda v: [right[v][j] for j in range(k)] + [left[j][v] for j in range(k)]
-    )
+    r_class, r_classes = sccs(n, right.__getitem__)
+    l_class, l_classes = sccs(n, lambda v: [left[j][v] for j in range(k)])
+    j_class, j_classes = sccs(n, lambda v: right[v] + [left[j][v] for j in range(k)])
 
     pair_ids = {}
     h_class = []
@@ -503,17 +441,7 @@ def green_structure(S):
         for j in range(k):
             succ[cx].add(j_class[right[x][j]])
             succ[cx].add(j_class[left[j][x]])
-    j_below = []
-    for c in range(nc):
-        seen = {c}
-        frontier = [c]
-        while frontier:
-            u = frontier.pop()
-            for w in succ[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        j_below.append(frozenset(seen))
+    j_below = [frozenset(reach([c], succ.__getitem__)) for c in range(nc)]
 
     regular = []
     idem = set(S.idempotent_list())
@@ -532,10 +460,6 @@ def green_structure(S):
         j_below=tuple(j_below),
         regular=tuple(regular),
     )
-
-
-def idempotents(S):
-    return S.idempotent_list()
 
 
 def maximal_subgroup(S, e):
@@ -710,7 +634,7 @@ def omega_power(S, s):
 def parse_semigroup(text, seed=0):
     """Parse the textual semigroup format (header, table rows, generators)."""
     lines = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0][0] != "semigroup":
+    if not lines or lines[0][0] != "semigroup" or len(lines[0]) < 3:
         raise ValueError("expected 'semigroup n k' header")
     n, k = int(lines[0][1]), int(lines[0][2])
     if len(lines) < n + 2:
@@ -729,6 +653,8 @@ def parse_semigroup(text, seed=0):
             generators = [int(v) for v in parts[1:]]
             if len(generators) != k:
                 raise ValueError("generator count does not match header")
+        elif parts[0] in ("zero", "identity") and len(parts) != 2:
+            raise ValueError(f"expected '{parts[0]} <element>'")
         elif parts[0] == "zero":
             zero = int(parts[1])
         elif parts[0] == "identity":

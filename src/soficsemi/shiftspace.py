@@ -7,6 +7,7 @@ arbitrary strings, so higher-block alphabets fit the same machinery).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -14,6 +15,7 @@ from .errors import (
     NotStronglyConnected,
     ShiftIsMinimal,
 )
+from .graph import reach
 
 
 def word(s):
@@ -71,6 +73,8 @@ class Presentation:
         self.edges = tuple(edges)
         self.alphabet = alphabet
         self._irr = None
+        self._factor_dfa = None
+        self._witness = None
 
     @property
     def irreducible(self):
@@ -85,19 +89,7 @@ class Presentation:
         for s, _, t in self.edges:
             fwd[s].append(t)
             bwd[t].append(s)
-
-        def reach(adj):
-            seen = {0}
-            stack = [0]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            return seen
-
-        return len(reach(fwd)) == n and len(reach(bwd)) == n
+        return all(len(reach([0], adj.__getitem__)) == n for adj in (fwd, bwd))
 
     def require_irreducible(self):
         if not self.irreducible:
@@ -114,7 +106,7 @@ class Presentation:
 
 def parse_presentation(text):
     lines = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0][0] != "presentation":
+    if not lines or lines[0][0] != "presentation" or len(lines[0]) < 2:
         raise ValueError("expected 'presentation <#states> <letters...>' header")
     n = int(lines[0][1])
     alphabet = lines[0][2:]
@@ -161,32 +153,7 @@ class Dfa:
     # -- structure -------------------------------------------------------
 
     def reachable(self):
-        seen = {self.initial}
-        stack = [self.initial]
-        while stack:
-            q = stack.pop()
-            for r in self.trans[q]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return seen
-
-    def coaccessible(self):
-        """States from which some accepting state is reachable."""
-        n = self.n_states
-        rev = [[] for _ in range(n)]
-        for q in range(n):
-            for r in self.trans[q]:
-                rev[r].append(q)
-        seen = set(self.accepting)
-        stack = list(self.accepting)
-        while stack:
-            q = stack.pop()
-            for r in rev[q]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return seen
+        return reach([self.initial], self.trans.__getitem__)
 
     def minimize(self):
         """Hopcroft partition refinement, then canonical BFS renumbering."""
@@ -323,36 +290,8 @@ class Dfa:
         return counts
 
     def words_up_to(self, n_max):
-        """All accepted words of length 1..n_max in shortlex order.
-
-        Branches that cannot reach an accepting state within the remaining
-        length are pruned, so the cost is proportional to the output."""
-        reach = [[q in self.accepting for q in range(self.n_states)]]
-        for _ in range(n_max):
-            prev = reach[-1]
-            reach.append(
-                [any(prev[t] for t in self.trans[q]) for q in range(self.n_states)]
-            )
-        useful = [
-            [any(reach[r][q] for r in range(rem + 1)) for q in range(self.n_states)]
-            for rem in range(n_max + 1)
-        ]
-        out = []
-        frontier = [((), self.initial)]
-        for depth in range(n_max):
-            rem = n_max - depth - 1
-            nxt = []
-            for w, q in frontier:
-                for a in self.alphabet:
-                    r = self.step(q, a)
-                    if not useful[rem][r]:
-                        continue
-                    w2 = w + (a,)
-                    nxt.append((w2, r))
-                    if r in self.accepting:
-                        out.append(w2)
-            frontier = nxt
-        return out
+        """All accepted words of length 1..n_max in shortlex order."""
+        return list(itertools.takewhile(lambda w: len(w) <= n_max, self.iter_words()))
 
     def iter_words(self):
         """Lazy shortlex enumeration of the accepted language."""
@@ -376,19 +315,17 @@ class Dfa:
                 length += 1
                 continue
             gap = 0
-            out = []
 
             def walk(prefix, q, remaining):
                 if remaining == 0:
-                    out.append(prefix)
+                    yield prefix
                     return
                 for a in self.alphabet:
                     r = self.step(q, a)
                     if reach_acc[remaining - 1][r]:
-                        walk(prefix + (a,), r, remaining - 1)
+                        yield from walk(prefix + (a,), r, remaining - 1)
 
-            walk((), self.initial, length)
-            yield from out
+            yield from walk((), self.initial, length)
             length += 1
 
 
@@ -415,10 +352,13 @@ def subset_construction(P, initial_set, accept_pred):
 
 
 def factor_dfa(P):
-    """Minimal complete DFA of the factor language of an irreducible presentation."""
-    P.require_irreducible()
-    d = subset_construction(P, range(P.n_states), lambda sub: len(sub) > 0)
-    return d.minimize()
+    """Minimal complete DFA of the factor language of an irreducible
+    presentation, built once per presentation."""
+    if P._factor_dfa is None:
+        P.require_irreducible()
+        d = subset_construction(P, range(P.n_states), lambda sub: len(sub) > 0)
+        P._factor_dfa = d.minimize()
+    return P._factor_dfa
 
 
 @dataclass(frozen=True)
@@ -505,7 +445,8 @@ def higher_block(P, N):
     letters.
     """
     P.require_irreducible()
-    assert N >= 1
+    if N < 1:
+        raise ValueError(f"block length must be at least 1, got {N}")
     if N == 1:
         return Presentation(P.n_states, P.edges, P.alphabet)
     paths = [(e,) for e in range(len(P.edges))]
@@ -544,8 +485,15 @@ def non_minimal_witness(P):
 
     w is the shortest lex-least cycle word at an accepting state of the
     minimal DFA; v is the lex-least non-rotation factor of the same length
-    (one exists because a non-periodic shift has q(n) > n).
+    (one exists because a non-periodic shift has q(n) > n).  Computed once
+    per presentation.
     """
+    if P._witness is None:
+        P._witness = _witness_pair(P)
+    return P._witness
+
+
+def _witness_pair(P):
     P.require_irreducible()
     if is_periodic(P) is not None:
         raise ShiftIsMinimal("shift is periodic, no witness exists")

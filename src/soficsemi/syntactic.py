@@ -327,15 +327,6 @@ def generator_isomorphic(S, T):
     return m.is_surjective()
 
 
-def aggm_theorem_check(arg):
-    """Run whichever direction of the equivalence matches the input type."""
-    if isinstance(arg, Presentation):
-        return aggm_forward_check(arg)
-    if isinstance(arg, FiniteSemigroup):
-        return aggm_backward_check(arg)
-    raise TypeError("expected a Presentation or a FiniteSemigroup")
-
-
 def fischer_cover(D):
     """Minimal right-resolving presentation, as the right-action graph on an
     R-class of the distinguished J-class."""

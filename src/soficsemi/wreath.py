@@ -73,15 +73,6 @@ class RowMonomialMatrix:
     def diagonal(cls, group, values):
         return cls(group, tuple((i, g) for i, g in enumerate(values)))
 
-    @classmethod
-    def from_transformation(cls, group, pt, value=None):
-        v = group.identity if value is None else value
-        return cls(
-            group,
-            tuple(None if t is None else (t, v) for t in pt.mapping),
-            pt.dim,
-        )
-
     def __mul__(self, other):
         if not isinstance(other, RowMonomialMatrix):
             return NotImplemented
@@ -135,18 +126,6 @@ class RowMonomialMatrix:
         return RowMonomialMatrix(
             new_group,
             tuple(None if r is None else (r[0], func(r[1])) for r in self.rows),
-            self.size,
-        )
-
-    def scale_rows_left(self, values):
-        """diag(values) * self."""
-        grp = self.group
-        return RowMonomialMatrix(
-            grp,
-            tuple(
-                None if r is None else (r[0], grp.mul(values[i], r[1]))
-                for i, r in enumerate(self.rows)
-            ),
             self.size,
         )
 

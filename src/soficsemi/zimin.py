@@ -8,10 +8,12 @@ the minimal ideal; the theoretical stopping bound N is reported as well.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidState
-from .shiftspace import Dfa, subset_construction
+from .shiftspace import Dfa, join_word, subset_construction
 
 
 @dataclass(frozen=True)
@@ -29,25 +31,30 @@ class ZiminTerm:
     def extend(self, v_next, n_next):
         return ZiminTerm(self, tuple(v_next), n_next)
 
+    def _chain(self):
+        """The terms w_1, ..., w_n of the sequence, leaf first."""
+        terms = []
+        t = self
+        while t is not None:
+            terms.append(t)
+            t = t.prev
+        return terms[::-1]
+
     def word_length(self):
-        if self.prev is None:
-            return len(self.v)
-        inner = 2 * self.prev.word_length() + len(self.v)
-        return inner * _factorial(self.exponent)
+        leaf, *rest = self._chain()
+        length = len(leaf.v)
+        for t in rest:
+            length = (2 * length + len(t.v)) * math.factorial(t.exponent)
+        return length
 
     def pretty(self):
-        if self.prev is None:
-            return "".join(self.v) if all(len(a) == 1 for a in self.v) else ",".join(self.v)
-        inner = self.prev.pretty()
-        mid = "".join(self.v) if all(len(a) == 1 for a in self.v) else ",".join(self.v)
-        return f"({inner} {mid} {inner})^({self.exponent}!)"
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+        """One definition per level, linear in n:
+        w1=v1; w2=(w1 v2 w1)^(2!); ...; wn=(w(n-1) vn w(n-1))^(n!)."""
+        leaf, *rest = self._chain()
+        defs = [f"w1={join_word(leaf.v)}"]
+        for i, t in enumerate(rest, 2):
+            defs.append(f"w{i}=(w{i - 1} {join_word(t.v)} w{i - 1})^({t.exponent}!)")
+        return "; ".join(defs)
 
 
 @dataclass
@@ -67,21 +74,11 @@ def loop_language(P, v):
     d = subset_construction(P, [v], lambda sub: v in sub).minimize()
     lang = LoopLanguage(d, d.n_states, v, P.alphabet)
     # loops concatenate, so T is a subsemigroup: spot-check on early elements
-    first = []
-    for w in shortlex_stream(lang):
-        first.append(w)
-        if len(first) >= 4:
-            break
+    first = list(itertools.islice(d.iter_words(), 4))
     for x in first:
         for y in first:
             assert d.accepts(x + y), "loop language must be closed under concatenation"
     return lang
-
-
-def shortlex_stream(T):
-    """Shortlex enumeration of a loop language (or any DFA language)."""
-    d = T.dfa if isinstance(T, LoopLanguage) else T
-    return d.iter_words()
 
 
 def power_factorial(S, s, n):
@@ -103,14 +100,17 @@ def power_factorial(S, s, n):
     return S.power(s, exponent)
 
 
-def phi_image_of_language(dfa, S, gens_map):
-    """Exact image of a rational language in S via product-automaton BFS."""
+def _first_depths(dfa, S, gens_map):
+    """BFS over the product of the DFA and S: each element of the image of
+    the language, mapped to the length of the shortest word reaching it."""
     ident = object()
     start = (dfa.initial, ident)
     seen = {start}
     frontier = [start]
-    hit = set()
+    depths = {}
+    depth = 0
     while frontier:
+        depth += 1
         nxt = []
         for q, s in frontier:
             for a in dfa.alphabet:
@@ -121,9 +121,14 @@ def phi_image_of_language(dfa, S, gens_map):
                     seen.add(state)
                     nxt.append(state)
                 if q2 in dfa.accepting:
-                    hit.add(s2)
+                    depths.setdefault(s2, depth)
         frontier = nxt
-    return frozenset(hit)
+    return depths
+
+
+def phi_image_of_language(dfa, S, gens_map):
+    """Exact image of a rational language in S via product-automaton BFS."""
+    return frozenset(_first_depths(dfa, S, gens_map))
 
 
 def in_minimal_ideal(S, subset, x):
@@ -190,7 +195,7 @@ def evaluate_zimin(T, S, gens_map):
     size = len(dfa.alphabet)
     bound = sum(size ** j for j in range(1, r + 1))
 
-    stream = shortlex_stream(T)
+    stream = dfa.iter_words()
     v1 = next(stream)
     term = ZiminTerm.leaf(v1)
 
@@ -233,26 +238,5 @@ def rational_bound_check(dfa, S, gens_map):
     """Every element of the image of the language is reached by a word of
     length at most m(|S|+1)-1, found by BFS over the product automaton."""
     d = dfa.minimize()
-    m = d.n_states
-    bound = m * (S.n + 1) - 1
-    image = phi_image_of_language(d, S, gens_map)
-    ident = object()
-    seen = {(d.initial, ident)}
-    frontier = [(d.initial, ident)]
-    found = set()
-    depth = 0
-    while frontier and depth < bound:
-        depth += 1
-        nxt = []
-        for q, s in frontier:
-            for a in d.alphabet:
-                q2 = d.step(q, a)
-                s2 = gens_map[a] if s is ident else S.mul(s, gens_map[a])
-                if q2 in d.accepting:
-                    found.add(s2)
-                state = (q2, s2)
-                if state not in seen:
-                    seen.add(state)
-                    nxt.append(state)
-        frontier = nxt
-    return found == image
+    depths = _first_depths(d, S, gens_map)
+    return max(depths.values(), default=0) <= d.n_states * (S.n + 1) - 1

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from corpus import golden_mean, period_shift
-from soficsemi import syntactic
+from soficsemi import entropy, shiftspace, syntactic
 from soficsemi.cli import _format_bound, _print_eggbox, main
 from soficsemi.finsemi import format_semigroup
 from soficsemi.shiftspace import format_presentation, parse_presentation
@@ -62,6 +62,28 @@ def test_aggm_verb_computes_aggm_once(capsys, p2_path, monkeypatch):
     code, _ = run(capsys, ["aggm", p2_path])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_entropy_verb_computes_one_spectral_radius(capsys, gm_path, monkeypatch):
+    calls = []
+    body = entropy.spectral_radius
+    monkeypatch.setattr(entropy, "spectral_radius", lambda *a: calls.append(a) or body(*a))
+    code, _ = run(capsys, ["entropy", gm_path])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_witness_verb_builds_each_factor_dfa_once(capsys, gm_path, monkeypatch):
+    built, searches = [], []
+    subset, search = shiftspace.subset_construction, shiftspace._witness_pair
+    monkeypatch.setattr(shiftspace, "subset_construction",
+                        lambda P, *a: built.append(P) or subset(P, *a))
+    monkeypatch.setattr(shiftspace, "_witness_pair", lambda P: searches.append(P) or search(P))
+    code, _ = run(capsys, ["witness", gm_path])
+    assert code == 0
+    assert len(searches) == 1
+    # the loaded presentation and its higher-block recoding, once each
+    assert len(built) == len({id(P) for P in built}) == 2
 
 
 def test_syntactic_and_green_verbs(capsys, gm_path, tmp_path):
@@ -141,6 +163,35 @@ def test_error_codes(capsys, tmp_path):
     code, out = run(capsys, ["entropy", str(missing)])
     assert code == 1
     assert out.startswith("ERR validation")
+
+
+GM_TEXT = "presentation 2 a b\nedge 0 a 0\nedge 0 b 1\nedge 1 a 0\n"
+Z2_TEXT = "semigroup 2 1\n0 1\n1 0\ngenerators 1\nidentity 0\n"
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["entropy", "P", "--nmax", "100"], {}),
+    (["entropy", "P", "--nmax", "0"], {}),
+    (["block", "P", "0"], {}),
+    (["cover", "P", "H", "spec"], {"spec": "z a\nextra c\n"}),
+    (["cover", "P", "H", "spec"], {"spec": "e ab\nextra c\n"}),
+    (["cover", "P", "H", "spec"], {"spec": "e\nz a\n"}),
+    (["syntactic", "P"], {"P": "presentation\n"}),
+    (["green", "H"], {"H": "semigroup\n"}),
+    (["green", "H"], {"H": "semigroup 2\n0 1\n1 0\ngenerators 1\n"}),
+    (["green", "H"], {"H": "semigroup 2 1\n0 1\n1 0\ngenerators 2\n"}),
+    (["green", "H"], {"H": "semigroup 2 1\n0 1\n1 0\ngenerators -1\n"}),
+    (["idempotent", "P", "0", "H"], {"H": "semigroup 2 2\n0 1\n1 0\ngenerators 0 5\n"}),
+    (["green", "H"], {"H": "semigroup 2 1\n0 1\n1 0\ngenerators 1\nzero\n"}),
+    (["green", "H"], {"H": "semigroup 2 1\n0 1\n1 0\ngenerators 1\nidentity\n"}),
+])
+def test_malformed_input_prints_err(capsys, tmp_path, argv, files):
+    texts = {"P": GM_TEXT, "H": Z2_TEXT, **files}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    code, out = run(capsys, [str(tmp_path / a) if a in texts else a for a in argv])
+    assert code in (1, 2)
+    assert out.startswith("ERR ")
 
 
 def test_cap_exit_code(capsys, tmp_path, gm_path):

@@ -10,7 +10,6 @@ from soficsemi import (
     entropy_gap_check,
     factor_dfa,
     spectral_radius,
-    word_entropy,
 )
 from soficsemi.errors import NotASubshift
 
@@ -99,10 +98,3 @@ def test_tolerance_not_reached():
 
     with pytest.raises(ToleranceNotReached):
         spectral_radius([[1, 1], [1, 0]], tol=1e-15, max_iter=3)
-
-
-def test_word_entropy_is_zero():
-    assert word_entropy("") == 0.0
-    assert word_entropy("abbabab") == 0.0
-    assert word_entropy(tuple("ab") * 50) == 0.0
-    assert max(word_entropy("ab"), word_entropy("ba")) == 0.0

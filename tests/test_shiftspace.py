@@ -241,3 +241,31 @@ def test_word_enumeration_streams_shortlex():
     assert first == [
         ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("a", "a", "a"),
     ]
+
+
+def test_words_up_to_matches_brute_force_on_random_dfas():
+    import random
+
+    from soficsemi import Dfa
+
+    rng = random.Random(7)
+    for trial in range(300):
+        alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+        n = rng.randint(1, 6)
+        if trial % 2:
+            # finite language: edges only go forward, the last state is a sink
+            trans = [[rng.randint(min(q + 1, n - 1), n - 1) for _ in alphabet]
+                     for q in range(n)]
+            accepting = {q for q in range(n - 1) if rng.random() < 0.5}
+        else:
+            trans = [[rng.randrange(n) for _ in alphabet] for _ in range(n)]
+            accepting = {q for q in range(n) if rng.random() < 0.4}
+        d = Dfa(trans, alphabet, 0, accepting)
+        for n_max in range(6):
+            expected = [
+                w
+                for k in range(1, n_max + 1)
+                for w in itertools.product(alphabet, repeat=k)
+                if d.accepts(w)
+            ]
+            assert d.words_up_to(n_max) == expected

@@ -26,7 +26,6 @@ from soficsemi import (
     SemigroupMorphism,
     aggm_backward_check,
     aggm_forward_check,
-    aggm_theorem_check,
     factor_dfa,
     fischer_cover,
     image_apex,
@@ -156,8 +155,8 @@ def test_aggm_backward_rejects_group_with_zero():
 
 
 def test_aggm_theorem_check_dispatch():
-    assert aggm_theorem_check(golden_mean())["is_aggm"]
-    dfa, report = aggm_theorem_check(golden_mean_syntactic_table())
+    assert aggm_forward_check(golden_mean())["is_aggm"]
+    dfa, report = aggm_backward_check(golden_mean_syntactic_table())
     assert report["is_aggm"]
 
 

@@ -17,7 +17,6 @@ from soficsemi import (
     loop_language,
     power_factorial,
     rational_bound_check,
-    shortlex_stream,
     syntactic_semigroup,
 )
 from soficsemi.errors import InvalidState
@@ -31,14 +30,14 @@ def take(stream, k):
 def test_loop_language_full_shift():
     T = loop_language(full_shift(2), 0)
     assert T.m == 1
-    assert take(shortlex_stream(T), 6) == [
+    assert take(T.dfa.iter_words(), 6) == [
         ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"),
     ]
 
 
 def test_loop_language_golden_mean():
     T = loop_language(golden_mean(), 0)
-    words = take(shortlex_stream(T), 4)
+    words = take(T.dfa.iter_words(), 4)
     assert words == [("a",), ("a", "a"), ("b", "a"), ("a", "a", "a")]
     assert T.dfa.accepts(("a", "b", "a"))
     assert not T.dfa.accepts(("b",))
@@ -60,7 +59,7 @@ def test_loop_language_golden_mean():
 
 def test_loop_language_period2_is_ab_plus():
     T = loop_language(period_shift(2), 0)
-    assert take(shortlex_stream(T), 3) == [
+    assert take(T.dfa.iter_words(), 3) == [
         ("a", "b"), ("a", "b", "a", "b"), ("a", "b", "a", "b", "a", "b"),
     ]
 
@@ -138,7 +137,7 @@ def test_zimin_term_structure():
     t = t.extend(("b",), 2)
     t = t.extend(("a", "b"), 3)
     assert t.word_length() == ((2 * (1 * 2 + 1) * 2) + 2) * 6
-    assert t.pretty() == "((a b a)^(2!) ab (a b a)^(2!))^(3!)"
+    assert t.pretty() == "w1=a; w2=(w1 b w1)^(2!); w3=(w2 ab w2)^(3!)"
 
 
 def test_rational_bound_check():
@@ -156,3 +155,62 @@ def factor_dfa_full():
     from soficsemi import factor_dfa
 
     return factor_dfa(full_shift(2))
+
+
+def bounded_image_oracle(d, S, gens_map, bound):
+    """Elements reached by an accepted word of length at most `bound`: the
+    depth-bounded product BFS that rational_bound_check once ran after the
+    full one."""
+    ident = object()
+    seen = {(d.initial, ident)}
+    frontier = [(d.initial, ident)]
+    found = set()
+    depth = 0
+    while frontier and depth < bound:
+        depth += 1
+        nxt = []
+        for q, s in frontier:
+            for a in d.alphabet:
+                q2 = d.step(q, a)
+                s2 = gens_map[a] if s is ident else S.mul(s, gens_map[a])
+                if q2 in d.accepting:
+                    found.add(s2)
+                state = (q2, s2)
+                if state not in seen:
+                    seen.add(state)
+                    nxt.append(state)
+        frontier = nxt
+    return found
+
+
+def rational_bound_check_oracle(dfa, S, gens_map):
+    """The former two-BFS body of rational_bound_check."""
+    d = dfa.minimize()
+    bound = d.n_states * (S.n + 1) - 1
+    return bounded_image_oracle(d, S, gens_map, bound) == phi_image_of_language(d, S, gens_map)
+
+
+def test_first_depths_match_bounded_bfs_oracle():
+    from corpus import corpus_presentations, random_presentation, random_transformation_semigroup
+    from soficsemi.zimin import _first_depths
+
+    cases = []
+    for P in [P for _, P in corpus_presentations()] + [
+        random_presentation(seed, n, "ab") for seed in range(6) for n in (3, 4, 5)
+    ]:
+        D = syntactic_semigroup(P)
+        cases.append((loop_language(P, 0).dfa, D.semigroup, D.letter_map))
+        cases.append((D.dfa, D.semigroup, D.letter_map))
+        # a semigroup other than the syntactic one gives other depths
+        R = random_transformation_semigroup(len(cases), 3, len(P.alphabet))
+        cases.append((loop_language(P, 0).dfa, R, dict(zip(P.alphabet, R.generators))))
+    for dfa, S, gens_map in cases:
+        assert rational_bound_check(dfa, S, gens_map) == rational_bound_check_oracle(
+            dfa, S, gens_map
+        )
+        d = dfa.minimize()
+        depths = _first_depths(d, S, gens_map)
+        assert frozenset(depths) == phi_image_of_language(d, S, gens_map)
+        for bound in range(max(depths.values()) + 2):
+            reached = {s for s, k in depths.items() if k <= bound}
+            assert reached == bounded_image_oracle(d, S, gens_map, bound)
