@@ -12,7 +12,7 @@ from . import syntactic as syntactic_mod
 from . import wreath as wreath_mod
 from . import zimin as zimin_mod
 from .errors import CapExceeded, SoficSemiError
-from .finsemi import parse_semigroup
+from .finsemi import DEFAULT_CAP, parse_semigroup
 from .shiftspace import (
     conjugate_with_partial_alphabet,
     format_presentation,
@@ -48,7 +48,7 @@ def _bool(v):
 
 def cmd_syntactic(args):
     P = _load_presentation(args.presentation)
-    D = syntactic_mod.syntactic_semigroup(P)
+    D = syntactic_mod.syntactic_semigroup(P, cap=args.cap)
     g = D.semigroup.green()
     pairs = [
         ("semigroup_size", D.semigroup.n),
@@ -89,7 +89,7 @@ def cmd_green(args):
 
 def cmd_aggm(args):
     P = _load_presentation(args.presentation)
-    report = syntactic_mod.aggm_forward_check(P)
+    report = syntactic_mod.aggm_forward_check(P, cap=args.cap)
     D = report["data"]
     cover = syntactic_mod.fischer_cover(D)
     pairs = [
@@ -105,7 +105,7 @@ def cmd_aggm(args):
 
 def cmd_fischer(args):
     P = _load_presentation(args.presentation)
-    D = syntactic_mod.syntactic_semigroup(P)
+    D = syntactic_mod.syntactic_semigroup(P, cap=args.cap)
     cover = syntactic_mod.fischer_cover(D)
     sys.stdout.write(format_presentation(cover))
     return 0
@@ -165,7 +165,7 @@ def cmd_idempotent(args):
             return 1
         gens_map = {a: S.generators[i] for i, a in enumerate(P.alphabet)}
     else:
-        D = syntactic_mod.syntactic_semigroup(P)
+        D = syntactic_mod.syntactic_semigroup(P, cap=args.cap)
         S = D.semigroup
         gens_map = D.letter_map
     res = zimin_mod.evaluate_zimin(T, S, gens_map)
@@ -205,7 +205,7 @@ def cmd_cover(args):
         if not spec.get(key):
             raise ValueError(f"cover spec needs an '{key} <word>' line")
     extra = tuple(spec.get("extra", ()))
-    D = syntactic_mod.syntactic_semigroup(P, extra_letters=extra)
+    D = syntactic_mod.syntactic_semigroup(P, extra_letters=extra, cap=args.cap)
     e_word = parse_word(spec["e"][0], D.alphabet)
     z_word = parse_word(spec["z"][0], D.alphabet)
     e = D.image(e_word)
@@ -239,7 +239,7 @@ def make_parser():
     ap = argparse.ArgumentParser(prog="soficsemi")
     ap.add_argument("--format", choices=("tsv", "json"), default="tsv")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cap", type=int, default=2_000_000)
+    ap.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("syntactic")

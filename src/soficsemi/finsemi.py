@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     CapExceeded,
@@ -21,16 +22,24 @@ from .errors import (
     NotIrreducible,
     NotRegular,
     NotSurjective,
+    check,
 )
 from .graph import reach, sccs
 
-TABLE_LIMIT = 2000  # above this, the full n x n table is not materialized eagerly
+TABLE_LIMIT = 2000  # above this, `.table` refuses to materialize the n x n table
+DEFAULT_CAP = 2_000_000  # element cap of a closure unless the caller passes one
 
 
 class PartialTransformation:
-    """Partial self-map of {0..dim-1}; the product x*y applies x first, then y."""
+    """Partial self-map of {0..dim-1}; the product x*y applies x first, then y.
 
-    __slots__ = ("dim", "mapping", "_hash")
+    Stored packed in `_b`, one entry per point with the value dim standing
+    for "undefined": `bytes` when dim <= 255, else a tuple.  x*y is then one
+    C-level gather through y's `_pad` (y's entries followed by dim, padded to
+    256 for `bytes.translate`), built once per right factor.
+    """
+
+    __slots__ = ("dim", "_b", "_pad", "_hash")
 
     def __init__(self, mapping, dim=None):
         mapping = tuple(mapping)
@@ -41,9 +50,26 @@ class PartialTransformation:
         for v in mapping:
             if v is not None and not (0 <= v < dim):
                 raise DimensionMismatch(f"image {v} outside 0..{dim - 1}")
+        packed = tuple(dim if v is None else v for v in mapping)
         self.dim = dim
-        self.mapping = mapping
-        self._hash = hash(mapping)
+        self._b = bytes(packed) if dim <= 255 else packed
+        self._pad = None
+        self._hash = hash(self._b)
+
+    @classmethod
+    def _packed(cls, b, dim):
+        """Wrap packed entries without validation (products of valid maps)."""
+        self = object.__new__(cls)
+        self.dim = dim
+        self._b = b
+        self._pad = None
+        self._hash = hash(b)
+        return self
+
+    @property
+    def mapping(self):
+        dim = self.dim
+        return tuple(None if v == dim else v for v in self._b)
 
     @classmethod
     def identity(cls, dim):
@@ -58,44 +84,49 @@ class PartialTransformation:
         return cls([None] * dim)
 
     def __call__(self, i):
-        return self.mapping[i]
+        v = self._b[i]
+        return None if v == self.dim else v
 
     def __mul__(self, other):
         if not isinstance(other, PartialTransformation):
             return NotImplemented
-        if other.dim != self.dim:
+        dim = self.dim
+        if other.dim != dim:
             raise DimensionMismatch("composing maps of different dimensions")
-        om = other.mapping
-        return PartialTransformation(
-            tuple(None if v is None else om[v] for v in self.mapping), self.dim
-        )
+        pad = other._pad
+        if dim <= 255:
+            if pad is None:
+                pad = other._pad = other._b + bytes([dim]) * (256 - dim)
+            return PartialTransformation._packed(self._b.translate(pad), dim)
+        if pad is None:
+            pad = other._pad = other._b + (dim,)
+        return PartialTransformation._packed(itemgetter(*self._b)(pad), dim)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PartialTransformation)
-            and self.dim == other.dim
-            and self.mapping == other.mapping
-        )
+        # the packed entries have length dim, so equal entries mean equal dim
+        return isinstance(other, PartialTransformation) and self._b == other._b
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        body = ",".join("-" if v is None else str(v) for v in self.mapping)
+        dim = self.dim
+        body = ",".join("-" if v == dim else str(v) for v in self._b)
         return f"PT[{body}]"
 
     @property
     def rank(self):
-        return len({v for v in self.mapping if v is not None})
+        return len(self.image())
 
     def is_total(self):
-        return all(v is not None for v in self.mapping)
+        return self.dim not in self._b
 
     def image(self):
-        return {v for v in self.mapping if v is not None}
+        return set(self._b) - {self.dim}
 
     def domain(self):
-        return {i for i, v in enumerate(self.mapping) if v is not None}
+        dim = self.dim
+        return {i for i, v in enumerate(self._b) if v != dim}
 
 
 class FiniteSemigroup:
@@ -131,7 +162,9 @@ class FiniteSemigroup:
         self.zero = self._find_zero() if zero == "auto" else zero
         self.identity = self._find_identity() if identity == "auto" else identity
         if zero != "auto" and zero is not None:
-            assert all(self.mul(zero, s) == zero == self.mul(s, zero) for s in range(n))
+            for s in range(n):
+                if not self.mul(zero, s) == zero == self.mul(s, zero):
+                    raise ValueError(f"declared zero {zero} is not a zero, witness {s}")
         self._green = None
         self._aggm = None
 
@@ -149,8 +182,6 @@ class FiniteSemigroup:
         self._lastgen = lastgen
         self._order = range(self.n)
         self._table = None
-        if self.n <= TABLE_LIMIT:
-            self._materialize_table()
         self.zero = self._find_zero()
         self.identity = self._find_identity()
         self._green = None
@@ -268,7 +299,8 @@ class FiniteSemigroup:
         return cur
 
     def power(self, s, k):
-        assert k >= 1
+        if k < 1:
+            raise ValueError(f"power needs k >= 1, got {k}")
         acc = None
         base = s
         while k:
@@ -472,13 +504,13 @@ def maximal_subgroup(S, e):
     table = [[pos[S.mul(x, y)] for y in members] for x in members]
     group = FiniteSemigroup(table, generators=list(range(len(members))),
                             names=members, check=False)
-    assert group.identity == pos[e]
+    check(group.identity == pos[e], "idempotent is the identity of its H-class", e)
     # group axioms: identity plus two-sided inverses, checked exhaustively
     for i in range(len(members)):
-        assert any(
+        check(any(
             table[i][j] == group.identity and table[j][i] == group.identity
             for j in range(len(members))
-        ), "H-class of idempotent failed to be a group"
+        ), "H-class of idempotent failed to be a group", members[i])
     return group
 
 
@@ -509,12 +541,12 @@ def apex(S, A):
                 raise NotIrreducible((u, v))
     inside = {g.j_class[a] for a in A}
     minimal = [c for c in inside if all(not g.leq_j(d, c) for d in inside if d != c)]
-    assert len(minimal) == 1, "apex is not unique"
+    check(len(minimal) == 1, "apex is not unique", minimal)
     top = minimal[0]
-    assert g.regular[top], "apex must be regular"
-    assert all(g.leq_j(top, c) for c in inside)
+    check(g.regular[top], "apex must be regular", top)
+    check(all(g.leq_j(top, c) for c in inside), "apex lies below every class of A", top)
     fact = {b for b in range(S.n) if g.leq_j(top, g.j_class[b])}
-    assert fact == A, "Fact(apex) differs from A"
+    check(fact == A, "Fact(apex) differs from A", sorted(fact ^ A)[:2])
     return top
 
 
@@ -526,12 +558,14 @@ class SemigroupMorphism:
 
     def __post_init__(self):
         self.mapping = tuple(self.mapping)
-        assert len(self.mapping) == self.source.n
+        if len(self.mapping) != self.source.n:
+            raise ValueError(f"{len(self.mapping)} images for {self.source.n} elements")
 
     @classmethod
     def from_generator_map(cls, source, target, gen_images, check=True):
         """Extend generator images along witnesses; fails if not a morphism."""
-        assert len(gen_images) == len(source.generators)
+        if len(gen_images) != len(source.generators):
+            raise ValueError(f"{len(gen_images)} images for {len(source.generators)} generators")
         mapping = [None] * source.n
         for y in source._order:
             z, g = source._parent[y], gen_images[source._lastgen[y]]
@@ -559,7 +593,7 @@ def lift_jclass(phi, j_target):
     """Lift a regular J-class of the target through a surjective morphism.
 
     Returns the unique minimal J-class J' of the source with phi(J') inside
-    the given class, and asserts the four conclusions: J' regular,
+    the given class, and checks the four conclusions: J' regular,
     phi(J') = J, classwise-onto R/L/H images, phi(E(J')) = E(J).
     """
     if not phi.is_surjective():
@@ -579,12 +613,13 @@ def lift_jclass(phi, j_target):
         for s in range(S.n)
         if all(gt.j_class[phi(x)] == j_target for x in gs.j_classes[gs.j_class[s]])
     }
-    assert j_prime in into
-    assert all(gs.leq_j(j_prime, c) for c in into)
+    check(j_prime in into, "lifted class maps into the target class", j_prime)
+    check(all(gs.leq_j(j_prime, c) for c in into), "lifted class is the minimal one", j_prime)
     # (2) regular with exact image
-    assert gs.regular[j_prime]
+    check(gs.regular[j_prime], "lifted class is regular", j_prime)
     image = {phi(s) for s in gs.j_classes[j_prime]}
-    assert image == set(gt.j_classes[j_target])
+    check(image == set(gt.j_classes[j_target]), "lifted class maps onto the target class",
+          j_prime)
     # (3) each R/L/H-class of J' maps onto a class of J, covering all of them
     for cls_of, classes_of, t_cls_of in (
         (gs.r_class, gs.r_classes, gt.r_class),
@@ -596,23 +631,24 @@ def lift_jclass(phi, j_target):
         for cid in source_ids:
             img = {phi(x) for x in classes_of[cid]}
             tids = {t_cls_of[t] for t in img}
-            assert len(tids) == 1
+            check(len(tids) == 1, "a class of J' maps into one class of J", cid)
             tid = tids.pop()
             full = {t for t in range(T.n) if t_cls_of[t] == tid and t in set(gt.j_classes[j_target])}
-            assert img == full
+            check(img == full, "a class of J' maps onto a class of J", cid)
             covered.add(tid)
         expected = {t_cls_of[t] for t in gt.j_classes[j_target]}
-        assert covered == expected
+        check(covered == expected, "the classes of J' cover those of J",
+              sorted(expected - covered))
     # (4) idempotents map onto idempotents
     e_src = {phi(s) for s in gs.j_classes[j_prime] if S.is_idempotent(s)}
     e_tgt = {t for t in gt.j_classes[j_target] if T.is_idempotent(t)}
-    assert e_src == e_tgt
+    check(e_src == e_tgt, "idempotents of J' map onto those of J", sorted(e_src ^ e_tgt)[:2])
     # maximal subgroups map onto maximal subgroups
     for s in gs.j_classes[j_prime]:
         if S.is_idempotent(s):
             hs = {phi(x) for x in gs.h_classes[gs.h_class[s]]}
             ht = set(gt.h_classes[gt.h_class[phi(s)]])
-            assert hs == ht
+            check(hs == ht, "maximal subgroups map onto maximal subgroups", s)
     return j_prime
 
 

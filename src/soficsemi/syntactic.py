@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CheckFailed, NotAGGM, NotStronglyConnected
+from .errors import CheckFailed, NotAGGM, NotStronglyConnected, check
 from .finsemi import (
+    DEFAULT_CAP,
     FiniteSemigroup,
     PartialTransformation,
     SemigroupMorphism,
@@ -53,7 +54,7 @@ class SyntacticData:
         return j
 
 
-def syntactic_semigroup(P, extra_letters=()):
+def syntactic_semigroup(P, extra_letters=(), cap=DEFAULT_CAP):
     """Transition semigroup of the minimal complete DFA of L(X).
 
     `extra_letters` adjoins ambient letters that never occur in the shift;
@@ -67,13 +68,15 @@ def syntactic_semigroup(P, extra_letters=()):
         PartialTransformation([d.trans[q][j] for q in range(d.n_states)])
         for j in range(len(d.alphabet))
     ]
-    S = close_generators(maps, cap=10 ** 6)
+    S = close_generators(maps, cap=cap)
     letter_map = {a: S.generators[j] for j, a in enumerate(d.alphabet)}
     sink = d.dead_state()
     zero = None
     if sink is not None:
-        zero = S.names.index(PartialTransformation.constant(d.n_states, sink))
-        assert zero == S.zero
+        zero = S.zero
+        dead = PartialTransformation.constant(d.n_states, sink)
+        check(zero is not None and S.names[zero] == dead,
+              "the zero is the constant map to the dead state", sink)
     return SyntacticData(S, letter_map, d, P, zero, tuple(d.alphabet))
 
 
@@ -215,9 +218,9 @@ def separating_contexts(S, j_elems):
     return profiles
 
 
-def aggm_forward_check(P):
+def aggm_forward_check(P, cap=DEFAULT_CAP):
     """Forward half of the equivalence: syntactic semigroups are AGGM."""
-    D = syntactic_semigroup(P)
+    D = syntactic_semigroup(P, cap=cap)
     ok, j = is_aggm(D.semigroup)
     if not ok:
         raise CheckFailed("syntactic semigroup is not AGGM")
@@ -235,7 +238,7 @@ def aggm_forward_check(P):
     }
 
 
-def aggm_backward_check(S, alphabet=None):
+def aggm_backward_check(S, alphabet=None, cap=DEFAULT_CAP):
     """Backward half: an AGGM semigroup is the syntactic semigroup of the
     factor language it defines.
 
@@ -249,13 +252,14 @@ def aggm_backward_check(S, alphabet=None):
         raise NotAGGM("input semigroup is not AGGM")
     if alphabet is None:
         alphabet = tuple(chr(97 + i) for i in range(len(S.generators)))
-    assert len(alphabet) == len(S.generators)
+    if len(alphabet) != len(S.generators):
+        raise ValueError(f"{len(alphabet)} letters for {len(S.generators)} generators")
     if S.n == 1:
         dfa = Dfa([[0] * len(alphabet)], alphabet, 0, {0})
         return dfa, {"semigroup_size": 1, "is_aggm": True}
 
     zero = S.zero
-    assert zero is not None, "non-trivial AGGM semigroup must have a zero"
+    check(zero is not None, "non-trivial AGGM semigroup must have a zero", S)
     nonzero = [s for s in range(S.n) if s != zero]
     g = S.green()
     # factorial: factors of non-zero elements are non-zero
@@ -279,7 +283,7 @@ def aggm_backward_check(S, alphabet=None):
         PartialTransformation([dfa.trans[q][j] for q in range(dfa.n_states)])
         for j in range(len(alphabet))
     ]
-    T = close_generators(maps, cap=10 ** 6)
+    T = close_generators(maps, cap=cap)
     iso = generator_isomorphic(S, T)
     if not iso:
         raise CheckFailed("reconstructed syntactic semigroup differs from input")

@@ -24,6 +24,7 @@ from .errors import (
     check,
 )
 from .finsemi import (
+    DEFAULT_CAP,
     FiniteSemigroup,
     PartialTransformation,
     SemigroupMorphism,
@@ -259,7 +260,7 @@ class SchutzenbergerAction:
     faithful: bool
 
 
-def rm_representation(S, j_id, r_class_of=None):
+def rm_representation(S, j_id, r_class_of=None, cap=DEFAULT_CAP):
     g = S.green()
     if not g.regular[j_id]:
         raise NotRegular(f"J-class {j_id} is not regular")
@@ -275,7 +276,7 @@ def rm_representation(S, j_id, r_class_of=None):
                 tuple(pos.get(S.mul(x, s)) for x in members), len(members)
             )
         )
-    image = close_generators([maps[s] for s in S.generators], cap=10 ** 6)
+    image = close_generators([maps[s] for s in S.generators], cap=cap)
     lut = {m: i for i, m in enumerate(image.names)}
     morphism = SemigroupMorphism(S, image, tuple(lut[maps[s]] for s in range(S.n)))
     # injective on every maximal subgroup of J
@@ -320,7 +321,7 @@ class RlmAction:
     morphism: SemigroupMorphism
 
 
-def rlm_representation(S, j_id, first_of=None):
+def rlm_representation(S, j_id, first_of=None, cap=DEFAULT_CAP):
     g = S.green()
     if not g.regular[j_id]:
         raise NotRegular(f"J-class {j_id} is not regular")
@@ -344,7 +345,7 @@ def rlm_representation(S, j_id, first_of=None):
             assert len(targets) == 1, "RLM action not well defined"
             row[i] = targets.pop()
         maps.append(PartialTransformation(tuple(row), len(l_ids)))
-    image = close_generators([maps[s] for s in S.generators], cap=10 ** 6)
+    image = close_generators([maps[s] for s in S.generators], cap=cap)
     lut = {m: i for i, m in enumerate(image.names)}
     morphism = SemigroupMorphism(S, image, tuple(lut[maps[s]] for s in range(S.n)))
     for x in g.j_classes[j_id]:
@@ -575,7 +576,7 @@ class WreathStructure:
     subgroup: FiniteSemigroup
 
 
-def wreath_product_0simple_check(G, transformations):
+def wreath_product_0simple_check(G, transformations, cap=DEFAULT_CAP):
     """Build G wr (B, T) for T of rank <= 1 and verify the structure lemma:
     simple when T is total, 0-simple otherwise, with maximal subgroup G read
     off by the (b, b) entry at an idempotent with image {b}."""
@@ -602,7 +603,7 @@ def wreath_product_0simple_check(G, transformations):
             for i, val in zip(dom, values):
                 rows[i] = (t(i), val)
             elements.append(RowMonomialMatrix(G, tuple(rows), bsize))
-    S = close_generators(elements, cap=10 ** 6)
+    S = close_generators(elements, cap=cap)
     assert S.n == len(elements), "preimage of T is closed under products"
     g = S.green()
     total = all(t.is_total() for t in tset)
@@ -706,7 +707,7 @@ def _is_prime(n):
     return True
 
 
-def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=2_000_000, max_prime=997):
+def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_prime=997):
     """Construct the cover semigroup S' with maximal subgroup H over K.
 
     Inputs: the syntactic data D for the shift (alphabet x_1..x_{n+1} with

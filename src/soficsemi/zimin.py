@@ -94,7 +94,7 @@ def power_factorial(S, s, n):
     if fact_capped < i:
         return S.power(s, fact_capped)
     fact_mod = 1
-    for j in range(2, n + 1):
+    for j in range(2, min(n, q) + 1):  # n! = 0 (mod q) once n >= q
         fact_mod = (fact_mod * j) % q
     exponent = i + ((fact_mod - i) % q)
     return S.power(s, exponent)
@@ -193,7 +193,7 @@ def evaluate_zimin(T, S, gens_map):
     k = S.n
     r = m * (k + 1) - 1
     size = len(dfa.alphabet)
-    bound = sum(size ** j for j in range(1, r + 1))
+    bound = r if size == 1 else (size ** (r + 1) - size) // (size - 1)  # |X| + ... + |X|^r
 
     stream = dfa.iter_words()
     v1 = next(stream)

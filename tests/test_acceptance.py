@@ -4,7 +4,9 @@ Each criterion pins its tolerance and time budget; failures print the
 criterion number so the run is auditable at a glance.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import math
 import random
@@ -47,8 +49,9 @@ from soficsemi import (
     syntactic_semigroup,
     wreath_product_0simple_check,
 )
+from soficsemi.cli import main
 from soficsemi.errors import NotAGGM
-from soficsemi.shiftspace import is_primitive
+from soficsemi.shiftspace import format_presentation, is_primitive
 from soficsemi.wreath import preimage_completeness_check
 from soficsemi.zimin import in_minimal_ideal
 from test_finsemi import action_quotient, assert_green_matches_oracle
@@ -306,3 +309,21 @@ def test_criterion_11_z6_cover_time():
     assert digest == "2dc0c5118d70575c754268f053dc15ec205354ced1ee77092b13bf4c93b46b17"
     report(11, "Z6 cover of the even shift, 8704 elements, same serialization",
            elapsed <= 3, f"{elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("seed, states, digest", [
+    (22, 10, "39eb5970cbae9b614ac71fe1add29eccb4547777d2c51087604c0814bc469515"),
+    (159, 18, "f5186a435d584fdac0c5cd8162e6fae84e9689851576fd2a37da091fa879a330"),
+])
+def test_criterion_12_idempotent_time(tmp_path, seed, states, digest):
+    path = tmp_path / f"a{seed}.pres"
+    path.write_text(format_presentation(random_presentation(seed, states, "abc")))
+    out = io.StringIO()
+    start = time.time()
+    with contextlib.redirect_stdout(out):
+        code = main(["idempotent", str(path), "0"])
+    elapsed = time.time() - start
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    report(12, f"idempotent 0 on anchor seed {seed}, same output", elapsed <= 5,
+           f"{elapsed:.1f}s")

@@ -204,6 +204,15 @@ def test_cap_exit_code(capsys, tmp_path, gm_path):
     assert out.startswith("ERR cap")
 
 
+@pytest.mark.parametrize("verb", [["syntactic"], ["aggm"], ["fischer"], ["idempotent", "0"]])
+def test_cap_binds_on_every_closure(capsys, gm_path, verb):
+    """The golden mean's syntactic semigroup has 5 elements, so --cap 3 stops
+    the closure of every verb that builds it."""
+    code, out = run(capsys, ["--cap", "3", verb[0], gm_path, *verb[1:]])
+    assert code == 2
+    assert out.startswith("ERR cap")
+
+
 def eggbox_by_cell_scan(S):
     """The eggbox printed by rescanning the J-class for every cell: the
     oracle for the bucketed version."""

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import soficsemi
 
 from corpus import (
     chain_semilattice,
@@ -23,8 +28,10 @@ from soficsemi import (
     omega_power,
     parse_semigroup,
 )
+from soficsemi.finsemi import TABLE_LIMIT
 from soficsemi.errors import (
     CapExceeded,
+    DimensionMismatch,
     NotFactorial,
     NotIdempotent,
     NotIrreducible,
@@ -350,3 +357,147 @@ def test_associativity_sampling_large_tables():
     k = 250  # above the exhaustive threshold
     Z = FiniteSemigroup([[(i + j) % k for j in range(k)] for i in range(k)], [1], seed=3)
     assert Z.identity == 0
+
+
+class TupleTransformation:
+    """The tuple-based partial map (None = undefined): oracle for the packed
+    PartialTransformation."""
+
+    def __init__(self, mapping):
+        self.mapping = tuple(mapping)
+        self.dim = len(self.mapping)
+
+    def __mul__(self, other):
+        om = other.mapping
+        return TupleTransformation(None if v is None else om[v] for v in self.mapping)
+
+    def __eq__(self, other):
+        return self.mapping == other.mapping
+
+    def __hash__(self):
+        return hash(self.mapping)
+
+    def __call__(self, i):
+        return self.mapping[i]
+
+    def __repr__(self):
+        return "PT[" + ",".join("-" if v is None else str(v) for v in self.mapping) + "]"
+
+    @property
+    def rank(self):
+        return len(self.image())
+
+    def image(self):
+        return {v for v in self.mapping if v is not None}
+
+    def domain(self):
+        return {i for i, v in enumerate(self.mapping) if v is not None}
+
+
+def random_partial_map(rng, dim):
+    """A partial map with a random share of undefined points and a small or
+    full image, so that equal maps and the sentinel value both occur."""
+    holes = rng.choice((0.0, 0.2, 0.9))
+    targets = rng.choice((range(dim), rng.sample(range(dim), min(dim, 3))))
+    return [None if rng.random() < holes else rng.choice(targets) for _ in range(dim)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 254, 255, 256, 300])
+def test_packed_transformation_matches_tuple_oracle(dim):
+    rng = random.Random(dim)
+    raw = [random_partial_map(rng, dim) for _ in range(12)]
+    raw += [list(raw[0]), [dim - 1] * dim, [None] * dim]
+    pairs = [(PartialTransformation(m), TupleTransformation(m)) for m in raw]
+    pairs += [(x * y, a * b) for x, a in pairs for y, b in pairs]
+    for x, a in pairs:
+        assert x.dim == dim
+        assert x.mapping == a.mapping
+        assert repr(x) == repr(a)
+        assert x.rank == a.rank
+        assert x.image() == a.image() and x.domain() == a.domain()
+        assert x.is_total() == (None not in a.mapping)
+        assert [x(i) for i in range(-1, dim)] == [a(i) for i in range(-1, dim)]
+    for x, a in pairs[:40]:
+        for y, b in pairs:
+            assert (x == y) == (a == b)
+            assert x != b.mapping  # equal only to maps of the same type
+            if x == y:
+                assert hash(x) == hash(y)
+            assert (x * y).mapping == (a * b).mapping
+    assert len(set(x for x, _ in pairs)) == len(set(a for _, a in pairs))
+
+
+def test_packed_transformation_rejects_bad_input():
+    with pytest.raises(DimensionMismatch):
+        PartialTransformation([0, 3, None])
+    with pytest.raises(DimensionMismatch):
+        PartialTransformation([0, 1], dim=3)
+    with pytest.raises(DimensionMismatch):
+        PartialTransformation([0] * 255) * PartialTransformation([0] * 256)
+
+
+@pytest.mark.parametrize("dim", [255, 256])
+def test_closure_matches_brute_force_across_storage_switch(dim):
+    """Generators move four points, the top three among them, and treat all
+    other points alike (fixed, or undefined), so the closure stays small
+    while the top values and the undefined sentinel are exercised."""
+    active = [0, dim - 3, dim - 2, dim - 1]
+    rng = random.Random(dim)
+    for _ in range(6):
+        gens = []
+        for k in range(3):
+            m = [None if k == 2 else i for i in range(dim)]
+            for p in active:
+                m[p] = rng.choice(active + [None])
+            gens.append(m)
+        S = close_generators([PartialTransformation(m) for m in gens])
+        oracle = brute_closure([TupleTransformation(m) for m in gens])
+        assert {x.mapping for x in S.names} == {a.mapping for a in oracle}
+        assert len(S.names) == len(set(S.names))
+        for x in range(S.n):
+            for j, g in enumerate(S.generators):
+                assert S.names[S._cayley[x][j]] == S.names[x] * S.names[g]
+
+
+def test_closure_table_is_built_on_demand():
+    S = random_transformation_semigroup(11, 5, 3, cap=TABLE_LIMIT)
+    assert 50 < S.n <= TABLE_LIMIT
+    assert S._table is None
+    walked = [[S.mul(x, y) for y in range(S.n)] for x in range(S.n)]
+    assert S._table is None
+    pos = {m: i for i, m in enumerate(S.names)}
+    assert walked == [[pos[a * b] for b in S.names] for a in S.names]
+    text = format_semigroup(S)
+    assert S.table == walked
+    expected = [f"semigroup {S.n} {len(S.generators)}"]
+    expected += [" ".join(map(str, row)) for row in walked]
+    expected.append("generators " + " ".join(map(str, S.generators)))
+    expected += [f"{k} {v}" for k, v in (("zero", S.zero), ("identity", S.identity))
+                 if v is not None]
+    assert text == "\n".join(expected) + "\n"
+
+
+def test_argument_checks_survive_optimize():
+    """A declared zero that is not a zero and power(s, 0) raise ValueError
+    under `python -O`, where an assert would not."""
+    code = (
+        "from soficsemi import FiniteSemigroup\n"
+        "assert False, 'asserts are on'\n"
+        "S = FiniteSemigroup([[0, 1], [1, 1]], [0, 1], zero='auto')\n"
+        "for call in (lambda: FiniteSemigroup([[0, 1], [1, 1]], [0, 1], zero=0),\n"
+        "             lambda: S.power(0, 0)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(soficsemi.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "declared zero 0 is not a zero, witness 1",
+        "power needs k >= 1, got 0",
+    ]
