@@ -36,7 +36,9 @@ class PartialTransformation:
     Stored packed in `_b`, one entry per point with the value dim standing
     for "undefined": `bytes` when dim <= 255, else a tuple.  x*y is then one
     C-level gather through y's `_pad` (y's entries followed by dim, padded to
-    256 for `bytes.translate`), built once per right factor.
+    256 for `bytes.translate`), built once per right factor.  The tuple path
+    alone would serve every dim, but on the benchmark's `large` workload it
+    took about a quarter more time and a fifth more memory than `bytes`.
     """
 
     __slots__ = ("dim", "_b", "_pad", "_hash")

@@ -238,7 +238,7 @@ def aggm_forward_check(P, cap=DEFAULT_CAP):
     }
 
 
-def aggm_backward_check(S, alphabet=None, cap=DEFAULT_CAP):
+def aggm_backward_check(S, alphabet=None):
     """Backward half: an AGGM semigroup is the syntactic semigroup of the
     factor language it defines.
 
@@ -283,7 +283,7 @@ def aggm_backward_check(S, alphabet=None, cap=DEFAULT_CAP):
         PartialTransformation([dfa.trans[q][j] for q in range(dfa.n_states)])
         for j in range(len(alphabet))
     ]
-    T = close_generators(maps, cap=cap)
+    T = close_generators(maps, cap=DEFAULT_CAP)
     iso = generator_isomorphic(S, T)
     if not iso:
         raise CheckFailed("reconstructed syntactic semigroup differs from input")

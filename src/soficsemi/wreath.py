@@ -260,7 +260,7 @@ class SchutzenbergerAction:
     faithful: bool
 
 
-def rm_representation(S, j_id, r_class_of=None, cap=DEFAULT_CAP):
+def rm_representation(S, j_id, r_class_of=None):
     g = S.green()
     if not g.regular[j_id]:
         raise NotRegular(f"J-class {j_id} is not regular")
@@ -276,7 +276,7 @@ def rm_representation(S, j_id, r_class_of=None, cap=DEFAULT_CAP):
                 tuple(pos.get(S.mul(x, s)) for x in members), len(members)
             )
         )
-    image = close_generators([maps[s] for s in S.generators], cap=cap)
+    image = close_generators([maps[s] for s in S.generators], cap=DEFAULT_CAP)
     lut = {m: i for i, m in enumerate(image.names)}
     morphism = SemigroupMorphism(S, image, tuple(lut[maps[s]] for s in range(S.n)))
     # injective on every maximal subgroup of J
@@ -321,7 +321,7 @@ class RlmAction:
     morphism: SemigroupMorphism
 
 
-def rlm_representation(S, j_id, first_of=None, cap=DEFAULT_CAP):
+def rlm_representation(S, j_id, first_of=None):
     g = S.green()
     if not g.regular[j_id]:
         raise NotRegular(f"J-class {j_id} is not regular")
@@ -345,7 +345,7 @@ def rlm_representation(S, j_id, first_of=None, cap=DEFAULT_CAP):
             assert len(targets) == 1, "RLM action not well defined"
             row[i] = targets.pop()
         maps.append(PartialTransformation(tuple(row), len(l_ids)))
-    image = close_generators([maps[s] for s in S.generators], cap=cap)
+    image = close_generators([maps[s] for s in S.generators], cap=DEFAULT_CAP)
     lut = {m: i for i, m in enumerate(image.names)}
     morphism = SemigroupMorphism(S, image, tuple(lut[maps[s]] for s in range(S.n)))
     for x in g.j_classes[j_id]:
@@ -576,7 +576,7 @@ class WreathStructure:
     subgroup: FiniteSemigroup
 
 
-def wreath_product_0simple_check(G, transformations, cap=DEFAULT_CAP):
+def wreath_product_0simple_check(G, transformations):
     """Build G wr (B, T) for T of rank <= 1 and verify the structure lemma:
     simple when T is total, 0-simple otherwise, with maximal subgroup G read
     off by the (b, b) entry at an idempotent with image {b}."""
@@ -603,7 +603,7 @@ def wreath_product_0simple_check(G, transformations, cap=DEFAULT_CAP):
             for i, val in zip(dom, values):
                 rows[i] = (t(i), val)
             elements.append(RowMonomialMatrix(G, tuple(rows), bsize))
-    S = close_generators(elements, cap=cap)
+    S = close_generators(elements, cap=DEFAULT_CAP)
     assert S.n == len(elements), "preimage of T is closed under products"
     g = S.green()
     total = all(t.is_total() for t in tset)
