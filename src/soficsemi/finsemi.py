@@ -24,7 +24,7 @@ from .errors import (
     NotSurjective,
     check,
 )
-from .graph import reach, sccs
+from .graph import sccs
 
 TABLE_LIMIT = 2000  # above this, `.table` refuses to materialize the n x n table
 DEFAULT_CAP = 2_000_000  # element cap of a closure unless the caller passes one
@@ -441,56 +441,73 @@ class GreenStructure:
         return [c for c in ids if self.j_below[c] == frozenset([c])]
 
 
+def _classes_within(rows, j_class):
+    """R-classes (rows = right Cayley graph) or L-classes (left columns).
+
+    By stability, the R-class of x is what x reaches along right Cayley
+    edges inside its J-class (dually for L). Walking from each unlabelled
+    node in increasing order starts every class at its least member, so the
+    numbering is the one `sccs` gives.
+    """
+    cls = [None] * len(rows)
+    classes = []
+    for x in range(len(rows)):
+        if cls[x] is not None:
+            continue
+        c, jx = len(classes), j_class[x]
+        cls[x] = c
+        members = [x]
+        for v in members:  # grows while it is walked
+            for w in rows[v]:
+                if cls[w] is None and j_class[w] == jx:
+                    cls[w] = c
+                    members.append(w)
+        members.sort()
+        classes.append(tuple(members))
+    return tuple(cls), tuple(classes)
+
+
 def green_structure(S):
-    """Green partitions via SCC condensation of the Cayley reachability graphs."""
+    """Green's relations from one Tarjan pass on the two-sided Cayley graph:
+    J-classes and the J-order from its condensation, R and L by stability."""
     n = S.n
-    k = len(S.generators)
     right = S._cayley
-    left = [S.left_row(g) for g in S.generators]
+    cols = list(zip(*(S.left_row(g) for g in S.generators)))
+    adj = [(*r, *c) for r, c in zip(right, cols)]
+    j_class, j_classes, done = sccs(n, adj.__getitem__)
+    r_class, r_classes = _classes_within(right, j_class)
+    l_class, l_classes = _classes_within(cols, j_class)
 
-    r_class, r_classes = sccs(n, right.__getitem__)
-    l_class, l_classes = sccs(n, lambda v: [left[j][v] for j in range(k)])
-    j_class, j_classes = sccs(n, lambda v: right[v] + [left[j][v] for j in range(k)])
-
+    # (R, L) pairs first met in increasing x are numbered by least member
     pair_ids = {}
-    h_class = []
-    for x in range(n):
-        p = (r_class[x], l_class[x])
-        if p not in pair_ids:
-            pair_ids[p] = len(pair_ids)
-        h_class.append(pair_ids[p])
-    buckets = [[] for _ in range(len(pair_ids))]
-    for x in range(n):
-        buckets[h_class[x]].append(x)
-    order = sorted(range(len(buckets)), key=lambda c: min(buckets[c]))
-    renum = {old: new for new, old in enumerate(order)}
-    h_class = tuple(renum[c] for c in h_class)
-    h_classes = tuple(tuple(sorted(buckets[old])) for old in order)
+    h_class = tuple(pair_ids.setdefault(p, len(pair_ids)) for p in zip(r_class, l_class))
+    h_classes = [[] for _ in pair_ids]
+    for x, h in enumerate(h_class):
+        h_classes[h].append(x)
 
-    # condensation reachability gives the J-order
+    # the J-order, folded over the condensation sinks first
     nc = len(j_classes)
     succ = [set() for _ in range(nc)]
-    for x in range(n):
-        cx = j_class[x]
-        for j in range(k):
-            succ[cx].add(j_class[right[x][j]])
-            succ[cx].add(j_class[left[j][x]])
-    j_below = [frozenset(reach([c], succ.__getitem__)) for c in range(nc)]
+    for v in range(n):
+        succ[j_class[v]].update(map(j_class.__getitem__, adj[v]))
+    j_below = [None] * nc
+    for c in done:
+        # copied through a set: frozenset.union would keep the union's slack
+        j_below[c] = frozenset(set((c,)).union(*(j_below[d] for d in succ[c] if d != c)))
 
-    regular = []
-    idem = set(S.idempotent_list())
-    for c in range(nc):
-        regular.append(any(x in idem for x in j_classes[c]))
+    regular = [False] * nc
+    for e in S.idempotent_list():
+        regular[j_class[e]] = True
 
     return GreenStructure(
-        r_class=tuple(r_class),
-        l_class=tuple(l_class),
-        j_class=tuple(j_class),
+        r_class=r_class,
+        l_class=l_class,
+        j_class=j_class,
         h_class=h_class,
         r_classes=r_classes,
         l_classes=l_classes,
         j_classes=j_classes,
-        h_classes=h_classes,
+        h_classes=tuple(map(tuple, h_classes)),
         j_below=tuple(j_below),
         regular=tuple(regular),
     )
@@ -501,7 +518,7 @@ def maximal_subgroup(S, e):
     if not S.is_idempotent(e):
         raise NotIdempotent(f"element {e} is not idempotent")
     g = S.green()
-    members = sorted(x for x in range(S.n) if g.h_class[x] == g.h_class[e])
+    members = g.h_classes[g.h_class[e]]
     pos = {x: i for i, x in enumerate(members)}
     table = [[pos[S.mul(x, y)] for y in members] for x in members]
     group = FiniteSemigroup(table, generators=list(range(len(members))),
@@ -608,20 +625,19 @@ def lift_jclass(phi, j_target):
     pullback = {s for s in range(S.n) if phi(s) in fact_t}
     j_prime = apex(S, pullback)
     gs = S.green()
+    target = set(gt.j_classes[j_target])
 
     # (1) unique minimal among source classes mapping into j_target
     into = {
-        gs.j_class[s]
-        for s in range(S.n)
-        if all(gt.j_class[phi(x)] == j_target for x in gs.j_classes[gs.j_class[s]])
+        c for c, members in enumerate(gs.j_classes)
+        if all(gt.j_class[phi(x)] == j_target for x in members)
     }
     check(j_prime in into, "lifted class maps into the target class", j_prime)
     check(all(gs.leq_j(j_prime, c) for c in into), "lifted class is the minimal one", j_prime)
     # (2) regular with exact image
     check(gs.regular[j_prime], "lifted class is regular", j_prime)
     image = {phi(s) for s in gs.j_classes[j_prime]}
-    check(image == set(gt.j_classes[j_target]), "lifted class maps onto the target class",
-          j_prime)
+    check(image == target, "lifted class maps onto the target class", j_prime)
     # (3) each R/L/H-class of J' maps onto a class of J, covering all of them
     for cls_of, classes_of, t_cls_of in (
         (gs.r_class, gs.r_classes, gt.r_class),
@@ -635,7 +651,7 @@ def lift_jclass(phi, j_target):
             tids = {t_cls_of[t] for t in img}
             check(len(tids) == 1, "a class of J' maps into one class of J", cid)
             tid = tids.pop()
-            full = {t for t in range(T.n) if t_cls_of[t] == tid and t in set(gt.j_classes[j_target])}
+            full = {t for t in target if t_cls_of[t] == tid}
             check(img == full, "a class of J' maps onto a class of J", cid)
             covered.add(tid)
         expected = {t_cls_of[t] for t in gt.j_classes[j_target]}

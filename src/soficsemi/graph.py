@@ -23,60 +23,56 @@ def reach(roots, succ):
 
 
 def sccs(n, succ):
-    """Iterative Tarjan on nodes 0..n-1; `succ(v)` returns a sequence.
+    """Iterative Tarjan on nodes 0..n-1; `succ(v)` returns an iterable and
+    is called once per node.
 
-    Returns (component id per node, classes): components are numbered by
-    their minimal node and each class is a sorted tuple, so the result does
-    not depend on the order of `succ(v)`.
+    Returns (component id per node, classes, done): components are numbered
+    by their minimal node and each class is a sorted tuple, so the result
+    does not depend on the order of `succ(v)`; `done` lists the component
+    ids in the order Tarjan completes them, so each component comes after
+    every component it reaches.
     """
     indices = [None] * n
     low = [0] * n
     comp = [None] * n
-    on_stack = [False] * n
     stack = []
     counter = 0
     comps = []
     for root in range(n):
         if indices[root] is not None:
             continue
-        work = [(root, 0)]
+        indices[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ(root)))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                indices[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            edges = succ(v)
-            while pi < len(edges):
-                w = edges[pi]
-                pi += 1
+            v, edges = work[-1]
+            for w in edges:
                 if indices[w] is None:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    recurse = True
+                    indices[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ(w))))
                     break
-                elif on_stack[w]:
-                    low[v] = min(low[v], indices[w])
-            if recurse:
-                continue
-            if low[v] == indices[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = len(comps)
-                    members.append(w)
-                    if w == v:
-                        break
-                comps.append(members)
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if comp[w] is None and indices[w] < low[v]:
+                    low[v] = indices[w]  # w is still on the stack
+            else:
+                work.pop()
+                if low[v] == indices[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        comp[w] = len(comps)
+                        members.append(w)
+                        if w == v:
+                            break
+                    comps.append(members)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     order = sorted(range(len(comps)), key=lambda c: min(comps[c]))
-    renum = {old: new for new, old in enumerate(order)}
-    comp = tuple(renum[c] for c in comp)
+    done = [0] * len(comps)
+    for new, old in enumerate(order):
+        done[old] = new
+    comp = tuple(done[c] for c in comp)
     classes = tuple(tuple(sorted(comps[old])) for old in order)
-    return comp, classes
+    return comp, classes, tuple(done)

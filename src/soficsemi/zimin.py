@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidState
+from .errors import InvalidState, check
 from .shiftspace import Dfa, join_word, subset_construction
 
 
@@ -77,14 +77,16 @@ def loop_language(P, v):
     first = list(itertools.islice(d.iter_words(), 4))
     for x in first:
         for y in first:
-            assert d.accepts(x + y), "loop language must be closed under concatenation"
+            check(d.accepts(x + y), "loop language must be closed under concatenation",
+                  x + y)
     return lang
 
 
 def power_factorial(S, s, n):
     """s^(n!) computed through the index and period of s; n! is only ever
     reduced modulo the period, never materialized beyond the index."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"power_factorial needs n >= 1, got {n}")
     i, q = S.index_period(s)
     fact_capped = 1
     for j in range(2, n + 1):
@@ -162,7 +164,7 @@ def minimal_ideal_of_subset(S, subset):
     sub = FiniteSemigroup(table, names=subset, check=False)
     g = sub.green()
     bottoms = g.minimal_j_classes()
-    assert len(bottoms) == 1, "a finite semigroup has a unique kernel"
+    check(len(bottoms) == 1, "a finite semigroup has a unique kernel", bottoms)
     return frozenset(subset[i] for i in g.j_classes[bottoms[0]])
 
 
@@ -179,15 +181,16 @@ def evaluate_zimin(T, S, gens_map):
     """Evaluate the Zimin sequence over a loop language in S.
 
     Stops at the first n >= |S| where the value is idempotent and every
-    element of phi(T) is a factor of it; asserts the descending chain of
+    element of phi(T) is a factor of it; checks the descending chain of
     idempotents and the theoretical bound n* <= N.
     """
     dfa = T.dfa if isinstance(T, LoopLanguage) else T
     m = T.m if isinstance(T, LoopLanguage) else dfa.minimize().n_states
     for a in dfa.alphabet:
-        assert a in gens_map, f"generator map missing letter {a}"
+        if a not in gens_map:
+            raise ValueError(f"generator map missing letter {a}")
     image = phi_image_of_language(dfa, S, gens_map)
-    assert image, "loop language is empty"
+    check(image, "loop language is empty")
     kernel = minimal_ideal_of_subset(S, image)
 
     k = S.n
@@ -217,20 +220,21 @@ def evaluate_zimin(T, S, gens_map):
         term = term.extend(v_next, n + 1)
         n += 1
         if n >= k:
-            assert S.is_idempotent(value_next), "chain values must be idempotent"
+            check(S.is_idempotent(value_next), "chain values must be idempotent", n)
             if prev_idem is not None:
                 below = (
                     S.mul(value_next, prev_idem) == value_next
                     and S.mul(prev_idem, value_next) == value_next
                 )
-                assert below, "idempotents must form a descending chain"
+                check(below, "idempotents must form a descending chain", n)
             prev_idem = value_next
         value = value_next
-        assert n <= bound, "stop index exceeded the theoretical bound"
-    assert S.is_idempotent(value)
-    assert value in image
+        check(n <= bound, "stop index exceeded the theoretical bound", n)
+    check(S.is_idempotent(value), "the value is idempotent", value)
+    check(value in image, "the value lies in phi(T)", value)
     # brute-force certificate, independent of the kernel computation above
-    assert in_minimal_ideal(S, image, value)
+    check(in_minimal_ideal(S, image, value), "the value lies in the minimal ideal of phi(T)",
+          value)
     return ZiminResult(value, n, bound, term, image)
 
 

@@ -327,3 +327,18 @@ def test_criterion_12_idempotent_time(tmp_path, seed, states, digest):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
     report(12, f"idempotent 0 on anchor seed {seed}, same output", elapsed <= 5,
            f"{elapsed:.1f}s")
+
+
+def test_criterion_13_syntactic_eggbox_on_anchor_seed_159(tmp_path):
+    path = tmp_path / "a159.pres"
+    path.write_text(format_presentation(random_presentation(159, 18, "abc")))
+    out = io.StringIO()
+    start = time.time()
+    with contextlib.redirect_stdout(out):
+        code = main(["syntactic", str(path)])
+    elapsed = time.time() - start
+    assert code == 0
+    digest = "32d5f0b8cc0e6ac5d0eaa03fae310ec2ac1bebc7af226faeec0d62e3d9e46225"
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    report(13, "syntactic on anchor seed 159 (12258 elements, 930 J-classes), same output",
+           elapsed <= 3, f"{elapsed:.1f}s")

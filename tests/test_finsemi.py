@@ -9,9 +9,13 @@ import soficsemi
 
 from corpus import (
     chain_semilattice,
+    corpus_presentations,
     cyclic_group,
+    even_shift,
     golden_mean,
+    group_with_zero,
     period2_syntactic_table,
+    random_presentation,
     random_transformation_semigroup,
     trivial_semigroup,
 )
@@ -20,6 +24,7 @@ from soficsemi import (
     PartialTransformation,
     SemigroupMorphism,
     apex,
+    build_cover,
     close_generators,
     factor_dfa,
     format_semigroup,
@@ -27,8 +32,10 @@ from soficsemi import (
     maximal_subgroup,
     omega_power,
     parse_semigroup,
+    syntactic_semigroup,
 )
-from soficsemi.finsemi import TABLE_LIMIT
+from soficsemi.finsemi import TABLE_LIMIT, GreenStructure
+from soficsemi.graph import reach, sccs
 from soficsemi.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -141,6 +148,105 @@ def assert_green_matches_oracle(S):
             )
             # order agrees with ideal containment
             assert g.leq_j(g.j_class[x], g.j_class[y]) == (j[x] <= j[y])
+
+
+def green_structure_oracle(S):
+    """The Green structure from three Tarjans (R, L and J Cayley graphs)
+    and one reachability walk per J-class for the J-order."""
+    n = S.n
+    k = len(S.generators)
+    right = S._cayley
+    left = [S.left_row(g) for g in S.generators]
+
+    r_class, r_classes, _ = sccs(n, right.__getitem__)
+    l_class, l_classes, _ = sccs(n, lambda v: [left[j][v] for j in range(k)])
+    j_class, j_classes, _ = sccs(n, lambda v: right[v] + [left[j][v] for j in range(k)])
+
+    pair_ids = {}
+    h_class = []
+    for x in range(n):
+        p = (r_class[x], l_class[x])
+        if p not in pair_ids:
+            pair_ids[p] = len(pair_ids)
+        h_class.append(pair_ids[p])
+    buckets = [[] for _ in range(len(pair_ids))]
+    for x in range(n):
+        buckets[h_class[x]].append(x)
+    order = sorted(range(len(buckets)), key=lambda c: min(buckets[c]))
+    renum = {old: new for new, old in enumerate(order)}
+
+    nc = len(j_classes)
+    succ = [set() for _ in range(nc)]
+    for x in range(n):
+        for j in range(k):
+            succ[j_class[x]].add(j_class[right[x][j]])
+            succ[j_class[x]].add(j_class[left[j][x]])
+    idem = set(S.idempotent_list())
+    return GreenStructure(
+        r_class=tuple(r_class),
+        l_class=tuple(l_class),
+        j_class=tuple(j_class),
+        h_class=tuple(renum[c] for c in h_class),
+        r_classes=r_classes,
+        l_classes=l_classes,
+        j_classes=j_classes,
+        h_classes=tuple(tuple(sorted(buckets[old])) for old in order),
+        j_below=tuple(frozenset(reach([c], succ.__getitem__)) for c in range(nc)),
+        regular=tuple(any(x in idem for x in j_classes[c]) for c in range(nc)),
+    )
+
+
+def renumbered_table(S, seed, generators=True):
+    """S with its elements shuffled, written as a `.sg` table and read back:
+    a table semigroup whose witness order is not its index order."""
+    perm = list(range(S.n))
+    random.Random(seed).shuffle(perm)
+    table = [[0] * S.n for _ in range(S.n)]
+    for x in range(S.n):
+        for y in range(S.n):
+            table[perm[x]][perm[y]] = perm[S.mul(x, y)]
+    gens = [perm[g] for g in S.generators] if generators else None
+    return parse_semigroup(format_semigroup(FiniteSemigroup(table, gens, check=False)))
+
+
+def even_z3_cover():
+    D = syntactic_semigroup(even_shift(), extra_letters=("c",))
+    return build_cover(D, cyclic_group(3), [0] * 3, ("a", "b", "b"), ("a",)).s_prime
+
+
+GREEN_ORACLE_CASES = {
+    "corpus": lambda: [syntactic_semigroup(P).semigroup for _, P in corpus_presentations()],
+    "random-presentations": lambda: [
+        syntactic_semigroup(random_presentation(seed, states, alphabet)).semigroup
+        for seed, states, alphabet in ((1, 5, "ab"), (2, 6, "abc"), (47, 10, "abc"), (6, 20, "ab"))
+    ],
+    "transformations": lambda: [
+        random_transformation_semigroup(seed, 5, 2, cap=TABLE_LIMIT) for seed in range(10)
+    ],
+    "tables": lambda: [
+        period2_syntactic_table(), cyclic_group(1), cyclic_group(5), chain_semilattice(),
+        group_with_zero(1), group_with_zero(4), trivial_semigroup(),
+    ],
+    "renumbered-sg": lambda: [
+        renumbered_table(period2_syntactic_table(), 0),
+        renumbered_table(group_with_zero(3), 1, generators=False),
+        renumbered_table(syntactic_semigroup(random_presentation(23, 4)).semigroup, 2),
+        renumbered_table(random_transformation_semigroup(7, 4, 2), 3),
+        renumbered_table(random_transformation_semigroup(8, 3, 3), 4, generators=False),
+    ],
+    "even-z3-cover": lambda: [even_z3_cover()],
+}
+
+
+@pytest.mark.parametrize("case", list(GREEN_ORACLE_CASES))
+def test_green_matches_exact_oracle(case):
+    semigroups = GREEN_ORACLE_CASES[case]()
+    for S in semigroups:
+        assert S.green() == green_structure_oracle(S), S
+    if case == "random-presentations":
+        assert semigroups[-1].n == 2317 > TABLE_LIMIT
+    if case == "even-z3-cover":
+        assert type(semigroups[0].names[0]).__name__ == "BlockMatrix"
 
 
 def test_green_trivial():

@@ -42,6 +42,11 @@ def test_sccs_match_mutual_reachability():
         below = [closure_oracle(adj, [v]) for v in range(n)]
         partition = {frozenset(w for w in below[v] if v in below[w]) for v in range(n)}
         expected = tuple(sorted(tuple(sorted(c)) for c in partition))
-        comp, classes = sccs(n, adj.__getitem__)
+        comp, classes, done = sccs(n, adj.__getitem__)
         assert classes == expected
         assert all(v in classes[comp[v]] for v in range(n))
+        # completion order: a permutation of the ids, each component after
+        # every component it reaches
+        assert sorted(done) == list(range(len(classes)))
+        position = {c: i for i, c in enumerate(done)}
+        assert all(position[comp[w]] <= position[comp[v]] for v in range(n) for w in adj[v])

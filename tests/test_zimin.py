@@ -1,6 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
+
+import soficsemi
 
 from corpus import (
     chain_semilattice,
@@ -214,3 +219,33 @@ def test_first_depths_match_bounded_bfs_oracle():
         for bound in range(max(depths.values()) + 2):
             reached = {s for s, k in depths.items() if k <= bound}
             assert reached == bounded_image_oracle(d, S, gens_map, bound)
+
+
+def test_checks_survive_optimize():
+    """Bad arguments raise ValueError and a failed check raises CheckFailed
+    under `python -O`, where an assert would not."""
+    code = (
+        "from soficsemi import FiniteSemigroup, evaluate_zimin, power_factorial\n"
+        "from soficsemi.errors import CheckFailed\n"
+        "from soficsemi.shiftspace import Dfa\n"
+        "assert False, 'asserts are on'\n"
+        "S = FiniteSemigroup([[0]], [0], check=False)\n"
+        "for call in (lambda: power_factorial(S, 0, 0),\n"
+        "             lambda: evaluate_zimin(Dfa([[0]], ['a'], 0, [0]), S, {}),\n"
+        "             lambda: evaluate_zimin(Dfa([[0]], ['a'], 0, []), S, {'a': 0})):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except (ValueError, CheckFailed) as e:\n"
+        "        print(type(e).__name__, e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(soficsemi.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "ValueError power_factorial needs n >= 1, got 0",
+        "ValueError generator map missing letter a",
+        "CheckFailed loop language is empty",
+    ]
