@@ -48,8 +48,8 @@ from .syntactic import (
     syntactic_semigroup,
 )
 from .wreath import (
-    BlockMatrix,
     CoverResult,
+    EntrySemigroup,
     ReesCoordinates,
     RowMonomialMatrix,
     build_cover,

@@ -29,9 +29,9 @@ def _load_presentation(path):
         return parse_presentation(fh.read())
 
 
-def _load_semigroup(path, seed):
+def _load_semigroup(path):
     with open(path) as fh:
-        return parse_semigroup(fh.read(), seed=seed)
+        return parse_semigroup(fh.read())
 
 
 def _emit(pairs, fmt):
@@ -82,7 +82,7 @@ def _print_eggbox(S):
 
 
 def cmd_green(args):
-    S = _load_semigroup(args.semigroup, args.seed)
+    S = _load_semigroup(args.semigroup)
     _print_eggbox(S)
     return 0
 
@@ -159,7 +159,7 @@ def cmd_idempotent(args):
     P = _load_presentation(args.presentation)
     T = zimin_mod.loop_language(P, args.vertex)
     if args.semigroup is not None:
-        S = _load_semigroup(args.semigroup, args.seed)
+        S = _load_semigroup(args.semigroup)
         if len(S.generators) != len(P.alphabet):
             print("ERR validation semigroup generators do not match alphabet")
             return 1
@@ -194,7 +194,7 @@ def _format_bound(bound):
 
 def cmd_cover(args):
     P = _load_presentation(args.presentation)
-    H = _load_semigroup(args.group, args.seed)
+    H = _load_semigroup(args.group)
     with open(args.spec) as fh:
         spec = {}
         for line in fh:
@@ -238,7 +238,6 @@ def cmd_cover(args):
 def make_parser():
     ap = argparse.ArgumentParser(prog="soficsemi")
     ap.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--cap", type=int, default=DEFAULT_CAP)
     sub = ap.add_subparsers(dest="verb", required=True)
 

@@ -14,6 +14,7 @@ from .errors import (
     NotPrimitive,
     NotStronglyConnected,
     ShiftIsMinimal,
+    check,
 )
 from .graph import reach
 
@@ -147,7 +148,8 @@ class Dfa:
 
     def accepts(self, w):
         """Membership for non-empty words (the empty word is out of scope)."""
-        assert len(w) > 0
+        if not w:
+            raise ValueError("membership is defined for non-empty words only")
         return self.run(w) in self.accepting
 
     # -- structure -------------------------------------------------------
@@ -369,7 +371,8 @@ class BiInfinitePoint:
 
     def __post_init__(self):
         w = self.period
-        assert len(w) > 0
+        if not w:
+            raise ValueError("a period word must be non-empty")
         if not is_primitive(w):
             raise NotPrimitive(f"{join_word(w)} is a proper power")
         object.__setattr__(self, "period", least_rotation(w))
@@ -421,10 +424,10 @@ def is_periodic(P):
     if stall is None:
         return None
     c = q[stall - 1]
-    assert q[-1] == c, "complexity stalled but grew again"
+    check(q[-1] == c, "complexity stays constant once it stalls", stall)
     # extract the period from any window of length 2c
     sample = next(w for w in d.words_up_to(2 * c) if len(w) == 2 * c)
-    assert sample[:c] == sample[c:], "periodic window failed to repeat"
+    check(sample[:c] == sample[c:], "a periodic window repeats", sample)
     point = BiInfinitePoint(sample[:c])
     u = point.period
     # confirm against factor enumeration up to 3|u|
@@ -433,7 +436,7 @@ def is_periodic(P):
     expect = set()
     for n in range(1, upto + 1):
         expect |= periodic_factors(u, n)
-    assert lang == expect, "extracted period does not match the factor language"
+    check(lang == expect, "the extracted period matches the factor language", u)
     return point
 
 
@@ -512,11 +515,11 @@ def _witness_pair(P):
         if cand not in rot and d.accepts(cand):
             v = cand
             break
-    assert v is not None
-    # postconditions, asserted directly
-    assert d.accepts(w) and d.accepts(v)
-    assert all(d.accepts(w * m) for m in range(1, 4))
-    assert len(v) == len(w) and v not in rotations(w)
+    check(v is not None, "a non-periodic shift has a word that is no rotation of w", w)
+    check(d.accepts(w) and d.accepts(v), "w and v are in the language", (w, v))
+    check(all(d.accepts(w * m) for m in range(1, 4)), "w^m is in the language", w)
+    check(len(v) == len(w) and v not in rot, "v has the length of w and is no rotation of it",
+          (w, v))
     return w, v
 
 
@@ -536,14 +539,12 @@ def conjugate_with_partial_alphabet(P):
     n = len(w)
     P2 = higher_block(P, n)
     z = tuple(block_label(w[i:] + w[:i]) for i in range(n))
-    for lab in z:
-        assert lab in P2.alphabet
+    check(set(z) <= set(P2.alphabet), "the rotations of w are letters of the recoding", z)
     d2 = factor_dfa(P2)
-    zz = tuple(x for x in z)
-    assert any(d2.run(zz, start=q) == q for q in d2.accepting), "z^+ not in L"
+    check(any(d2.run(z, start=q) == q for q in d2.accepting), "z^+ is in the language", z)
     v_lab = block_label(v)
-    assert v_lab in P2.alphabet and v_lab not in set(z)
-    assert set(z) < set(P2.alphabet)
+    check(v_lab in P2.alphabet and v_lab not in set(z), "v is a letter outside z", v_lab)
+    check(set(z) < set(P2.alphabet), "z uses a proper sub-alphabet", z)
     return P2, z
 
 
@@ -553,7 +554,8 @@ def check_sync_delay(u, m, bound, alphabet=None):
     u = word(u)
     if not is_primitive(u):
         raise NotPrimitive(join_word(u))
-    assert m >= 1
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     if alphabet is None:
         alphabet = sorted(set(u))
     core = u * m

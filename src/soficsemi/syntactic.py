@@ -283,7 +283,7 @@ def aggm_backward_check(S, alphabet=None):
         PartialTransformation([dfa.trans[q][j] for q in range(dfa.n_states)])
         for j in range(len(alphabet))
     ]
-    T = close_generators(maps, cap=DEFAULT_CAP)
+    T = close_generators(maps)
     iso = generator_isomorphic(S, T)
     if not iso:
         raise CheckFailed("reconstructed syntactic semigroup differs from input")

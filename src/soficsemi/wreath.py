@@ -1,10 +1,10 @@
 """Schutzenberger and RLM representations, Rees coordinates, row-monomial
 wreath products, and the group-cover construction with full verification.
 
-Wreath products are carried by row-monomial matrices over a group-with-zero;
-iterated wreath products by block row-monomial matrices whose blocks are
-row-monomial matrices, stored as indices into the closed table of the
-semigroup they generate.
+Wreath products are carried by one row-monomial matrix type whose entries
+index a tabled entry semigroup: a group for a single wreath product, and for
+the iterated one of the cover the closed semigroup T of row-monomial blocks,
+whose zero block kills a row.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     HypothesisViolated,
     NotFaithful,
+    NotIdempotent,
     NotRegular,
     NotTransitive,
     PrimeSearchFailed,
@@ -36,69 +37,83 @@ from .finsemi import (
 )
 
 
-class RowMonomialMatrix:
-    """Row-monomial matrix over G^0: per row at most one non-zero entry.
+class EntrySemigroup:
+    """The entries of row-monomial matrices: a finite semigroup with its table.
 
-    Rows are stored as (column, group element index) or None; entries live
-    in a fixed finite group, so entries never vanish and a product row dies
-    only when the support pattern does.
+    `table[s][t]` is the index of s*t, `names` the carrier of each index and
+    `dead` the index that stands for 0: None over a group, whose entries
+    never vanish, and the zero block when the entries are themselves blocks.
     """
 
-    __slots__ = ("group", "size", "rows", "_hash")
+    __slots__ = ("semigroup", "names", "table", "dead")
 
-    def __init__(self, group, rows, size=None):
+    def __init__(self, semigroup, dead=None):
+        self.semigroup = semigroup
+        self.names = semigroup.names
+        self.table = [semigroup.left_row(s) for s in range(semigroup.n)]
+        self.dead = dead
+
+
+class RowMonomialMatrix:
+    """Square matrix with at most one non-zero entry per row.
+
+    Rows are stored as (column, entry index) or None, entries indexing an
+    EntrySemigroup.  A product is one table lookup per row, and a row whose
+    entry product is the dead index dies.  Only the public constructor
+    validates; products of valid matrices are valid.
+    """
+
+    __slots__ = ("entries", "rows", "_hash")
+
+    def __init__(self, entries, rows):
         rows = tuple(rows)
-        if size is None:
-            size = len(rows)
-        if len(rows) != size:
-            raise DimensionMismatch("row count differs from size")
+        n = len(entries.table)
         for r in rows:
             if r is not None:
-                c, g = r
-                if not (0 <= c < size) or not (0 <= g < group.n):
-                    raise DimensionMismatch("entry out of range")
-        self.group = group
-        self.size = size
+                c, t = r
+                if not (0 <= c < len(rows) and 0 <= t < n) or t == entries.dead:
+                    raise DimensionMismatch(f"row {r} out of range or dead")
+        self.entries = entries
         self.rows = rows
         self._hash = hash(rows)
 
     @property
     def dim(self):
-        return ("rm", self.size)
+        return len(self.rows)
 
     @classmethod
-    def zero(cls, group, size):
-        return cls(group, (None,) * size, size)
+    def zero(cls, entries, size):
+        return cls(entries, (None,) * size)
 
     @classmethod
-    def diagonal(cls, group, values):
-        return cls(group, tuple((i, g) for i, g in enumerate(values)))
+    def diagonal(cls, entries, values):
+        return cls(entries, tuple(enumerate(values)))
 
     def __mul__(self, other):
         if not isinstance(other, RowMonomialMatrix):
             return NotImplemented
-        if other.size != self.size:
-            raise DimensionMismatch("sizes differ")
-        grp = self.group
-        orows = other.rows
+        entries = self.entries
+        if other.entries is not entries or len(other.rows) != len(self.rows):
+            raise DimensionMismatch("matrices differ in size or entry semigroup")
+        table, dead, orows = entries.table, entries.dead, other.rows
         out = []
         for r in self.rows:
-            if r is None:
-                out.append(None)
-                continue
-            c, g = r
-            nxt = orows[c]
+            nxt = None if r is None else orows[r[0]]
             if nxt is None:
                 out.append(None)
-            else:
-                c2, h = nxt
-                out.append((c2, grp.mul(g, h)))
-        return RowMonomialMatrix(grp, tuple(out), self.size)
+                continue
+            t = table[r[1]][nxt[1]]
+            out.append(None if t == dead else (nxt[0], t))
+        prod = object.__new__(RowMonomialMatrix)
+        prod.entries = entries
+        prod.rows = rows = tuple(out)
+        prod._hash = hash(rows)
+        return prod
 
     def __eq__(self, other):
         return (
             isinstance(other, RowMonomialMatrix)
-            and self.size == other.size
+            and self.entries is other.entries
             and self.rows == other.rows
         )
 
@@ -118,132 +133,30 @@ class RowMonomialMatrix:
             return r[1]
         return None
 
+    def block(self, i, j):
+        """The carrier of entry (i, j), None where it is 0."""
+        t = self.entry(i, j)
+        return None if t is None else self.entries.names[t]
+
     def support(self):
         return PartialTransformation(
-            tuple(None if r is None else r[0] for r in self.rows), self.size
+            tuple(None if r is None else r[0] for r in self.rows), len(self.rows)
         )
 
-    def map_entries(self, func, new_group):
+    def map_entries(self, func, entries):
         return RowMonomialMatrix(
-            new_group,
-            tuple(None if r is None else (r[0], func(r[1])) for r in self.rows),
-            self.size,
+            entries, tuple(None if r is None else (r[0], func(r[1])) for r in self.rows)
         )
-
-
-class InnerBlocks:
-    """The inner semigroup T of row-monomial blocks, closed once into a table.
-
-    `index` numbers the blocks of T, `table[t][u]` is the index of t*u, and
-    `dead` is the index of the zero block (None when T has none).
-    """
-
-    __slots__ = ("semigroup", "index", "table", "dead", "size")
-
-    def __init__(self, gens, cap):
-        T = close_generators(gens, cap=cap)
-        self.semigroup = T
-        self.index = {blk: t for t, blk in enumerate(T.names)}
-        self.table = [T.left_row(t) for t in range(T.n)]
-        self.size = gens[0].size
-        self.dead = self.index.get(RowMonomialMatrix.zero(gens[0].group, self.size))
-
-    @property
-    def blocks(self):
-        return self.semigroup.names
-
-
-class BlockMatrix:
-    """Block row-monomial matrix: per block row at most one non-zero block.
-
-    Blocks are elements of an InnerBlocks semigroup T; a row is stored as
-    (column, index into T) or None, so a product is one T-table lookup per
-    row, and a row whose product is T's zero block dies.
-    """
-
-    __slots__ = ("inner", "rows", "_hash")
-
-    def __init__(self, inner, rows):
-        rows = tuple(rows)
-        for r in rows:
-            if r is not None:
-                c, t = r
-                if not (0 <= c < len(rows) and 0 <= t < len(inner.table)) or t == inner.dead:
-                    raise DimensionMismatch(f"block row {r} out of range or zero")
-        self.inner = inner
-        self.rows = rows
-        self._hash = hash(rows)
-
-    @property
-    def p(self):
-        return len(self.rows)
-
-    @property
-    def dim(self):
-        return ("block", len(self.rows), self.inner.size)
-
-    @classmethod
-    def zero(cls, inner, p):
-        return cls(inner, (None,) * p)
-
-    def __mul__(self, other):
-        if not isinstance(other, BlockMatrix):
-            return NotImplemented
-        inner = self.inner
-        if other.inner is not inner or len(other.rows) != len(self.rows):
-            raise DimensionMismatch("block shapes differ")
-        table, dead, orows = inner.table, inner.dead, other.rows
-        out = []
-        for r in self.rows:
-            nxt = None if r is None else orows[r[0]]
-            if nxt is None:
-                out.append(None)
-                continue
-            t = table[r[1]][nxt[1]]
-            out.append(None if t == dead else (nxt[0], t))
-        prod = object.__new__(BlockMatrix)
-        prod.inner = inner
-        prod.rows = rows = tuple(out)
-        prod._hash = hash(rows)
-        return prod
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BlockMatrix)
-            and self.inner is other.inner
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Block[{self.p}x{self.p} of {self.inner.size}]"
-
-    def is_zero(self):
-        return all(r is None for r in self.rows)
-
-    def block(self, i, j):
-        r = self.rows[i]
-        if r is not None and r[0] == j:
-            return self.inner.blocks[r[1]]
-        return None
-
-    def block_entries(self):
-        return [self.inner.blocks[r[1]] for r in self.rows if r is not None]
-
-    def block_columns(self):
-        return {r[0] for r in self.rows if r is not None}
 
     def rotate(self, shift):
-        """Conjugate by the cyclic renaming j -> (j - shift) mod p."""
-        p = self.p
+        """Conjugate by the cyclic renaming j -> (j - shift) mod size."""
+        p = len(self.rows)
         rows = [None] * p
         for i, r in enumerate(self.rows):
             if r is not None:
                 c, t = r
                 rows[(i - shift) % p] = ((c - shift) % p, t)
-        return BlockMatrix(self.inner, rows)
+        return RowMonomialMatrix(self.entries, rows)
 
 
 # -- representations on a regular J-class --------------------------------
@@ -276,28 +189,28 @@ def rm_representation(S, j_id, r_class_of=None):
                 tuple(pos.get(S.mul(x, s)) for x in members), len(members)
             )
         )
-    image = close_generators([maps[s] for s in S.generators], cap=DEFAULT_CAP)
+    image = close_generators([maps[s] for s in S.generators])
     lut = {m: i for i, m in enumerate(image.names)}
     morphism = SemigroupMorphism(S, image, tuple(lut[maps[s]] for s in range(S.n)))
-    # injective on every maximal subgroup of J
     for e in g.j_classes[j_id]:
         if S.is_idempotent(e):
             h = g.h_classes[g.h_class[e]]
-            assert len({maps[x] for x in h}) == len(h)
+            check(len({maps[x] for x in h}) == len(h),
+                  "the action is injective on every maximal subgroup of J", e)
     faithful = len(set(maps)) == S.n
-    _assert_image_faithful(image, morphism, g, j_id)
+    _check_image_faithful(image, morphism, g, j_id)
     return SchutzenbergerAction(tuple(members), maps, image, morphism, faithful)
 
 
-def _assert_image_faithful(image, morphism, g, j_id):
+def _check_image_faithful(image, morphism, g, j_id):
     """rho_J(J) is a regular J-class of the image and the action of the image
     on one of its R-classes is again faithful."""
     gi = image.green()
     img_elems = {morphism(x) for x in g.j_classes[j_id]}
     classes = {gi.j_class[y] for y in img_elems}
-    assert len(classes) == 1
+    check(len(classes) == 1, "rho_J(J) lies in one J-class of the image", sorted(classes))
     jbar = classes.pop()
-    assert gi.regular[jbar]
+    check(gi.regular[jbar], "rho_J(J) is a regular J-class of the image", jbar)
     anchor = min(y for y in gi.j_classes[jbar] if image.is_idempotent(y))
     members = sorted(
         y for y in gi.j_classes[jbar] if gi.r_class[y] == gi.r_class[anchor]
@@ -306,7 +219,7 @@ def _assert_image_faithful(image, morphism, g, j_id):
     seen = set()
     for s in range(image.n):
         m = tuple(pos.get(image.mul(y, s)) for y in members)
-        assert m not in seen, "Schutzenberger representation of the image not faithful"
+        check(m not in seen, "Schutzenberger representation of the image not faithful", s)
         seen.add(m)
 
 
@@ -342,14 +255,14 @@ def rlm_representation(S, j_id, first_of=None):
             for x in g.l_classes[c]:
                 y = S.mul(x, s)
                 targets.add(b_pos[g.l_class[y]] if y in jset else None)
-            assert len(targets) == 1, "RLM action not well defined"
+            check(len(targets) == 1, "RLM action not well defined", (c, s))
             row[i] = targets.pop()
         maps.append(PartialTransformation(tuple(row), len(l_ids)))
-    image = close_generators([maps[s] for s in S.generators], cap=DEFAULT_CAP)
+    image = close_generators([maps[s] for s in S.generators])
     lut = {m: i for i, m in enumerate(image.names)}
     morphism = SemigroupMorphism(S, image, tuple(lut[maps[s]] for s in range(S.n)))
     for x in g.j_classes[j_id]:
-        assert maps[x].rank <= 1, "elements of J must act with rank at most 1"
+        check(maps[x].rank <= 1, "elements of J must act with rank at most 1", x)
     return RlmAction(
         tuple(l_ids),
         tuple(tuple(g.l_classes[c]) for c in l_ids),
@@ -387,7 +300,8 @@ def rees_coordinates(S, j_id, idempotent=None):
     e0 = idempotent
     if e0 is None:
         e0 = min(x for x in j_elems if S.is_idempotent(x))
-    assert S.is_idempotent(e0) and g.j_class[e0] == j_id
+    elif not (0 <= e0 < S.n and S.is_idempotent(e0) and g.j_class[e0] == j_id):
+        raise NotIdempotent(f"element {e0} is not an idempotent of J-class {j_id}")
     group = maximal_subgroup(S, e0)
     gpos = {s: i for i, s in enumerate(group.names)}
 
@@ -403,7 +317,7 @@ def rees_coordinates(S, j_id, idempotent=None):
 
     def pick(r_id, l_id):
         hits = [x for x in j_elems if g.r_class[x] == r_id and g.l_class[x] == l_id]
-        assert hits, "eggbox cell is empty"
+        check(hits, "every eggbox cell of a regular J-class is non-empty", (r_id, l_id))
         return min(hits)
 
     u = [e0 if a == a_ids[0] else pick(a, b_ids[0]) for a in a_ids]
@@ -433,11 +347,11 @@ def rees_coordinates(S, j_id, idempotent=None):
             row.append(as_group(S.mul(v[b], u[a])))
         sandwich.append(tuple(row))
     sandwich = tuple(sandwich)
-    for a in range(len(u)):
-        assert sandwich[0][a] in (None, group.identity)
-    for b in range(len(v)):
-        assert sandwich[b][0] in (None, group.identity)
-    assert sandwich[0][0] == group.identity
+    check(all(c in (None, group.identity) for c in sandwich[0]),
+          "row b0 of the sandwich matrix is normalized", sandwich[0])
+    check(all(row[0] in (None, group.identity) for row in sandwich),
+          "column a0 of the sandwich matrix is normalized", sandwich)
+    check(sandwich[0][0] == group.identity, "the sandwich corner is the identity", sandwich[0][0])
 
     ustar = [e0]
     for i in range(1, len(u)):
@@ -454,17 +368,17 @@ def rees_coordinates(S, j_id, idempotent=None):
         a = a_ids.index(g.r_class[x])
         b = b_ids.index(g.l_class[x])
         gi = as_group(S.mul(S.mul(ustar[a], x), vstar[b]))
-        assert gi is not None, "coordinate fell outside the maximal subgroup"
-        coord[x] = (a, gi, b)
+        check(gi is not None, "coordinate fell outside the maximal subgroup", x)
         key = (a, gi, b)
-        assert key not in decoord
+        check(key not in decoord, "coordinates are injective", x)
+        coord[x] = key
         decoord[key] = x
-    # round trip and full coverage
-    assert len(decoord) == len(j_elems) == len(a_ids) * group.n * len(b_ids)
+    check(len(decoord) == len(j_elems) == len(a_ids) * group.n * len(b_ids),
+          "coordinates cover A x G x B", len(decoord))
     for key, x in decoord.items():
         a, gi, b = key
         rebuilt = S.mul(S.mul(u[a], group.names[gi]), v[b])
-        assert rebuilt == x, "decoordinatize(coordinatize) is not the identity"
+        check(rebuilt == x, "decoordinatize(coordinatize) is the identity", x)
     # multiplication agrees with the Rees product
     for x in j_elems:
         ax, gx, bx = coord[x]
@@ -473,11 +387,11 @@ def rees_coordinates(S, j_id, idempotent=None):
             z = S.mul(x, y)
             link = sandwich[bx][ay]
             if link is None:
-                assert z not in jset
+                ok = z not in jset
             else:
-                assert z in jset
-                expect = (ax, group.mul(group.mul(gx, link), gy), by)
-                assert coord[z] == expect, "Rees product mismatch"
+                ok = z in jset and coord[z] == (ax, group.mul(group.mul(gx, link), gy), by)
+            if not ok:
+                raise CheckFailed("multiplication in J agrees with the Rees product", (x, y))
     return ReesCoordinates(
         group=group,
         a_ids=tuple(a_ids),
@@ -501,6 +415,7 @@ class WreathEmbedding:
     """S embedded in K wr (B, RLM_J(S)) as row-monomial matrices over K^0."""
 
     rees: ReesCoordinates
+    entries: EntrySemigroup  # K, the entries of every matrix
     matrices: list  # per S element
     lookup: dict  # matrix -> S element
 
@@ -512,6 +427,7 @@ class WreathEmbedding:
 def wreath_embed(S, j_id, idempotent=None):
     rees = rees_coordinates(S, j_id, idempotent)
     K = rees.group
+    entries = EntrySemigroup(K)
     g = S.green()
     jset = set(g.j_classes[j_id])
     b = len(rees.b_ids)
@@ -522,18 +438,18 @@ def wreath_embed(S, j_id, idempotent=None):
             y = S.mul(rees.v[bi], s)
             if y in jset:
                 a, k, b2 = rees.coord[y]
-                assert a == rees.a0
+                check(a == rees.a0, "v[b] * s stays in the R-class of e0", (bi, s))
                 rows.append((b2, k))
             else:
                 rows.append(None)
-        mats.append(RowMonomialMatrix(K, tuple(rows), b))
+        mats.append(RowMonomialMatrix(entries, rows))
     if len(set(mats)) != S.n:
         raise NotFaithful("Schutzenberger representation on the R-class is not faithful")
     lookup = {m: s for s, m in enumerate(mats)}
-    # multiplicative, exhaustively
     for x in range(S.n):
         for y in range(S.n):
-            assert mats[x] * mats[y] == mats[S.mul(x, y)]
+            if mats[x] * mats[y] != mats[S.mul(x, y)]:
+                raise CheckFailed("the embedding is multiplicative", (x, y))
     # action reading: matrices act exactly as right multiplication in coordinates
     for s in range(S.n):
         for x in jset:
@@ -543,24 +459,18 @@ def wreath_embed(S, j_id, idempotent=None):
             y = S.mul(x, s)
             row = mats[s].rows[bx]
             if y in jset:
-                assert row is not None
-                b2, k = row
-                assert rees.coord[y] == (rees.a0, K.mul(gx, k), b2)
+                ok = row is not None and rees.coord[y] == (rees.a0, K.mul(gx, row[1]), row[0])
             else:
-                assert row is None
+                ok = row is None
+            if not ok:
+                raise CheckFailed("matrices act as right multiplication in coordinates", (x, s))
     # maximal-subgroup normal form: column b0 carries the group element
-    for k_elt in K.names:
+    for ki, k_elt in enumerate(K.names):
         m = mats[k_elt]
-        for bi, row in enumerate(m.rows):
-            if row is not None:
-                assert row[0] == rees.b0
-                assert row[1] == gindex(K, k_elt)
-        assert m.entry(rees.b0, rees.b0) == gindex(K, k_elt)
-    return WreathEmbedding(rees, mats, lookup)
-
-
-def gindex(group, s_element):
-    return group.names.index(s_element)
+        check(all(row is None or row == (rees.b0, ki) for row in m.rows)
+              and m.entry(rees.b0, rees.b0) == ki,
+              "a maximal-subgroup element sits in column b0 as its own entry", k_elt)
+    return WreathEmbedding(rees, entries, mats, lookup)
 
 
 # -- wreath products with a fixed transformation part ---------------------
@@ -581,18 +491,21 @@ def wreath_product_0simple_check(G, transformations):
     simple when T is total, 0-simple otherwise, with maximal subgroup G read
     off by the (b, b) entry at an idempotent with image {b}."""
     T = list(transformations)
-    assert T, "T must be non-empty"
+    if not T:
+        raise HypothesisViolated("T", "T must be non-empty")
     bsize = T[0].dim
     tset = set(T)
     for t in T:
         if t.rank > 1:
             raise RankTooHigh(f"{t} has rank {t.rank}")
         for s in T:
-            assert t * s in tset, "T is not closed under composition"
+            if t * s not in tset:
+                raise HypothesisViolated("T", f"T is not closed under composition at {t} * {s}")
     for src in range(bsize):
         for dst in range(bsize):
             if not any(t(src) == dst for t in T):
                 raise NotTransitive(f"no map sends {src} to {dst}")
+    entries = EntrySemigroup(G)
     elements = []
     def _tkey(t):
         return tuple(-1 if v is None else v for v in t.mapping)
@@ -602,19 +515,19 @@ def wreath_product_0simple_check(G, transformations):
             rows = [None] * bsize
             for i, val in zip(dom, values):
                 rows[i] = (t(i), val)
-            elements.append(RowMonomialMatrix(G, tuple(rows), bsize))
-    S = close_generators(elements, cap=DEFAULT_CAP)
-    assert S.n == len(elements), "preimage of T is closed under products"
+            elements.append(RowMonomialMatrix(entries, rows))
+    S = close_generators(elements)
+    check(S.n == len(elements), "preimage of T is closed under products", S.n)
     g = S.green()
     total = all(t.is_total() for t in tset)
     if total:
-        assert len(g.j_classes) == 1, "wreath over total maps must be simple"
+        check(len(g.j_classes) == 1, "wreath over total maps must be simple", len(g.j_classes))
         kind = "simple"
     else:
-        assert S.zero is not None
-        assert len(g.j_classes) == 2, "wreath must be 0-simple"
+        check(S.zero is not None and len(g.j_classes) == 2, "wreath must be 0-simple",
+              len(g.j_classes))
         top = [c for c in range(2) if S.zero not in g.j_classes[c]][0]
-        assert g.regular[top]
+        check(g.regular[top], "the non-zero J-class of the wreath is regular", top)
         kind = "0-simple"
     idem = [
         x
@@ -623,18 +536,18 @@ def wreath_product_0simple_check(G, transformations):
     ]
     e = min(idem)
     image = S.names[e].support().image()
-    assert len(image) == 1
+    check(len(image) == 1, "the least idempotent has a one-point image", sorted(image))
     col = image.pop()
     sub = maximal_subgroup(S, e)
     psi = {}
     for x in sub.names:
         val = S.names[x].entry(col, col)
-        assert val is not None
+        check(val is not None, "the subgroup carries an entry at (b, b)", x)
         psi[x] = val
-    assert len(set(psi.values())) == G.n == len(psi), "psi must be a bijection"
+    check(len(set(psi.values())) == G.n == len(psi), "psi must be a bijection", len(psi))
     for x in sub.names:
         for y in sub.names:
-            assert psi[S.mul(x, y)] == G.mul(psi[x], psi[y])
+            check(psi[S.mul(x, y)] == G.mul(psi[x], psi[y]), "psi must be multiplicative", (x, y))
     return WreathStructure(kind, S, e, col, psi, sub)
 
 
@@ -645,7 +558,7 @@ def wreath_product_0simple_check(G, transformations):
 class CoverResult:
     """Verified output of the cover construction."""
 
-    s_prime: FiniteSemigroup  # names are BlockMatrix
+    s_prime: FiniteSemigroup  # names are RowMonomialMatrix over the blocks of T
     base: FiniteSemigroup  # the covered semigroup S
     group_h: FiniteSemigroup
     rho: tuple  # S' element -> S element
@@ -797,17 +710,21 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
     b = len(emb.rees.b_ids)
     kernel = [h for h in range(H.n) if alpha[h] == K.identity]
     ell = len(kernel) ** b
+    h_entries = EntrySemigroup(H)
     lifted = [
-        emb.matrices[phi[a]].map_entries(lambda k: sigma[k], H) for a in X[:n]
+        emb.matrices[phi[a]].map_entries(lambda k: sigma[k], h_entries) for a in X[:n]
     ]
     twists = [
-        RowMonomialMatrix.diagonal(H, values)
+        RowMonomialMatrix.diagonal(h_entries, values)
         for values in _kernel_tuples(kernel, b, H)
     ]
-    check(len(twists) == ell and twists[0] == RowMonomialMatrix.diagonal(H, (H.identity,) * b),
+    check(len(twists) == ell
+          and twists[0] == RowMonomialMatrix.diagonal(h_entries, (H.identity,) * b),
           "twists must be the kernel tuples, identity first", len(twists))
-    inner = InnerBlocks(lifted + [t * lifted[n - 1] for t in twists], cap)
-    T = inner.semigroup
+    # T, the semigroup of blocks, closed once; S' multiplies blocks by T's table
+    T = close_generators(lifted + [t * lifted[n - 1] for t in twists], cap=cap)
+    t_index = {blk: t for t, blk in enumerate(T.names)}
+    inner = EntrySemigroup(T, dead=t_index.get(RowMonomialMatrix.zero(h_entries, b)))
     letter_pos = {a: i for i, a in enumerate(X)}
     m = omega_exponent(T, T.eval_word([letter_pos[a] for a in z_word]))
     count_x1 = sum(1 for a in z_word if a == X[0])
@@ -831,7 +748,7 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
             rows = tuple((0, tgen[n + j] if j < ell else tgen[i]) for j in range(p))
         else:
             rows = (None,) * p
-        gens.append(BlockMatrix(inner, rows))
+        gens.append(RowMonomialMatrix(inner, rows))
     s_prime = close_generators(gens, cap=cap)
 
     zero_prime = s_prime.zero
@@ -845,7 +762,7 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
     # image per block of T), compared with phi of the witness word, which is
     # computed along the closure's witness tree
     block_rho = [
-        emb.lookup.get(blk.map_entries(lambda h: alpha[h], K)) for blk in inner.blocks
+        emb.lookup.get(blk.map_entries(lambda h: alpha[h], emb.entries)) for blk in T.names
     ]
     phi_w = SemigroupMorphism.from_generator_map(
         s_prime, S, [phi[a] for a in X], check=False
@@ -882,7 +799,7 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
     check(rho[e_prime] == e, "the idempotent above e must map onto e", e_prime)
     check(s_prime.mul(z_om, e_prime) == e_prime, "z^omega must fix the idempotent above e", e_prime)
     emat = s_prime.names[e_prime]
-    cols = emat.block_columns()
+    cols = {r[0] for r in emat.rows if r is not None}
     check(len(cols) == 1, "blocks of eta(e) lie in one column", sorted(cols))
     column = cols.pop()
 
@@ -900,7 +817,7 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
 
     # single-column support on J'; blocks are among the twist preimages of
     # one block (the twists form a group, so any block of the row will do)
-    preimages = [{inner.index.get(t * blk) for t in twists} for blk in inner.blocks]
+    preimages = [{t_index.get(t * blk) for t in twists} for blk in T.names]
     for x in gp.j_classes[j_prime]:
         rows = s_prime.names[x].rows
         if len({r[0] for r in rows}) != 1:
@@ -915,20 +832,22 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
     # corner entries of its blocks sweep the whole kernel (this is what makes
     # the corner map onto below)
     kernel_set = set(kernel)
-    for blk in emat.block_entries():
+    e_blocks = [T.names[r[1]] for r in emat.rows if r is not None]
+    for blk in e_blocks:
         for row in blk.rows:
             check(row is None or (row[0] == 0 and row[1] in kernel_set),
                   "entries of eta(e) must lie in column 0 with kernel values", blk)
-    corner_values = {blk.entry(0, 0) for blk in emat.block_entries()}
+    corner_values = {blk.entry(0, 0) for blk in e_blocks}
     check(corner_values == kernel_set, "corner entries of eta(e) must sweep the kernel",
           sorted(corner_values, key=lambda h: (h is None, h)))
 
     sub = maximal_subgroup(s_prime, e_prime)
     theta = {}
     for x in sub.names:
-        blk = s_prime.names[x].block(column, column)
+        mat = s_prime.names[x]
+        blk = mat.block(column, column)
         entry = None if blk is None else blk.entry(0, 0)
-        check(s_prime.names[x].block_columns() == {column} and entry is not None,
+        check({r[0] for r in mat.rows if r is not None} == {column} and entry is not None,
               "the subgroup at eta(e) must carry its corner entry in the column of eta(e)",
               s_prime.word_letters(x, X))
         theta[x] = entry
@@ -980,15 +899,14 @@ def preimage_completeness_check(result, w):
     rank 1 collapses the row twists, so the blocks can be a proper subset.
     """
     w = tuple(w)
-    elt = result.eta(w)
-    mat = result.s_prime.names[elt]
-    assert not mat.is_zero(), "word maps to zero"
-    H = result.group_h
-    blocks = set(mat.block_entries())
+    mat = result.s_prime.names[result.eta(w)]
+    if mat.is_zero():
+        raise HypothesisViolated("w", "the word maps to zero")
+    blocks = {mat.entries.names[r[1]] for r in mat.rows if r is not None}
     some = next(iter(blocks))
     twists = [
-        RowMonomialMatrix.diagonal(H, values)
-        for values in _kernel_tuples(result.kernel, some.size, H)
+        RowMonomialMatrix.diagonal(some.entries, values)
+        for values in _kernel_tuples(result.kernel, len(some.rows), result.group_h)
     ]
     preimages = {t * some for t in twists}
     return blocks, preimages

@@ -246,7 +246,7 @@ def test_green_matches_exact_oracle(case):
     if case == "random-presentations":
         assert semigroups[-1].n == 2317 > TABLE_LIMIT
     if case == "even-z3-cover":
-        assert type(semigroups[0].names[0]).__name__ == "BlockMatrix"
+        assert type(semigroups[0].names[0]).__name__ == "RowMonomialMatrix"
 
 
 def test_green_trivial():
@@ -461,8 +461,19 @@ def test_parse_rejects_non_associative():
 
 def test_associativity_sampling_large_tables():
     k = 250  # above the exhaustive threshold
-    Z = FiniteSemigroup([[(i + j) % k for j in range(k)] for i in range(k)], [1], seed=3)
+    Z = FiniteSemigroup([[(i + j) % k for j in range(k)] for i in range(k)], [1])
     assert Z.identity == 0
+
+
+def test_associativity_rejects_one_corrupted_entry():
+    """Light's test is exhaustive at every size: one wrong entry of a
+    250-element table is found, with the (x, a, y) witness of a generator a."""
+    k = 250
+    table = [[(i + j) % k for j in range(k)] for i in range(k)]
+    table[100][200] = 51  # 100 + 200 = 50 mod 250
+    for gens in ([1], [0, 1]):  # the identity 0 passes every triple; 1 finds the fault
+        with pytest.raises(ValueError, match=r"table not associative at \(99,1,200\)"):
+            FiniteSemigroup(table, gens)
 
 
 class TupleTransformation:

@@ -58,6 +58,8 @@ def test_factor_dfa_golden_mean_three_states():
     assert len(d.accepting) == 2
     assert not d.accepts(tuple("abba"))
     assert d.accepts(tuple("abaab"))
+    with pytest.raises(ValueError):
+        d.accepts(())
 
 
 def test_factor_language_is_factorial_and_prolongable():
@@ -106,6 +108,8 @@ def test_primitive_and_rotations():
     assert rotations(tuple("ab")) == {("a", "b"), ("b", "a")}
     with pytest.raises(NotPrimitive):
         BiInfinitePoint(tuple("abab"))
+    with pytest.raises(ValueError):
+        BiInfinitePoint(())
 
 
 @pytest.mark.parametrize("P", [full_shift(2), golden_mean(), even_shift(), period_shift(3)])
@@ -165,6 +169,8 @@ def test_sync_delay_cases():
     assert check_sync_delay("aab", 1, 6, alphabet="ab")
     with pytest.raises(NotPrimitive):
         check_sync_delay("abab", 1, 3)
+    with pytest.raises(ValueError):
+        check_sync_delay("ab", 0, 3)
 
 
 def test_periodic_factors_oracle():

@@ -1,13 +1,15 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
+from collections import namedtuple
 from dataclasses import replace
 
 import pytest
 
 import soficsemi
-from corpus import cyclic_group, even_shift, golden_mean, period_shift
+from corpus import cyclic_group, even_shift, golden_mean, period2_syntactic_table, period_shift
 from soficsemi import (
     FiniteSemigroup,
     PartialTransformation,
@@ -22,9 +24,16 @@ from soficsemi import (
     wreath_embed,
     wreath_product_0simple_check,
 )
-from soficsemi.errors import CapExceeded, HypothesisViolated, NotTransitive, RankTooHigh
+from soficsemi.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    HypothesisViolated,
+    NotIdempotent,
+    NotTransitive,
+    RankTooHigh,
+)
 from soficsemi.finsemi import close_generators, maximal_subgroup
-from soficsemi.wreath import BlockMatrix, InnerBlocks, preimage_completeness_check
+from soficsemi.wreath import EntrySemigroup, preimage_completeness_check
 
 
 def t3_semigroup():
@@ -110,6 +119,10 @@ def test_rees_coordinates_period2():
     assert len(rc.a_ids) == 2 and len(rc.b_ids) == 2
     flat = [v for row in rc.sandwich for v in row]
     assert flat.count(None) == 2  # a^2 = b^2 = 0 kills two cells
+    S, j = D.semigroup, distinguished_jclass_id(D)
+    for bad in (S.zero, next(x for x in range(S.n) if not S.is_idempotent(x)), S.n):
+        with pytest.raises(NotIdempotent):
+            rees_coordinates(S, j, idempotent=bad)
 
 
 def test_rees_coordinates_t3_rank1():
@@ -190,6 +203,34 @@ def test_structure_lemma_rejects_bad_inputs():
     T = [PartialTransformation.constant(2, 0), PartialTransformation.empty(2)]
     with pytest.raises(NotTransitive):
         wreath_product_0simple_check(Z2, T)
+    with pytest.raises(HypothesisViolated):
+        wreath_product_0simple_check(Z2, [])
+    with pytest.raises(HypothesisViolated):  # constant 0 then (0 -> 1) is constant 1
+        wreath_product_0simple_check(Z2, [PartialTransformation.constant(2, 0),
+                                          PartialTransformation((1, None))])
+
+
+def test_structure_lemma_input_check_survives_optimize():
+    """A T that is not closed under composition is rejected by a typed error
+    under `python -O`, where an assert would let it through."""
+    code = (
+        "from soficsemi import PartialTransformation, wreath_product_0simple_check\n"
+        "from corpus import cyclic_group\n"
+        "from soficsemi.errors import HypothesisViolated\n"
+        "assert False, 'asserts are on'\n"
+        "T = [PartialTransformation.constant(2, 0), PartialTransformation((1, None))]\n"
+        "try:\n"
+        "    wreath_product_0simple_check(cyclic_group(2), T)\n"
+        "except HypothesisViolated as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(soficsemi.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("hypothesis 'T' violated: T is not closed under composition")
 
 
 def gm3_data():
@@ -231,6 +272,8 @@ def test_build_cover_z2_over_trivial_k():
                 continue
             blocks, preimages = preimage_completeness_check(res, w)
             assert blocks == preimages
+    with pytest.raises(HypothesisViolated):
+        preimage_completeness_check(res, ("a", "c"))  # the dead letter maps to zero
 
 
 def test_build_cover_known_collapse_on_rank1_prefix():
@@ -390,51 +433,113 @@ def test_cover_serialization_round_readable():
     assert "generator a" in text and "rho 0" in text
 
 
+def entrywise_product(a_rows, b_rows, E):
+    """(AB)[i][j] = sum over k of A[i][k] * B[k][j], with entries multiplied
+    by E's semigroup and E.dead read as 0: the definition, as the oracle."""
+    n = len(a_rows)
+    dense = [[None] * n for _ in range(n)]
+    for k, r in enumerate(b_rows):
+        if r is not None:
+            dense[k][r[0]] = r[1]
+    out = []
+    for r in a_rows:
+        terms = [] if r is None else [
+            (j, E.semigroup.mul(r[1], b)) for j, b in enumerate(dense[r[0]]) if b is not None
+        ]
+        terms = [(j, t) for j, t in terms if t != E.dead]
+        assert len(terms) <= 1
+        out.append(terms[0] if terms else None)
+    return tuple(out)
+
+
+def random_rows(rng, size, live):
+    return tuple(
+        None if rng.random() < 0.3 else (rng.randrange(size), rng.choice(live))
+        for _ in range(size)
+    )
+
+
 def test_row_monomial_and_block_arithmetic():
-    Z2 = cyclic_group(2)
-    m = RowMonomialMatrix(Z2, ((1, 1), None), 2)
+    Z2 = EntrySemigroup(cyclic_group(2))
+    m = RowMonomialMatrix(Z2, ((1, 1), None))
     z = RowMonomialMatrix.zero(Z2, 2)
     assert (m * z).is_zero()
     d = RowMonomialMatrix.diagonal(Z2, (1, 1))
     assert (d * d).rows == ((0, 0), (1, 0))
-    T = InnerBlocks([m], cap=10)
-    b = BlockMatrix(T, ((1, T.index[m]), None))
-    assert (b * BlockMatrix.zero(T, 2)).is_zero()
+    T = close_generators([m])
+    inner = EntrySemigroup(T, dead=T.names.index(m * m))
+    b = RowMonomialMatrix(inner, ((1, 0), None))
+    assert (b * RowMonomialMatrix.zero(inner, 2)).is_zero()
     assert b.block(0, 1) == m and b.block(1, 0) is None
+    assert (b * b).is_zero()  # m * m is T's zero block, so the row dies
+
+    # seeded random products against the entrywise definition, over Z3 and
+    # over a semigroup whose zero is the dead entry
+    P2 = period2_syntactic_table()
+    rng = random.Random(5)
+    for E in (EntrySemigroup(cyclic_group(3)), EntrySemigroup(P2, dead=P2.zero)):
+        live = [t for t in range(E.semigroup.n) if t != E.dead]
+        for size in (1, 2, 3, 5):
+            for _ in range(60):
+                a, c = random_rows(rng, size, live), random_rows(rng, size, live)
+                prod = RowMonomialMatrix(E, a) * RowMonomialMatrix(E, c)
+                assert prod.rows == entrywise_product(a, c, E)
+                assert prod == RowMonomialMatrix(E, prod.rows)
+
+    Z3 = EntrySemigroup(cyclic_group(3))
+    dead = EntrySemigroup(P2, dead=P2.zero)
+    for entries, rows in ((Z3, ((2, 0), None)), (Z3, ((0, -1), None)), (Z3, ((0, 3), None)),
+                          (dead, ((0, P2.zero),)), (dead, ((0, 0), (-1, 0)))):
+        with pytest.raises(DimensionMismatch):
+            RowMonomialMatrix(entries, rows)
+    other = EntrySemigroup(cyclic_group(3))
+    with pytest.raises(DimensionMismatch):
+        RowMonomialMatrix(Z3, ((0, 1),)) * RowMonomialMatrix(other, ((0, 1),))
+    with pytest.raises(DimensionMismatch):
+        RowMonomialMatrix.zero(Z3, 1) * RowMonomialMatrix.zero(Z3, 2)
+    assert RowMonomialMatrix(Z3, ((0, 1),)) != RowMonomialMatrix(other, ((0, 1),))
+
+
+ObjectBlock = namedtuple("ObjectBlock", "rows")
 
 
 class ObjectBlockMatrix:
-    """Block row-monomial matrix whose blocks are RowMonomialMatrix objects,
-    multiplied block by block: the oracle for the integer encoding."""
+    """Block row-monomial matrix whose blocks are row tuples over H,
+    multiplied entry by entry through H.mul: the oracle for the table-driven
+    product of the cover."""
 
-    __slots__ = ("p", "inner", "rows", "_hash")
+    __slots__ = ("p", "H", "rows", "_hash")
 
-    def __init__(self, p, inner, rows):
+    def __init__(self, p, H, rows):
         rows = tuple(rows)
         assert len(rows) == p
         for r in rows:
             if r is not None:
                 c, blk = r
-                assert 0 <= c < p and blk.size == inner and not blk.is_zero()
+                assert 0 <= c < p and any(blk.rows)
         self.p = p
-        self.inner = inner
+        self.H = H
         self.rows = rows
         self._hash = hash(rows)
 
     @property
     def dim(self):
-        return ("block", self.p, self.inner)
+        return ("block", self.p)
 
     def __mul__(self, other):
+        H = self.H
         out = []
         for r in self.rows:
             nxt = None if r is None else other.rows[r[0]]
             if nxt is None:
                 out.append(None)
                 continue
-            prod = r[1] * nxt[1]
-            out.append(None if prod.is_zero() else (nxt[0], prod))
-        return ObjectBlockMatrix(self.p, self.inner, out)
+            prod = []
+            for e in r[1].rows:
+                f = None if e is None else nxt[1].rows[e[0]]
+                prod.append(None if f is None else (f[0], H.mul(e[1], f[1])))
+            out.append((nxt[0], ObjectBlock(tuple(prod))) if any(prod) else None)
+        return ObjectBlockMatrix(self.p, H, out)
 
     def __eq__(self, other):
         return isinstance(other, ObjectBlockMatrix) and self.rows == other.rows
@@ -457,19 +562,20 @@ class ObjectBlockMatrix:
         for i, r in enumerate(self.rows):
             if r is not None:
                 rows[(i - shift) % self.p] = ((r[0] - shift) % self.p, r[1])
-        return ObjectBlockMatrix(self.p, self.inner, rows)
+        return ObjectBlockMatrix(self.p, self.H, rows)
 
 
 def decoded_rows(mat):
-    return tuple(None if r is None else (r[0], mat.inner.blocks[r[1]]) for r in mat.rows)
+    names = mat.entries.names
+    return tuple(None if r is None else (r[0], ObjectBlock(names[r[1]].rows)) for r in mat.rows)
 
 
 def assert_matches_object_closure(D, res, alpha):
     """Closing the generators as object matrices gives the same elements in
     the same order, the same Cayley graph, rho, theta and serialization."""
     S = res.s_prime
-    size = S.names[0].inner.size
-    gens = [ObjectBlockMatrix(res.p, size, decoded_rows(S.names[g])) for g in S.generators]
+    gens = [ObjectBlockMatrix(res.p, res.group_h, decoded_rows(S.names[g]))
+            for g in S.generators]
     oracle = close_generators(gens, cap=10 ** 6)
     assert oracle.n == S.n and oracle.generators == S.generators
     assert oracle._cayley == S._cayley
@@ -477,18 +583,20 @@ def assert_matches_object_closure(D, res, alpha):
     for g in S.generators:  # the cyclic renaming, also for shifts other than the column
         for shift in range(res.p):
             assert decoded_rows(S.names[g].rotate(shift)) == oracle.names[g].rotate(shift).rows
-    emb, K = res.embedding, res.embedding.group
+    emb = res.embedding
     rho = tuple(
         D.zero if mat.is_zero()
-        else emb.lookup[mat.block_entries()[0].map_entries(lambda h: alpha[h], K)]
+        else emb.lookup[RowMonomialMatrix(emb.entries, (
+            None if e is None else (e[0], alpha[e[1]]) for e in mat.block_entries()[0].rows))]
         for mat in oracle.names
     )
     assert rho == res.rho
     assert all(rho[x] == D.image(oracle.word_letters(x, D.alphabet)) for x in range(S.n))
     theta = {
-        x: oracle.names[x].block(res.column, res.column).entry(0, 0)
+        x: oracle.names[x].block(res.column, res.column).rows[0][1]
         for x in maximal_subgroup(oracle, res.e_prime).names
     }
+    assert all(oracle.names[x].block(res.column, res.column).rows[0][0] == 0 for x in theta)
     assert theta == res.theta
     assert replace(res, s_prime=oracle, rho=rho, theta=theta).serialize() == res.serialize()
 
@@ -512,7 +620,7 @@ def test_integer_blocks_match_object_closure():
 def test_cover_inner_closure_honours_cap():
     D = even3_data()
     res = build_cover(D, cyclic_group(2), [0, 0], ("a", "b", "b"), ("a",))
-    inner = res.s_prime.names[0].inner.semigroup
+    inner = res.s_prime.names[0].entries.semigroup
     assert inner.n < res.s_prime.n
     with pytest.raises(CapExceeded):
         build_cover(D, cyclic_group(2), [0, 0], ("a", "b", "b"), ("a",), cap=inner.n - 1)
