@@ -11,8 +11,8 @@ from . import entropy as entropy_mod
 from . import syntactic as syntactic_mod
 from . import wreath as wreath_mod
 from . import zimin as zimin_mod
-from .errors import CapExceeded, SoficSemiError
-from .finsemi import DEFAULT_CAP, parse_semigroup
+from .errors import CapExceeded, HypothesisViolated, SoficSemiError
+from .finsemi import DEFAULT_CAP, maximal_subgroup, parse_semigroup
 from .shiftspace import (
     conjugate_with_partial_alphabet,
     format_presentation,
@@ -208,10 +208,7 @@ def cmd_cover(args):
     D = syntactic_mod.syntactic_semigroup(P, extra_letters=extra, cap=args.cap)
     e_word = parse_word(spec["e"][0], D.alphabet)
     z_word = parse_word(spec["z"][0], D.alphabet)
-    e = D.image(e_word)
-    from .finsemi import maximal_subgroup
-
-    K = maximal_subgroup(D.semigroup, e)
+    K = maximal_subgroup(D.semigroup, D.image(e_word))
     alpha_words = spec.get("alpha")
     if alpha_words is None:
         if K.n != 1:
@@ -219,10 +216,14 @@ def cmd_cover(args):
             return 1
         alpha = [0] * H.n
     else:
+        k_of = {s: i for i, s in enumerate(K.names)}
         alpha = []
         for wtxt in alpha_words:
             selt = D.image(parse_word(wtxt, D.alphabet))
-            alpha.append(K.names.index(selt))
+            if selt not in k_of:
+                raise HypothesisViolated(
+                    "alpha", f"the image of {wtxt} is not in the maximal subgroup K at e")
+            alpha.append(k_of[selt])
     result = wreath_mod.build_cover(
         D, H, alpha, e_word, z_word, cap=args.cap
     )

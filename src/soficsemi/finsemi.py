@@ -284,6 +284,36 @@ class FiniteSemigroup:
                 row[y] = self._cayley[row[self._parent[y]]][self._lastgen[y]]
         return row
 
+    def right_action(self, points):
+        """Per element s, the tuple (x*s for x in points): one fold along the
+        witness tree, where x*(p*g) = (x*p)*g is one Cayley lookup."""
+        cay, parent, lastgen = self._cayley, self._parent, self._lastgen
+        acts = [None] * self.n
+        for s in self._order:
+            p, j = parent[s], lastgen[s]
+            acts[s] = tuple(cay[x][j] for x in (points if p is None else acts[p]))
+        return acts
+
+    def left_action(self, points):
+        """Per element s, the positions in points of s*x for x in points,
+        which must be closed under left multiplication; s*x = p*(g*x) is one
+        lookup in the action of p."""
+        pos = {x: i for i, x in enumerate(points)}
+        gens = [tuple(pos[self.mul(g, x)] for x in points) for g in self.generators]
+        acts = [None] * self.n
+        for s in self._order:
+            p, gen = self._parent[s], gens[self._lastgen[s]]
+            acts[s] = gen if p is None else tuple(acts[p][i] for i in gen)
+        return acts
+
+    def same_table(self, other):
+        """Whether other has this multiplication table, read off the
+        generators and the right Cayley graph (they determine every product)
+        in O(|S| * k), so no table is materialized."""
+        return self is other or (
+            self.generators == other.generators and self._cayley == other._cayley
+        )
+
     def eval_word(self, word):
         """Evaluate a word of generator positions."""
         word = list(word)
@@ -425,6 +455,7 @@ class GreenStructure:
     h_classes: tuple
     j_below: tuple  # per J-class id, frozenset of class ids <=_J it (incl. itself)
     regular: tuple
+    anchors: tuple  # per J-class id, its least idempotent, None when not regular
 
     def leq_j(self, a, b):
         """a <=_J b on J-class ids."""
@@ -433,6 +464,18 @@ class GreenStructure:
     def minimal_j_classes(self):
         ids = range(len(self.j_classes))
         return [c for c in ids if self.j_below[c] == frozenset([c])]
+
+    def zero_minimal_j_classes(self, zero):
+        """The J-classes whose only class strictly below is the zero's."""
+        z = self.j_class[zero]
+        ids = range(len(self.j_classes))
+        return [c for c in ids if c != z and self.j_below[c] == frozenset((c, z))]
+
+    def anchor(self, c):
+        """The least idempotent of J-class c, the base point of its actions."""
+        if self.anchors[c] is None:
+            raise NotRegular(f"J-class {c} is not regular")
+        return self.anchors[c]
 
 
 def _classes_within(rows, j_class):
@@ -489,9 +532,9 @@ def green_structure(S):
         # copied through a set: frozenset.union would keep the union's slack
         j_below[c] = frozenset(set((c,)).union(*(j_below[d] for d in succ[c] if d != c)))
 
-    regular = [False] * nc
-    for e in S.idempotent_list():
-        regular[j_class[e]] = True
+    anchors = [None] * nc
+    for e in reversed(S.idempotent_list()):  # the least one per class is set last
+        anchors[j_class[e]] = e
 
     return GreenStructure(
         r_class=r_class,
@@ -503,7 +546,8 @@ def green_structure(S):
         j_classes=j_classes,
         h_classes=tuple(map(tuple, h_classes)),
         j_below=tuple(j_below),
-        regular=tuple(regular),
+        regular=tuple(a is not None for a in anchors),
+        anchors=tuple(anchors),
     )
 
 

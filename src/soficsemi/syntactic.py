@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CheckFailed, NotAGGM, NotStronglyConnected, check
+from .errors import CheckFailed, NoCompatibleTriangle, NotAGGM, NotStronglyConnected, check
 from .finsemi import (
     DEFAULT_CAP,
     FiniteSemigroup,
     PartialTransformation,
     SemigroupMorphism,
+    apex,
     close_generators,
     lift_jclass,
 )
@@ -141,12 +142,7 @@ def _distinguished(S):
         return True, (0,)
     g = S.green()
     if S.zero is not None:
-        zcls = g.j_class[S.zero]
-        candidates = [
-            c
-            for c in range(len(g.j_classes))
-            if c != zcls and g.j_below[c] == frozenset({c, zcls})
-        ]
+        candidates = g.zero_minimal_j_classes(S.zero)
     else:
         candidates = g.minimal_j_classes()
         if len(candidates) != 1:
@@ -169,30 +165,8 @@ def _faithful_both_sides(S, j_elems):
     g = S.green()
     x = j_elems[0]
     l0 = g.l_classes[g.l_class[x]] + (() if S.zero is None else (S.zero,))
-    return (len(set(_right_action(S, g.r_classes[g.r_class[x]]))) == S.n
-            and len(set(_left_action(S, l0))) == S.n)
-
-
-def _right_action(S, points):
-    """Per element s, (x*s for x in points); x*(p*g) = (x*p)*g is one lookup."""
-    cay, parent, lastgen = S._cayley, S._parent, S._lastgen
-    acts = [None] * S.n
-    for s in S._order:
-        p, j = parent[s], lastgen[s]
-        acts[s] = tuple(cay[x][j] for x in (points if p is None else acts[p]))
-    return acts
-
-
-def _left_action(S, points):
-    """Per element s, the positions of s*x for x in points, which must be
-    closed under left multiplication; s*x = p*(g*x) is one lookup."""
-    pos = {x: i for i, x in enumerate(points)}
-    gens = [tuple(pos[S.mul(g, x)] for x in points) for g in S.generators]
-    acts = [None] * S.n
-    for s in S._order:
-        p, gen = S._parent[s], gens[S._lastgen[s]]
-        acts[s] = gen if p is None else tuple(acts[p][i] for i in gen)
-    return acts
+    return (len(set(S.right_action(g.r_classes[g.r_class[x]]))) == S.n
+            and len(set(S.left_action(l0))) == S.n)
 
 
 def separating_contexts(S, j_elems):
@@ -213,7 +187,7 @@ def separating_contexts(S, j_elems):
     }
     reps = {g.l_class[r]: r for r in g.r_classes[g.r_class[j_elems[0]]]}
     profiles = {}
-    for s, act in enumerate(_right_action(S, tuple(reps.values()))):
+    for s, act in enumerate(S.right_action(tuple(reps.values()))):
         profiles.setdefault(tuple(lsig.get(g.l_class[v]) for v in act), []).append(s)
     return profiles
 
@@ -261,17 +235,11 @@ def aggm_backward_check(S, alphabet=None):
     zero = S.zero
     check(zero is not None, "non-trivial AGGM semigroup must have a zero", S)
     nonzero = [s for s in range(S.n) if s != zero]
-    g = S.green()
-    # factorial: factors of non-zero elements are non-zero
-    for a in nonzero:
-        for b in range(S.n):
-            if g.leq_j(g.j_class[a], g.j_class[b]) and b == zero:
-                raise CheckFailed("S minus zero is not factorial", (a, b))
-    # irreducible: connecting elements exist inside S
-    for u in nonzero:
-        for v in nonzero:
-            if all(S.mul(S.mul(u, w), v) == zero for w in range(S.n)):
-                raise CheckFailed("S minus zero is not irreducible", (u, v))
+    # S minus zero is factorial and irreducible, with the distinguished class
+    # as its apex
+    top = apex(S, nonzero)
+    check(S.green().j_classes[top] == j, "the apex of S minus zero is the distinguished class",
+          top)
     # syntactic minimality: contexts over S^1 separate distinct elements
     for m in nonzero + [zero]:
         for n_ in range(m + 1, S.n):
@@ -352,7 +320,7 @@ def fischer_cover(D):
 
 def _schutzenberger_graph(S, j_elems, letter_map):
     g = S.green()
-    e0 = min(x for x in j_elems if S.is_idempotent(x))
+    e0 = g.anchor(g.j_class[j_elems[0]])
     members = g.r_classes[g.r_class[e0]]
     pos = {x: i for i, x in enumerate(members)}
     edges = []
@@ -376,9 +344,7 @@ def _schutzenberger_graph(S, j_elems, letter_map):
 def image_apex(psi, D):
     """Unique minimal J-class of psi's source mapping into the distinguished
     class of the syntactic semigroup (finite analogue of the lifting lemma)."""
-    from .errors import NoCompatibleTriangle
-
-    if psi.target is not D.semigroup and psi.target.table != D.semigroup.table:
+    if not psi.target.same_table(D.semigroup):
         raise NoCompatibleTriangle("target is not the syntactic semigroup")
     if len(psi.source.generators) != len(psi.target.generators):
         raise NoCompatibleTriangle("generator counts differ")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     CheckFailed,
@@ -18,7 +19,6 @@ from .errors import (
     HypothesisViolated,
     NotFaithful,
     NotIdempotent,
-    NotRegular,
     NotTransitive,
     PrimeSearchFailed,
     RankTooHigh,
@@ -175,20 +175,15 @@ class SchutzenbergerAction:
 
 def rm_representation(S, j_id, r_class_of=None):
     g = S.green()
-    if not g.regular[j_id]:
-        raise NotRegular(f"J-class {j_id} is not regular")
-    anchor = r_class_of
-    if anchor is None:
-        anchor = min(x for x in g.j_classes[j_id] if S.is_idempotent(x))
-    members = sorted(x for x in g.j_classes[j_id] if g.r_class[x] == g.r_class[anchor])
+    anchor = g.anchor(j_id)
+    if r_class_of is not None:
+        anchor = r_class_of
+        if g.j_class[anchor] != j_id:
+            raise ValueError(f"element {anchor} is not in J-class {j_id}")
+    members = g.r_classes[g.r_class[anchor]]
     pos = {x: i for i, x in enumerate(members)}
-    maps = []
-    for s in range(S.n):
-        maps.append(
-            PartialTransformation(
-                tuple(pos.get(S.mul(x, s)) for x in members), len(members)
-            )
-        )
+    maps = [PartialTransformation(tuple(map(pos.get, act)), len(members))
+            for act in S.right_action(members)]
     image = close_generators([maps[s] for s in S.generators])
     lut = {m: i for i, m in enumerate(image.names)}
     morphism = SemigroupMorphism(S, image, tuple(lut[maps[s]] for s in range(S.n)))
@@ -199,7 +194,7 @@ def rm_representation(S, j_id, r_class_of=None):
                   "the action is injective on every maximal subgroup of J", e)
     faithful = len(set(maps)) == S.n
     _check_image_faithful(image, morphism, g, j_id)
-    return SchutzenbergerAction(tuple(members), maps, image, morphism, faithful)
+    return SchutzenbergerAction(members, maps, image, morphism, faithful)
 
 
 def _check_image_faithful(image, morphism, g, j_id):
@@ -211,16 +206,12 @@ def _check_image_faithful(image, morphism, g, j_id):
     check(len(classes) == 1, "rho_J(J) lies in one J-class of the image", sorted(classes))
     jbar = classes.pop()
     check(gi.regular[jbar], "rho_J(J) is a regular J-class of the image", jbar)
-    anchor = min(y for y in gi.j_classes[jbar] if image.is_idempotent(y))
-    members = sorted(
-        y for y in gi.j_classes[jbar] if gi.r_class[y] == gi.r_class[anchor]
-    )
+    members = gi.r_classes[gi.r_class[gi.anchor(jbar)]]
     pos = {y: i for i, y in enumerate(members)}
-    seen = set()
-    for s in range(image.n):
-        m = tuple(pos.get(image.mul(y, s)) for y in members)
-        check(m not in seen, "Schutzenberger representation of the image not faithful", s)
-        seen.add(m)
+    first = {}
+    for s, act in enumerate(image.right_action(members)):
+        check(first.setdefault(tuple(map(pos.get, act)), s) == s,
+              "Schutzenberger representation of the image not faithful", s)
 
 
 @dataclass
@@ -236,27 +227,27 @@ class RlmAction:
 
 def rlm_representation(S, j_id, first_of=None):
     g = S.green()
-    if not g.regular[j_id]:
-        raise NotRegular(f"J-class {j_id} is not regular")
-    anchor = first_of
-    if anchor is None:
-        anchor = min(x for x in g.j_classes[j_id] if S.is_idempotent(x))
+    anchor = g.anchor(j_id)
+    if first_of is not None:
+        anchor = first_of
     l_ids = sorted(
         {g.l_class[x] for x in g.j_classes[j_id]},
         key=lambda c: (c != g.l_class[anchor], min(g.l_classes[c])),
     )
+    # the action on J's elements, grouped by L-class; an L-class outside J
+    # has no B index, so a product that leaves J gets None
     b_pos = {c: i for i, c in enumerate(l_ids)}
-    jset = set(g.j_classes[j_id])
+    points = [x for c in l_ids for x in g.l_classes[c]]
+    ends = list(itertools.accumulate(len(g.l_classes[c]) for c in l_ids))
+    spans = list(zip(l_ids, [0] + ends, ends))
     maps = []
-    for s in range(S.n):
-        row = [None] * len(l_ids)
-        for i, c in enumerate(l_ids):
-            targets = set()
-            for x in g.l_classes[c]:
-                y = S.mul(x, s)
-                targets.add(b_pos[g.l_class[y]] if y in jset else None)
+    for s, act in enumerate(S.right_action(points)):
+        b = [b_pos.get(g.l_class[y]) for y in act]
+        row = []
+        for c, lo, hi in spans:
+            targets = set(b[lo:hi])
             check(len(targets) == 1, "RLM action not well defined", (c, s))
-            row[i] = targets.pop()
+            row.append(targets.pop())
         maps.append(PartialTransformation(tuple(row), len(l_ids)))
     image = close_generators([maps[s] for s in S.generators])
     lut = {m: i for i, m in enumerate(image.names)}
@@ -294,14 +285,12 @@ class ReesCoordinates:
 
 def rees_coordinates(S, j_id, idempotent=None):
     g = S.green()
-    if not g.regular[j_id]:
-        raise NotRegular(f"J-class {j_id} is not regular")
     j_elems = g.j_classes[j_id]
-    e0 = idempotent
-    if e0 is None:
-        e0 = min(x for x in j_elems if S.is_idempotent(x))
-    elif not (0 <= e0 < S.n and S.is_idempotent(e0) and g.j_class[e0] == j_id):
-        raise NotIdempotent(f"element {e0} is not an idempotent of J-class {j_id}")
+    e0 = g.anchor(j_id)
+    if idempotent is not None:
+        e0 = idempotent
+        if not (0 <= e0 < S.n and S.is_idempotent(e0) and g.j_class[e0] == j_id):
+            raise NotIdempotent(f"element {e0} is not an idempotent of J-class {j_id}")
     group = maximal_subgroup(S, e0)
     gpos = {s: i for i, s in enumerate(group.names)}
 
@@ -428,16 +417,13 @@ def wreath_embed(S, j_id, idempotent=None):
     rees = rees_coordinates(S, j_id, idempotent)
     K = rees.group
     entries = EntrySemigroup(K)
-    g = S.green()
-    jset = set(g.j_classes[j_id])
-    b = len(rees.b_ids)
+    coord = rees.coord
     mats = []
-    for s in range(S.n):
+    for s, act in enumerate(S.right_action(rees.v)):
         rows = []
-        for bi in range(b):
-            y = S.mul(rees.v[bi], s)
-            if y in jset:
-                a, k, b2 = rees.coord[y]
+        for bi, y in enumerate(act):
+            if y in coord:
+                a, k, b2 = coord[y]
                 check(a == rees.a0, "v[b] * s stays in the R-class of e0", (bi, s))
                 rows.append((b2, k))
             else:
@@ -447,19 +433,19 @@ def wreath_embed(S, j_id, idempotent=None):
         raise NotFaithful("Schutzenberger representation on the R-class is not faithful")
     lookup = {m: s for s, m in enumerate(mats)}
     for x in range(S.n):
+        mx, row = mats[x], S.left_row(x)
         for y in range(S.n):
-            if mats[x] * mats[y] != mats[S.mul(x, y)]:
+            if mx * mats[y] != mats[row[y]]:
                 raise CheckFailed("the embedding is multiplicative", (x, y))
     # action reading: matrices act exactly as right multiplication in coordinates
-    for s in range(S.n):
-        for x in jset:
-            a, gx, bx = rees.coord[x]
-            if a != rees.a0:
-                continue
-            y = S.mul(x, s)
+    g = S.green()
+    r0 = g.r_classes[g.r_class[rees.e0]]
+    for s, act in enumerate(S.right_action(r0)):
+        for x, y in zip(r0, act):
+            _, gx, bx = coord[x]
             row = mats[s].rows[bx]
-            if y in jset:
-                ok = row is not None and rees.coord[y] == (rees.a0, K.mul(gx, row[1]), row[0])
+            if y in coord:
+                ok = row is not None and coord[y] == (rees.a0, K.mul(gx, row[1]), row[0])
             else:
                 ok = row is None
             if not ok:
@@ -519,22 +505,16 @@ def wreath_product_0simple_check(G, transformations):
     S = close_generators(elements)
     check(S.n == len(elements), "preimage of T is closed under products", S.n)
     g = S.green()
-    total = all(t.is_total() for t in tset)
-    if total:
+    if all(t.is_total() for t in tset):
         check(len(g.j_classes) == 1, "wreath over total maps must be simple", len(g.j_classes))
-        kind = "simple"
+        kind, top = "simple", 0
     else:
         check(S.zero is not None and len(g.j_classes) == 2, "wreath must be 0-simple",
               len(g.j_classes))
         top = [c for c in range(2) if S.zero not in g.j_classes[c]][0]
         check(g.regular[top], "the non-zero J-class of the wreath is regular", top)
         kind = "0-simple"
-    idem = [
-        x
-        for x in S.idempotent_list()
-        if S.zero is None or x != S.zero
-    ]
-    e = min(idem)
+    e = g.anchor(top)
     image = S.names[e].support().image()
     check(len(image) == 1, "the least idempotent has a one-point image", sorted(image))
     col = image.pop()
@@ -574,10 +554,16 @@ class CoverResult:
     kernel: tuple  # H elements mapping to the identity of K
     report: dict
 
+    @cached_property
+    def _letter_pos(self):
+        return {a: i for i, a in enumerate(self.alphabet)}
+
     def eta(self, w):
         """Evaluate a word (tuple of letters) in S'."""
-        w = tuple(w)
-        pos = {a: i for i, a in enumerate(self.alphabet)}
+        w, pos = tuple(w), self._letter_pos
+        for a in w:
+            if a not in pos:
+                raise HypothesisViolated("w", f"letter {a!r} is not in the cover's alphabet")
         return self.s_prime.eval_word([pos[a] for a in w])
 
     def generator_matrices(self):
@@ -661,12 +647,7 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
     if X[n - 1] not in set(e_word):
         raise HypothesisViolated("e", "the e-witness word must contain x_n")
     g = S.green()
-    nonzero_min = [
-        c
-        for c in range(len(g.j_classes))
-        if S.zero not in g.j_classes[c]
-        and g.j_below[c] == frozenset({c, g.j_class[S.zero]})
-    ]
+    nonzero_min = g.zero_minimal_j_classes(S.zero)
     if len(nonzero_min) != 1:
         raise HypothesisViolated("J", "S must have a unique 0-minimal J-class")
     j_id = nonzero_min[0]
@@ -804,12 +785,7 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
     column = cols.pop()
 
     gp = s_prime.green()
-    zcls = gp.j_class[zero_prime]
-    minimal_nonzero = [
-        c
-        for c in range(len(gp.j_classes))
-        if c != zcls and gp.j_below[c] == frozenset({c, zcls})
-    ]
+    minimal_nonzero = gp.zero_minimal_j_classes(zero_prime)
     check(len(minimal_nonzero) == 1, "S' must have a unique 0-minimal J-class", minimal_nonzero)
     j_prime = minimal_nonzero[0]
     check(gp.j_class[e_prime] == j_prime, "the idempotent above e must lie in J'", e_prime)

@@ -2,7 +2,7 @@
 
 import random
 
-from soficsemi import FiniteSemigroup, Presentation
+from soficsemi import FiniteSemigroup, Presentation, format_semigroup, parse_semigroup
 from soficsemi.finsemi import PartialTransformation
 
 
@@ -123,3 +123,16 @@ def random_transformation_semigroup(seed, points, n_gens, cap=200):
             continue
         if S.n >= 3:
             return S
+
+
+def renumbered_table(S, seed, generators=True):
+    """S with its elements shuffled, written as a `.sg` table and read back:
+    a table semigroup whose witness order is not its index order."""
+    perm = list(range(S.n))
+    random.Random(seed).shuffle(perm)
+    table = [[0] * S.n for _ in range(S.n)]
+    for x in range(S.n):
+        for y in range(S.n):
+            table[perm[x]][perm[y]] = perm[S.mul(x, y)]
+    gens = [perm[g] for g in S.generators] if generators else None
+    return parse_semigroup(format_semigroup(FiniteSemigroup(table, gens, check=False)))

@@ -1,0 +1,173 @@
+"""The right and left actions along the witness tree, and the J-class
+representations read from them, against brute-force `S.mul` oracles.
+
+The oracles are the per-(point, element) loops the representations used
+before they read `FiniteSemigroup.right_action`."""
+
+import random
+
+import pytest
+
+from corpus import (
+    corpus_presentations,
+    cyclic_group,
+    group_with_zero,
+    period2_syntactic_table,
+    random_presentation,
+    random_transformation_semigroup,
+    renumbered_table,
+)
+from soficsemi import (
+    PartialTransformation,
+    rees_coordinates,
+    rlm_representation,
+    rm_representation,
+    syntactic_semigroup,
+    wreath_embed,
+)
+from soficsemi.errors import NotFaithful, NotRegular
+
+ACTION_CASES = {
+    "corpus": lambda: [syntactic_semigroup(P).semigroup for _, P in corpus_presentations()],
+    "random-presentations": lambda: [
+        syntactic_semigroup(random_presentation(seed, states, alphabet)).semigroup
+        for seed, states, alphabet in ((1, 5, "ab"), (2, 6, "abc"), (23, 4, "ab"))
+    ],
+    "transformations": lambda: [
+        random_transformation_semigroup(seed, points, 2)
+        for seed, points in ((0, 4), (4, 4), (7, 5), (1, 5))
+    ],
+    "tables": lambda: [
+        renumbered_table(period2_syntactic_table(), 0),
+        renumbered_table(group_with_zero(3), 1, generators=False),
+        renumbered_table(syntactic_semigroup(random_presentation(23, 4)).semigroup, 2),
+        renumbered_table(random_transformation_semigroup(7, 4, 2), 3),
+        renumbered_table(random_transformation_semigroup(8, 3, 3), 4, generators=False),
+        cyclic_group(4),
+    ],
+}
+
+
+def right_action_oracle(S, points):
+    return [tuple(S.mul(x, s) for x in points) for s in range(S.n)]
+
+
+def left_action_oracle(S, points):
+    pos = {x: i for i, x in enumerate(points)}
+    return [tuple(pos[S.mul(s, x)] for x in points) for s in range(S.n)]
+
+
+def rm_maps_oracle(S, j_id, anchor):
+    g = S.green()
+    members = sorted(x for x in g.j_classes[j_id] if g.r_class[x] == g.r_class[anchor])
+    pos = {x: i for i, x in enumerate(members)}
+    return tuple(members), [
+        PartialTransformation(tuple(pos.get(S.mul(x, s)) for x in members), len(members))
+        for s in range(S.n)
+    ]
+
+
+def rlm_maps_oracle(S, j_id, l_ids):
+    g = S.green()
+    b_pos = {c: i for i, c in enumerate(l_ids)}
+    jset = set(g.j_classes[j_id])
+    maps = []
+    for s in range(S.n):
+        row = [None] * len(l_ids)
+        for i, c in enumerate(l_ids):
+            targets = set()
+            for x in g.l_classes[c]:
+                y = S.mul(x, s)
+                targets.add(b_pos[g.l_class[y]] if y in jset else None)
+            assert len(targets) == 1, (c, s)
+            row[i] = targets.pop()
+        maps.append(PartialTransformation(tuple(row), len(l_ids)))
+    return maps
+
+
+def wreath_rows_oracle(S, j_id, rees):
+    jset = set(S.green().j_classes[j_id])
+    rows = []
+    for s in range(S.n):
+        row = []
+        for v in rees.v:
+            y = S.mul(v, s)
+            row.append((rees.coord[y][2], rees.coord[y][1]) if y in jset else None)
+        rows.append(tuple(row))
+    return rows
+
+
+def point_sets(S):
+    """A few right point sets and left ideals S^1 x, which are closed under
+    left multiplication."""
+    rng = random.Random(S.n)
+    right = [tuple(range(S.n)), tuple(rng.choices(range(S.n), k=7))]
+    left = []
+    for x in {0, S.n // 2, S.n - 1}:
+        left.append(tuple(sorted({x} | {S.mul(s, x) for s in range(S.n)})))
+    return right, left
+
+
+@pytest.mark.parametrize("case", sorted(ACTION_CASES))
+def test_actions_match_mul(case):
+    semigroups = ACTION_CASES[case]()
+    for S in semigroups:
+        right, left = point_sets(S)
+        for points in right:
+            assert S.right_action(points) == right_action_oracle(S, points), (S, points)
+        for points in left:
+            assert S.left_action(points) == left_action_oracle(S, points), (S, points)
+    if case == "tables":
+        assert any(list(S._order) != list(range(S.n)) for S in semigroups)
+
+
+@pytest.mark.parametrize("case", sorted(ACTION_CASES))
+def test_representations_match_mul_oracle(case):
+    for S in ACTION_CASES[case]():
+        g = S.green()
+        for c in range(len(g.j_classes)):
+            if not g.regular[c]:
+                for rep in (rm_representation, rlm_representation, wreath_embed):
+                    with pytest.raises(NotRegular):
+                        rep(S, c)
+                continue
+            e0 = min(x for x in g.j_classes[c] if S.is_idempotent(x))
+            assert g.anchor(c) == e0
+
+            act = rm_representation(S, c)
+            assert (act.domain, act.maps) == rm_maps_oracle(S, c, e0)
+            other = max(g.j_classes[c])
+            assert rm_representation(S, c, r_class_of=other).maps == \
+                rm_maps_oracle(S, c, other)[1]
+
+            l_ids = sorted({g.l_class[x] for x in g.j_classes[c]},
+                           key=lambda l: (l != g.l_class[e0], min(g.l_classes[l])))
+            rlm = rlm_representation(S, c)
+            assert rlm.b_order == tuple(l_ids) and rlm.maps == rlm_maps_oracle(S, c, l_ids)
+
+            rows = wreath_rows_oracle(S, c, rees_coordinates(S, c))
+            if len(set(rows)) != S.n:
+                with pytest.raises(NotFaithful):
+                    wreath_embed(S, c)
+            else:
+                assert [m.rows for m in wreath_embed(S, c).matrices] == rows
+
+
+def test_representation_anchor_outside_the_class_is_rejected():
+    S = syntactic_semigroup(random_presentation(1, 5, "ab")).semigroup
+    g = S.green()
+    c = next(c for c in range(len(g.j_classes)) if g.regular[c] and len(g.j_classes) > 1)
+    outside = next(x for x in range(S.n) if g.j_class[x] != c)
+    with pytest.raises(ValueError, match="is not in J-class"):
+        rm_representation(S, c, r_class_of=outside)
+
+
+def test_zero_minimal_j_classes_match_definition():
+    for S in ACTION_CASES["corpus"]() + ACTION_CASES["tables"]():
+        if S.zero is None:
+            continue
+        g = S.green()
+        z = g.j_class[S.zero]
+        expect = [c for c in range(len(g.j_classes)) if c != z
+                  and all(d in (c, z) for d in range(len(g.j_classes)) if g.leq_j(d, c))]
+        assert g.zero_minimal_j_classes(S.zero) == expect

@@ -194,6 +194,16 @@ def test_malformed_input_prints_err(capsys, tmp_path, argv, files):
     assert out.startswith("ERR ")
 
 
+def test_cover_alpha_outside_the_maximal_subgroup(capsys, tmp_path):
+    for name, text in {"gm.pres": GM_TEXT, "Z2.sg": Z2_TEXT,
+                       "spec": "e ab\nz a\nextra c\nalpha a a\n"}.items():
+        (tmp_path / name).write_text(text)
+    code, out = run(capsys, ["cover", *(str(tmp_path / n) for n in ("gm.pres", "Z2.sg", "spec"))])
+    assert code == 1
+    assert out == ("ERR validation hypothesis 'alpha' violated: the image of a is not in "
+                   "the maximal subgroup K at e\n")
+
+
 def test_cap_exit_code(capsys, tmp_path, gm_path):
     h = tmp_path / "z2.sg"
     h.write_text("semigroup 2 1\n0 1\n1 0\ngenerators 1\nidentity 0\n")

@@ -17,6 +17,7 @@ from corpus import (
     period2_syntactic_table,
     random_presentation,
     random_transformation_semigroup,
+    renumbered_table,
     trivial_semigroup,
 )
 from soficsemi import (
@@ -193,20 +194,9 @@ def green_structure_oracle(S):
         h_classes=tuple(tuple(sorted(buckets[old])) for old in order),
         j_below=tuple(frozenset(reach([c], succ.__getitem__)) for c in range(nc)),
         regular=tuple(any(x in idem for x in j_classes[c]) for c in range(nc)),
+        anchors=tuple(min((x for x in j_classes[c] if x in idem), default=None)
+                      for c in range(nc)),
     )
-
-
-def renumbered_table(S, seed, generators=True):
-    """S with its elements shuffled, written as a `.sg` table and read back:
-    a table semigroup whose witness order is not its index order."""
-    perm = list(range(S.n))
-    random.Random(seed).shuffle(perm)
-    table = [[0] * S.n for _ in range(S.n)]
-    for x in range(S.n):
-        for y in range(S.n):
-            table[perm[x]][perm[y]] = perm[S.mul(x, y)]
-    gens = [perm[g] for g in S.generators] if generators else None
-    return parse_semigroup(format_semigroup(FiniteSemigroup(table, gens, check=False)))
 
 
 def even_z3_cover():

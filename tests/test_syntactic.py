@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import soficsemi
+from soficsemi import finsemi
 from corpus import (
     chain_semilattice,
     corpus_presentations,
@@ -20,6 +21,7 @@ from corpus import (
     period_shift,
     random_presentation,
     random_transformation_semigroup,
+    renumbered_table,
     trivial_semigroup,
 )
 from soficsemi import (
@@ -210,6 +212,23 @@ def test_image_apex_rejects_incompatible():
     bad = SemigroupMorphism(S2, S2, tuple(range(S2.n)))
     with pytest.raises(NoCompatibleTriangle):
         image_apex(bad, D)
+    # the same semigroup under another numbering has a different table
+    S = D.semigroup
+    shuffled = renumbered_table(S, 5)
+    assert not shuffled.same_table(S)
+    with pytest.raises(NoCompatibleTriangle, match="not the syntactic semigroup"):
+        image_apex(SemigroupMorphism(shuffled, shuffled, tuple(range(S.n))), D)
+
+
+def test_image_apex_accepts_an_equal_separately_built_target(monkeypatch):
+    """Above TABLE_LIMIT no table is materialized: the targets are compared
+    by their generators and right Cayley graphs."""
+    P = random_presentation(1, 5, "ab")
+    D, S2 = syntactic_semigroup(P), syntactic_semigroup(P).semigroup
+    monkeypatch.setattr(finsemi, "TABLE_LIMIT", 10)
+    psi = SemigroupMorphism(S2, S2, tuple(range(S2.n)))
+    assert image_apex(psi, D) == D.semigroup.green().j_class[D.distinguished_class()[0]]
+    assert S2 is not D.semigroup and S2.n > 10 and S2.same_table(D.semigroup)
 
 
 # -- whole-ideal oracles for the AGGM check ------------------------------

@@ -290,6 +290,15 @@ def test_build_cover_known_collapse_on_rank1_prefix():
     assert blocks == preimages
 
 
+def test_cover_rejects_letters_outside_its_alphabet():
+    res = build_cover(gm3_data(), cyclic_group(2), [0, 0], ("a", "b"), ("a",))
+    with pytest.raises(HypothesisViolated, match="letter 'q' is not in the cover's alphabet"):
+        res.eta(("q",))
+    with pytest.raises(HypothesisViolated, match="letter 'q'"):
+        preimage_completeness_check(res, ("a", "b", "q"))
+    assert res.eta(iter(("a", "b"))) == res.eta(("a", "b"))
+
+
 def test_build_cover_zero_criterion_sampled():
     import random
 
