@@ -3,15 +3,16 @@ output, deterministic byte-for-byte for fixed inputs and flags."""
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+import types
 
 from . import entropy as entropy_mod
 from . import syntactic as syntactic_mod
 from . import wreath as wreath_mod
 from . import zimin as zimin_mod
-from .errors import CapExceeded, HypothesisViolated, SoficSemiError
+from .errors import CapExceeded, HypothesisViolated, SoficSemiError, UsageError
 from .finsemi import DEFAULT_CAP, maximal_subgroup, parse_semigroup
 from .shiftspace import (
     conjugate_with_partial_alphabet,
@@ -236,61 +237,114 @@ def cmd_cover(args):
     return 0
 
 
+def tsv_or_json(value):
+    """The type of `--format`."""
+    if value not in ("tsv", "json"):
+        raise ValueError(value)
+    return value
+
+
+METAVARS = {int: "N", float: "X", tsv_or_json: "tsv|json"}
+
+
 def make_parser():
-    ap = argparse.ArgumentParser(prog="soficsemi")
-    ap.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    ap.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    sub = ap.add_subparsers(dest="verb", required=True)
+    """The verb table `main` parses argv with. Key None holds the global flags,
+    given before the verb. An argument is (name, type[, default]): a name
+    starting with `--` is a flag; a positional with a default is optional.
+    A verb's handler is `cmd_<verb>`, looked up when `main` runs, so that a
+    handler rebound in this module (as `bench/layers.py` does) is called."""
+    pres = ("presentation", str)
+    return {
+        None: [("--format", tsv_or_json, "tsv"), ("--cap", int, DEFAULT_CAP)],
+        "syntactic": [pres],
+        "green": [("semigroup", str)],
+        "aggm": [pres],
+        "fischer": [pres],
+        "block": [pres, ("n", int)],
+        "witness": [pres],
+        "entropy": [pres, ("--nmax", int, 12), ("--tol", float, 1e-9)],
+        "idempotent": [pres, ("vertex", int), ("semigroup", str, None)],
+        "cover": [pres, ("group", str), ("spec", str)],
+    }
 
-    p = sub.add_parser("syntactic")
-    p.add_argument("presentation")
-    p.set_defaults(func=cmd_syntactic)
 
-    p = sub.add_parser("green")
-    p.add_argument("semigroup")
-    p.set_defaults(func=cmd_green)
+def _is_flag(token):
+    """`-`-prefixed, but neither `-` nor a negative number (a positional)."""
+    return token.startswith("-") and token != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", token)
 
-    p = sub.add_parser("aggm")
-    p.add_argument("presentation")
-    p.set_defaults(func=cmd_aggm)
 
-    p = sub.add_parser("fischer")
-    p.add_argument("presentation")
-    p.set_defaults(func=cmd_fischer)
+def _convert(name, typ, value):
+    try:
+        return typ(value)
+    except ValueError:
+        raise UsageError(f"{name}: invalid {typ.__name__} value {value!r}") from None
 
-    p = sub.add_parser("block")
-    p.add_argument("presentation")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_block)
 
-    p = sub.add_parser("witness")
-    p.add_argument("presentation")
-    p.set_defaults(func=cmd_witness)
+def _signature(spec):
+    return " ".join(f"[{name} {METAVARS[typ]}]" if name.startswith("-")
+                    else f"[{name.upper()}]" if default else name.upper()
+                    for name, typ, *default in spec)
 
-    p = sub.add_parser("entropy")
-    p.add_argument("presentation")
-    p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("idempotent")
-    p.add_argument("presentation")
-    p.add_argument("vertex", type=int)
-    p.add_argument("semigroup", nargs="?", default=None)
-    p.set_defaults(func=cmd_idempotent)
+def usage(table):
+    """The help text: the global flags, then one line per verb."""
+    lines = [f"usage: soficsemi {_signature(table[None])} VERB ...", "verbs:"]
+    lines += [f"  {verb} {_signature(spec)}" for verb, spec in table.items() if verb]
+    lines.append("exit status: 0 ok, 1 ERR validation, 2 ERR cap or ERR usage")
+    return "\n".join(lines)
 
-    p = sub.add_parser("cover")
-    p.add_argument("presentation")
-    p.add_argument("group")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_cover)
 
-    return ap
+def parse_args(table, argv):
+    """The `args` the verb's handler reads, or None for `-h`/`--help`.
+
+    A flag takes the next token, or its value after `=`; the verb's own
+    flags may come before or after its positionals. Raises UsageError.
+    """
+    verb, spec, values, given = None, table[None], {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if _is_flag(token):
+            flag, eq, value = token.partition("=")
+            typ = next((t for name, t, *_ in spec if name == flag), None)
+            if typ is None:
+                raise UsageError(f"unknown flag {flag}" + (f" for {verb}" if verb else ""))
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_flag(value):
+                    raise UsageError(f"{flag} needs a value")
+            values[flag.lstrip("-")] = _convert(flag, typ, value)
+        elif verb is None:
+            if token not in table:
+                raise UsageError(f"unknown verb {token!r}")
+            verb, spec = token, table[token]
+        else:
+            given.append(token)
+    if verb is None:
+        raise UsageError("missing verb")
+    positionals = [arg for arg in spec if not arg[0].startswith("-")]
+    if not sum(len(arg) == 2 for arg in positionals) <= len(given) <= len(positionals):
+        raise UsageError(f"{verb} takes {_signature(positionals)}, got {len(given)} arguments")
+    for (name, typ, *_), value in zip(positionals, given):
+        values[name] = _convert(name.upper(), typ, value)
+    for name, _, *default in table[None] + spec:
+        if default:
+            values.setdefault(name.lstrip("-"), default[0])
+    return types.SimpleNamespace(**values, verb=verb, func=globals()["cmd_" + verb])
 
 
 def main(argv=None):
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    table = make_parser()
+    try:
+        args = parse_args(table, sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"ERR usage {exc}")
+        print(usage(table), file=sys.stderr)
+        return 2
+    if args is None:
+        print(usage(table))
+        return 0
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -109,3 +109,7 @@ class ToleranceNotReached(SoficSemiError):
     def __init__(self, best):
         self.best = best
         super().__init__(f"tolerance not reached, best bracket {best}")
+
+
+class UsageError(SoficSemiError):
+    """A malformed command line; the CLI prints `ERR usage <detail>` and exits 2."""

@@ -356,19 +356,17 @@ class FiniteSemigroup:
         return [x for x in range(self.n) if self.is_idempotent(x)]
 
     def _find_zero(self):
-        for z in range(self.n):
-            if all(self._cayley[z][j] == z for j in range(len(self.generators))):
-                lz = {self.mul(g, z) for g in self.generators}
-                if lz == {z}:
-                    return z
+        k = len(self.generators)
+        for z, row in enumerate(self._cayley):
+            # one C-level scan of the right Cayley row first, then the left side
+            if row.count(z) == k and {self.mul(g, z) for g in self.generators} == {z}:
+                return z
         return None
 
     def _find_identity(self):
         gelts = self.generators
-        for e in range(self.n):
-            if all(self._cayley[e][j] == gelts[j] for j in range(len(gelts))) and all(
-                self.mul(g, e) == g for g in gelts
-            ):
+        for e, row in enumerate(self._cayley):
+            if row == gelts and all(self.mul(g, e) == g for g in gelts):
                 return e
         return None
 

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from corpus import golden_mean, period_shift
-from soficsemi import entropy, shiftspace, syntactic
+from soficsemi import cli, entropy, shiftspace, syntactic
 from soficsemi.cli import _format_bound, _print_eggbox, main
 from soficsemi.finsemi import format_semigroup
 from soficsemi.shiftspace import format_presentation, parse_presentation
@@ -184,6 +184,16 @@ Z2_TEXT = "semigroup 2 1\n0 1\n1 0\ngenerators 1\nidentity 0\n"
     (["idempotent", "P", "0", "H"], {"H": "semigroup 2 2\n0 1\n1 0\ngenerators 0 5\n"}),
     (["green", "H"], {"H": "semigroup 2 1\n0 1\n1 0\ngenerators 1\nzero\n"}),
     (["green", "H"], {"H": "semigroup 2 1\n0 1\n1 0\ngenerators 1\nidentity\n"}),
+    (["nope"], {}),
+    (["syntactic"], {}),
+    (["block", "P", "0", "1"], {}),
+    (["--cap", "x", "syntactic", "P"], {}),
+    (["idempotent", "P", "zero"], {}),
+    (["entropy", "P", "--nmax", "1.5"], {}),
+    (["entropy", "P", "--tol", "small"], {}),
+    (["--format", "xml", "green", "H"], {}),
+    (["aggm", "P", "--verbose"], {}),
+    (["entropy", "P", "--tol"], {}),
 ])
 def test_malformed_input_prints_err(capsys, tmp_path, argv, files):
     texts = {"P": GM_TEXT, "H": Z2_TEXT, **files}
@@ -192,6 +202,23 @@ def test_malformed_input_prints_err(capsys, tmp_path, argv, files):
     code, out = run(capsys, [str(tmp_path / a) if a in texts else a for a in argv])
     assert code in (1, 2)
     assert out.startswith("ERR ")
+
+
+def test_trace_hooks_see_one_parser_and_one_handler_call(capsys, gm_path, monkeypatch):
+    """`bench/layers.py` rebinds `make_parser` and the `cmd_*` handlers in
+    this module; `main` must reach both through the module each time."""
+    calls = {"make_parser": 0, "cmd_syntactic": 0}
+    for name in calls:
+        body = getattr(cli, name)
+
+        def counted(*args, body=body, name=name):
+            calls[name] += 1
+            return body(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    code, _ = run(capsys, ["syntactic", gm_path])
+    assert code == 0
+    assert calls == {"make_parser": 1, "cmd_syntactic": 1}
 
 
 def test_cover_alpha_outside_the_maximal_subgroup(capsys, tmp_path):

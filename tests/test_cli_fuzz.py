@@ -2,9 +2,10 @@
 
 Token soups in the shape of `.pres`, `.sg` and `.spec` files (header words,
 letters and integers in -2..6, mostly well formed, then garbled token by
-token) are fed to the verbs that read them. Every run must end in exit 0,
-1 or 2, a non-zero exit must print an `ERR` line, and no exception may
-escape `main`.
+token) are fed to the verbs that read them, and argv itself is drawn as a
+soup of verbs, flags, numbers, junk and valid file paths. Every run must end
+in exit 0, 1 or 2, a non-zero exit must print an `ERR` line, and no
+exception may escape `main`.
 """
 
 import contextlib
@@ -113,6 +114,46 @@ def test_cli_on_token_soups(verb, pres, sg, spec, n):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert any(line.startswith("ERR") for line in out.getvalue().splitlines())
+
+
+VERBS = ("syntactic", "green", "aggm", "fischer", "block", "witness", "entropy",
+         "idempotent", "cover")
+FLAGS = ("--format", "--cap", "--nmax", "--tol", "-h", "--help", "--format=json",
+         "--cap=3", "--nmax=4", "--tol=1e-3")
+JUNK = ("", "-", "--", "-x", "--bogus", "xml", "tsv", "json", "nope", "1e-3", "-.5", "=",
+        "--cap=", "--nm")
+
+
+@pytest.fixture(scope="module")
+def corpus_files(tmp_path_factory):
+    """A valid presentation, semigroup and cover spec, for argv to name."""
+    tmp = tmp_path_factory.mktemp("argv")
+    texts = {"gm.pres": "presentation 2 a b\nedge 0 a 0\nedge 0 b 1\nedge 1 a 0\n",
+             "z2.sg": "semigroup 2 1\n0 1\n1 0\ngenerators 1\nidentity 0\n",
+             "cover.spec": "e ab\nz a\nextra c\n"}
+    for name, text in texts.items():
+        (tmp / name).write_text(text)
+    return [str(tmp / name) for name in texts]
+
+
+ARGV_TOKENS = (st.sampled_from(VERBS) | st.sampled_from(FLAGS) | INTS.map(str)
+               | st.floats(-2, 2).map(str) | st.sampled_from(JUNK)
+               | st.integers(0, 2))  # an integer here stands for a corpus file
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(argv=often(st.tuples(st.sampled_from(VERBS), st.integers(0, 2),
+                            st.lists(ARGV_TOKENS, max_size=4)).map(lambda t: [t[0], t[1], *t[2]]),
+                  st.lists(ARGV_TOKENS, max_size=6)))
+def test_cli_on_argv_soups(corpus_files, argv):
+    """Token soups of verbs, flags, numbers, junk and corpus file paths as argv."""
+    argv = [corpus_files[t] if isinstance(t, int) else t for t in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
     assert code in (0, 1, 2)
     if code:
         assert any(line.startswith("ERR") for line in out.getvalue().splitlines())

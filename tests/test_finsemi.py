@@ -239,6 +239,47 @@ def test_green_matches_exact_oracle(case):
         assert type(semigroups[0].names[0]).__name__ == "RowMonomialMatrix"
 
 
+def zero_and_identity_oracle(S):
+    """The zero and the identity of S by their definitions, over every pair."""
+    elems = range(S.n)
+    zeros = [z for z in elems if all(S.mul(z, s) == z == S.mul(s, z) for s in elems)]
+    ones = [e for e in elems if all(S.mul(e, s) == s == S.mul(s, e) for s in elems)]
+    return (zeros or [None])[0], (ones or [None])[0]
+
+
+ZERO_IDENTITY_TABLES = [
+    # (table, generators, zero, identity)
+    ([[0, 0], [1, 1]], [0, 1], None, None),  # left zero: every right row is constant
+    ([[0, 1], [0, 1]], [0, 1], None, None),  # right zero: every right row is the generators
+    ([[0, 1], [1, 1]], [0, 1], 1, 0),
+    ([[0, 1, 2], [1, 1, 1], [2, 1, 2]], [0, 1, 2], 1, 0),
+    ([[1, 0], [0, 1]], [0], None, 1),
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 1]], [2], 0, None),
+]
+
+
+@pytest.mark.parametrize("table, gens, zero, identity", ZERO_IDENTITY_TABLES)
+def test_zero_and_identity_of_hand_built_tables(table, gens, zero, identity):
+    S = FiniteSemigroup(table, gens)
+    assert (S.zero, S.identity) == (zero, identity) == zero_and_identity_oracle(S)
+
+
+def test_zero_and_identity_match_brute_force():
+    semigroups = [syntactic_semigroup(P).semigroup for _, P in corpus_presentations()]
+    semigroups += [random_transformation_semigroup(seed, 4, 2) for seed in range(8)]
+    # with the identity map among the generators
+    semigroups += [close_generators([PartialTransformation((0, 1, 2))] + [
+        PartialTransformation(tuple(random.Random(seed).choices(range(3), k=3)))
+        for _ in range(2)]) for seed in range(4)]
+    semigroups += GREEN_ORACLE_CASES["tables"]() + GREEN_ORACLE_CASES["renumbered-sg"]()
+    found = set()
+    for S in semigroups:
+        expected = zero_and_identity_oracle(S)
+        assert (S.zero, S.identity) == expected, S
+        found.add(tuple(x is None for x in expected))
+    assert found == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_green_trivial():
     S = trivial_semigroup()
     g = S.green()

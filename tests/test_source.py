@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import soficsemi
 
@@ -32,3 +35,14 @@ def test_witness_tree_stays_in_finsemi():
             found += [f"{name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr in WITNESS_TREE_FIELDS]
     assert not found, found
+
+
+def test_cli_import_leaves_argparse_out():
+    """The CLI parses argv from its own verb table; importing it (as every
+    CLI call does) loads no `argparse`."""
+    src = os.path.dirname(os.path.dirname(soficsemi.__file__))
+    code = "import sys, soficsemi.cli; print('argparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
