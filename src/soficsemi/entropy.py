@@ -22,12 +22,6 @@ class ComplexityProfile:
     entropy_upper: float  # min over computed (1/n) log2 q(n)
     perron_estimate: float
 
-    def q(self, n):
-        return self.counts[n - 1]
-
-    def counting_estimate(self):
-        return _ratio_estimate(self.counts)
-
 
 def _ratio_estimate(counts):
     """Ratio-based estimate log2(q(n)/q(n-1)); 0 exactly when q stalls."""

@@ -80,10 +80,6 @@ class PartialTransformation:
     def constant(cls, dim, target):
         return cls([target] * dim)
 
-    @classmethod
-    def empty(cls, dim):
-        return cls([None] * dim)
-
     def __call__(self, i):
         v = self._b[i]
         return None if v == self.dim else v
@@ -459,15 +455,14 @@ class GreenStructure:
         """a <=_J b on J-class ids."""
         return a in self.j_below[b]
 
-    def minimal_j_classes(self):
-        ids = range(len(self.j_classes))
-        return [c for c in ids if self.j_below[c] == frozenset([c])]
+    def minimal_among(self, ids):
+        """The <=_J-minimal class ids among the given class ids, ascending."""
+        ids = set(ids)
+        return sorted(c for c in ids if len(self.j_below[c] & ids) == 1)
 
     def zero_minimal_j_classes(self, zero):
         """The J-classes whose only class strictly below is the zero's."""
-        z = self.j_class[zero]
-        ids = range(len(self.j_classes))
-        return [c for c in ids if c != z and self.j_below[c] == frozenset((c, z))]
+        return self.minimal_among(set(range(len(self.j_classes))) - {self.j_class[zero]})
 
     def anchor(self, c):
         """The least idempotent of J-class c, the base point of its actions."""
@@ -578,28 +573,31 @@ def group_inverse(G, x):
 
 
 def apex(S, A):
-    """Unique minimal J-class inside a factorial irreducible subset A of S."""
+    """Unique minimal J-class inside a factorial irreducible subset A of S.
+
+    Read off the J-order (Rhodes and Steinberg, The q-theory of Finite
+    Semigroups, ch. 1): A is factorial when every class with a class of A
+    below it lies wholly in A; then A is irreducible exactly when its classes
+    have one <=_J-minimal class and that class is regular.
+    """
     A = set(A)
     if not A:
         raise ValueError("A is empty")
     g = S.green()
-    # factorial: every factor (J-above element) of a member is a member
-    for a in A:
-        ca = g.j_class[a]
-        for b in range(S.n):
-            if b not in A and g.leq_j(ca, g.j_class[b]):
-                raise NotFactorial((a, b))
-    # irreducible: for all u, v in A there is w in S with u*w*v in A
-    for u in A:
-        for v in A:
-            if not any(S.mul(S.mul(u, w), v) in A for w in range(S.n)):
-                raise NotIrreducible((u, v))
     inside = {g.j_class[a] for a in A}
-    minimal = [c for c in inside if all(not g.leq_j(d, c) for d in inside if d != c)]
-    check(len(minimal) == 1, "apex is not unique", minimal)
+    # factorial: every factor (J-above element) of a member is a member
+    for c, below in enumerate(g.j_below):
+        if not below.isdisjoint(inside):
+            b = next((b for b in g.j_classes[c] if b not in A), None)
+            if b is not None:
+                raise NotFactorial((min(a for a in A if g.j_class[a] in below), b))
+    # irreducible: for all u, v in A some u*w*v lies in A; it has a class
+    # below both, so u, v from two minimal classes fail, and so does u = v
+    # in a non-regular least class, since u*w*u J u makes it regular
+    minimal = g.minimal_among(inside)
+    if len(minimal) > 1 or not g.regular[minimal[0]]:
+        raise NotIrreducible((g.j_classes[minimal[0]][0], g.j_classes[minimal[-1]][0]))
     top = minimal[0]
-    check(g.regular[top], "apex must be regular", top)
-    check(all(g.leq_j(top, c) for c in inside), "apex lies below every class of A", top)
     fact = {b for b in range(S.n) if g.leq_j(top, g.j_class[b])}
     check(fact == A, "Fact(apex) differs from A", sorted(fact ^ A)[:2])
     return top

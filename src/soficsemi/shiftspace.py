@@ -85,6 +85,8 @@ class Presentation:
 
     def _strongly_connected(self):
         n = self.n_states
+        if n > len(self.edges):  # each state needs an out-edge of its own
+            return False
         fwd = [[] for _ in range(n)]
         bwd = [[] for _ in range(n)]
         for s, _, t in self.edges:
@@ -95,11 +97,6 @@ class Presentation:
     def require_irreducible(self):
         if not self.irreducible:
             raise NotStronglyConnected("presentation graph is not strongly connected")
-
-    def out(self, state, letter=None):
-        for s, a, t in self.edges:
-            if s == state and (letter is None or a == letter):
-                yield (s, a, t)
 
     def __repr__(self):
         return f"Presentation(states={self.n_states}, edges={len(self.edges)})"

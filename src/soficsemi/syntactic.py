@@ -1,8 +1,7 @@
 """Syntactic semigroups of sofic factor languages and the AGGM machinery.
 
 The syntactic semigroup is computed as the transition semigroup of the
-minimal complete DFA of the factor language; a context-profile oracle is
-provided for independent verification on small instances.
+minimal complete DFA of the factor language.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ class SyntacticData:
             cur = self.semigroup.mul(cur, self.letter_map[a])
         return cur
 
-    def in_language(self, w):
-        return self.image(w) != self.zero if self.zero is not None else True
-
     def distinguished_class(self):
         ok, j = is_aggm(self.semigroup)
         if not ok:
@@ -81,46 +77,6 @@ def syntactic_semigroup(P, extra_letters=(), cap=DEFAULT_CAP):
     return SyntacticData(S, letter_map, d, P, zero, tuple(d.alphabet))
 
 
-def context_profile_classes(P, max_word_len, max_context_len):
-    """Brute-force syntactic classes of words by two-sided context profiles.
-
-    Membership goes through the presentation directly (path existence), so
-    this is independent of the DFA pipeline.  Contexts include the empty
-    word on either side.
-    """
-    alphabet = P.alphabet
-    succ = {}
-    for s, a, t in P.edges:
-        succ.setdefault((s, a), set()).add(t)
-
-    def members(w):
-        cur = set(range(P.n_states))
-        for a in w:
-            cur = {t for s in cur for t in succ.get((s, a), ())}
-            if not cur:
-                return False
-        return True
-
-    def upto(n):
-        acc = [()]
-        frontier = [()]
-        for _ in range(n):
-            frontier = [w + (a,) for w in frontier for a in alphabet]
-            acc.extend(frontier)
-        return acc
-
-    contexts = upto(max_context_len)
-    profile = {}
-    for x in upto(max_word_len):
-        if not x:
-            continue
-        key = frozenset(
-            (u, v) for u in contexts for v in contexts if members(u + x + v)
-        )
-        profile.setdefault(key, []).append(x)
-    return list(profile.values())
-
-
 def is_aggm(S):
     """Generalized group mapping with aperiodic distinguished ideal.
 
@@ -144,7 +100,7 @@ def _distinguished(S):
     if S.zero is not None:
         candidates = g.zero_minimal_j_classes(S.zero)
     else:
-        candidates = g.minimal_j_classes()
+        candidates = g.minimal_among(range(len(g.j_classes)))
         if len(candidates) != 1:
             raise CheckFailed("minimal J-class is not unique", candidates)
     winners = [

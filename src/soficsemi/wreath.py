@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     CheckFailed,
@@ -554,18 +553,6 @@ class CoverResult:
     kernel: tuple  # H elements mapping to the identity of K
     report: dict
 
-    @cached_property
-    def _letter_pos(self):
-        return {a: i for i, a in enumerate(self.alphabet)}
-
-    def eta(self, w):
-        """Evaluate a word (tuple of letters) in S'."""
-        w, pos = tuple(w), self._letter_pos
-        for a in w:
-            if a not in pos:
-                raise HypothesisViolated("w", f"letter {a!r} is not in the cover's alphabet")
-        return self.s_prime.eval_word([pos[a] for a in w])
-
     def generator_matrices(self):
         """Generator block matrices after the cyclic renaming of [p]."""
         return [
@@ -864,28 +851,6 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
         kernel=tuple(kernel),
         report=report,
     )
-
-
-def preimage_completeness_check(result, w):
-    """Compare the block entries of eta(w) with the full set of preimages of
-    the matrix of w under entrywise alpha.
-
-    Returns (blocks, preimages).  Equality holds whenever every letter read
-    before the first x_n acts injectively on the L-classes; a left factor of
-    rank 1 collapses the row twists, so the blocks can be a proper subset.
-    """
-    w = tuple(w)
-    mat = result.s_prime.names[result.eta(w)]
-    if mat.is_zero():
-        raise HypothesisViolated("w", "the word maps to zero")
-    blocks = {mat.entries.names[r[1]] for r in mat.rows if r is not None}
-    some = next(iter(blocks))
-    twists = [
-        RowMonomialMatrix.diagonal(some.entries, values)
-        for values in _kernel_tuples(result.kernel, len(some.rows), result.group_h)
-    ]
-    preimages = {t * some for t in twists}
-    return blocks, preimages
 
 
 def _kernel_tuples(kernel, b, H):

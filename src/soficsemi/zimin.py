@@ -9,7 +9,6 @@ the minimal ideal; the theoretical stopping bound N is reported as well.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import InvalidState, check
@@ -39,13 +38,6 @@ class ZiminTerm:
             terms.append(t)
             t = t.prev
         return terms[::-1]
-
-    def word_length(self):
-        leaf, *rest = self._chain()
-        length = len(leaf.v)
-        for t in rest:
-            length = (2 * length + len(t.v)) * math.factorial(t.exponent)
-        return length
 
     def pretty(self):
         """One definition per level, linear in n:
@@ -154,18 +146,16 @@ def in_minimal_ideal(S, subset, x):
     return True
 
 
-def minimal_ideal_of_subset(S, subset):
-    """Kernel of the subsemigroup of S on `subset` (must be closed)."""
-    from .finsemi import FiniteSemigroup
-
-    subset = sorted(subset)
-    pos = {s: i for i, s in enumerate(subset)}
-    table = [[pos[S.mul(x, y)] for y in subset] for x in subset]
-    sub = FiniteSemigroup(table, names=subset, check=False)
-    g = sub.green()
-    bottoms = g.minimal_j_classes()
+def minimal_ideal(S, subset):
+    """The minimal ideal K of the subsemigroup `subset` of S: its part in M,
+    the least J-class of S meeting it.  K lies in M, as each k in K is a
+    factor of every member.  Conversely, for x in the subset and in M, x^2
+    stays in M, so f = x^omega is a group identity; f*k*f lies in K and in
+    the group H_f, so f is in K, and so is x = x*f."""
+    g = S.green()
+    bottoms = g.minimal_among({g.j_class[s] for s in subset})
     check(len(bottoms) == 1, "a finite semigroup has a unique kernel", bottoms)
-    return frozenset(subset[i] for i in g.j_classes[bottoms[0]])
+    return frozenset(s for s in subset if g.j_class[s] == bottoms[0])
 
 
 @dataclass
@@ -191,7 +181,7 @@ def evaluate_zimin(T, S, gens_map):
             raise ValueError(f"generator map missing letter {a}")
     image = phi_image_of_language(dfa, S, gens_map)
     check(image, "loop language is empty")
-    kernel = minimal_ideal_of_subset(S, image)
+    kernel = minimal_ideal(S, image)
 
     k = S.n
     r = m * (k + 1) - 1

@@ -31,6 +31,7 @@ from corpus import (
 )
 from soficsemi import (
     PartialTransformation,
+    SemigroupMorphism,
     aggm_backward_check,
     aggm_forward_check,
     build_cover,
@@ -43,6 +44,7 @@ from soficsemi import (
     factor_dfa,
     fischer_cover,
     higher_block,
+    image_apex,
     is_aggm,
     lift_jclass,
     loop_language,
@@ -52,8 +54,8 @@ from soficsemi import (
 from soficsemi.cli import main
 from soficsemi.errors import NotAGGM
 from soficsemi.shiftspace import format_presentation, is_primitive
-from soficsemi.wreath import preimage_completeness_check
 from soficsemi.zimin import in_minimal_ideal
+from oracles import eta, preimage_completeness_check
 from test_finsemi import action_quotient, assert_green_matches_oracle
 
 GOLDEN_ENTROPY = math.log2((1 + math.sqrt(5)) / 2)
@@ -150,7 +152,7 @@ def test_criterion_3_cover_construction():
             for w, _ in frontier:
                 for a in D.alphabet:
                     w2 = w + (a,)
-                    assert res.rho[res.eta(w2)] == D.image(w2)
+                    assert res.rho[eta(res, w2)] == D.image(w2)
                     nxt.append((w2, None))
             frontier = nxt
         # theta is a group isomorphism onto H with alpha . theta = rho
@@ -160,7 +162,7 @@ def test_criterion_3_cover_construction():
         rng = random.Random(1)
         for _ in range(10 ** 4):
             w = tuple(rng.choice(D.alphabet) for _ in range(rng.randint(1, 14)))
-            assert res.s_prime.names[res.eta(w)].is_zero() == (D.image(w) == D.zero)
+            assert res.s_prime.names[eta(res, w)].is_zero() == (D.image(w) == D.zero)
         # preimage sets on all language words containing x_n, length <= 8
         xn = D.alphabet[-2]
         for n in range(1, 9):
@@ -187,7 +189,7 @@ def test_criterion_4_entropy():
         prof = complexity(P, 24)
         for n in range(1, 24):
             for m in range(1, 24 - n + 1):
-                assert prof.q(n + m) <= prof.q(n) * prof.q(m)
+                assert prof.counts[n + m - 1] <= prof.counts[n - 1] * prof.counts[m - 1]
     assert entropy_gap_check(full_shift(2), golden_mean())
     assert entropy_gap_check(golden_mean(), period_shift(2))
     assert entropy_gap_check(full_shift(2), even_shift())
@@ -342,3 +344,18 @@ def test_criterion_13_syntactic_eggbox_on_anchor_seed_159(tmp_path):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
     report(13, "syntactic on anchor seed 159 (12258 elements, 930 J-classes), same output",
            elapsed <= 3, f"{elapsed:.1f}s")
+
+
+def test_criterion_14_image_apex_on_anchor_seed_22():
+    """The apex is read off the J-order; a pairwise search over all pairs of
+    elements took over a minute on this input."""
+    P = random_presentation(22, 10, "abc")
+    D, target = syntactic_semigroup(P), syntactic_semigroup(P).semigroup
+    psi = SemigroupMorphism(target, target, tuple(range(target.n)))
+    start = time.time()
+    found = image_apex(psi, D)
+    elapsed = time.time() - start
+    assert target is not D.semigroup and target.n == 5546
+    assert found == D.semigroup.green().j_class[D.distinguished_class()[0]]
+    report(14, "image apex on a 5546-element syntactic semigroup with an equal target",
+           elapsed <= 2, f"{elapsed:.1f}s")

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -202,6 +206,24 @@ def test_malformed_input_prints_err(capsys, tmp_path, argv, files):
     code, out = run(capsys, [str(tmp_path / a) if a in texts else a for a in argv])
     assert code in (1, 2)
     assert out.startswith("ERR ")
+
+
+def test_more_states_than_edges_is_not_strongly_connected(tmp_path):
+    """A billion states with one edge is rejected before any per-state list
+    is built; run under a 400 MB address-space limit, so a regression ends
+    in a MemoryError there instead of in this process."""
+    path = tmp_path / "huge.pres"
+    path.write_text("presentation 1000000000 a\nedge 0 a 0\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys; from soficsemi.cli import main; sys.exit(main(sys.argv[1:]))"
+    limit = (400 << 20, 400 << 20)
+    out = subprocess.run(
+        [sys.executable, "-c", code, "syntactic", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == "ERR validation presentation graph is not strongly connected\n"
 
 
 def test_trace_hooks_see_one_parser_and_one_handler_call(capsys, gm_path, monkeypatch):

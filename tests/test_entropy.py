@@ -40,7 +40,7 @@ def test_golden_mean_counts_fibonacci():
     prof = complexity(golden_mean(), 12)
     assert list(prof.counts[:4]) == [2, 3, 5, 8]
     for n in (5, 9, 12):
-        assert prof.q(n) == brute_count(golden_mean(), n)
+        assert prof.counts[n - 1] == brute_count(golden_mean(), n)
     assert prof.perron_estimate == pytest.approx(math.log2(GOLDEN), abs=1e-9)
 
 
@@ -60,8 +60,8 @@ def test_submultiplicativity_and_upper_bounds():
         prof = complexity(P, 16)
         for n in range(1, 16):
             for m in range(1, 16 - n + 1):
-                assert prof.q(n + m) <= prof.q(n) * prof.q(m)
-            assert math.log2(prof.q(n)) / n >= prof.perron_estimate - 1e-9
+                assert prof.counts[n + m - 1] <= prof.counts[n - 1] * prof.counts[m - 1]
+            assert math.log2(prof.counts[n - 1]) / n >= prof.perron_estimate - 1e-9
 
 
 def test_entropy_gap_checks():

@@ -36,6 +36,7 @@ from soficsemi import (
     syntactic_semigroup,
 )
 from soficsemi.finsemi import TABLE_LIMIT, GreenStructure
+from oracles import apex_pairwise
 from soficsemi.graph import reach, sccs
 from soficsemi.errors import (
     CapExceeded,
@@ -351,9 +352,82 @@ def test_apex_rejects_bad_inputs():
     S = period2_syntactic_table()
     with pytest.raises(NotFactorial):
         apex(S, {0, 1, 2, 3, 4} - {0})  # dropping a J-equivalent element
-    # {zero, a} is factorial only if a's factors are in; b is a factor of nothing here
-    with pytest.raises((NotFactorial, NotIrreducible)):
+    # {zero, a} is factorial only if a's factors are in, and the class of a
+    # has other members: the pairwise oracle raises NotFactorial too
+    with pytest.raises(NotFactorial):
+        apex_pairwise(S, {S.zero, 0})
+    with pytest.raises(NotFactorial):
         apex(S, {S.zero, 0})
+
+
+def apex_outcome(find, S, A):
+    """(class, None) from an apex search, or (exception type, witness)."""
+    try:
+        return find(S, A), None
+    except (NotFactorial, NotIrreducible) as exc:
+        return type(exc), exc.witness
+
+
+def assert_witness_fails(S, A, kind, witness):
+    """A NotFactorial witness (a, b) has a in A, b outside and a <=_J b; for
+    a NotIrreducible witness (u, v) no u*w*v with w in S lies in A."""
+    g = S.green()
+    if kind is NotFactorial:
+        a, b = witness
+        assert a in A and b not in A and g.leq_j(g.j_class[a], g.j_class[b])
+    else:
+        u, v = witness
+        assert u in A and v in A
+        assert all(S.mul(S.mul(u, w), v) not in A for w in range(S.n))
+
+
+def apex_cases(S):
+    """S, S minus zero, every Fact(J), and every Fact(J) minus each of its
+    elements; some of them may be empty."""
+    g = S.green()
+    yield set(range(S.n))
+    if S.zero is not None:
+        yield set(range(S.n)) - {S.zero}
+    for c in range(len(g.j_classes)):
+        fact = {b for b in range(S.n) if g.leq_j(c, g.j_class[b])}
+        yield fact
+        yield from (fact - {x} for x in sorted(fact))
+
+
+def partial_identities(dim):
+    """Zero and the partial identities on single points: dim 0-minimal
+    classes, each regular, so no two of them glue into an irreducible set."""
+    return close_generators([
+        PartialTransformation([i if i == p else None for i in range(dim)]) for p in range(dim)
+    ])
+
+
+APEX_ORACLE_CASES = {
+    "corpus": lambda: [syntactic_semigroup(P).semigroup for _, P in corpus_presentations()],
+    "random-presentations": lambda: [
+        syntactic_semigroup(random_presentation(seed, 5, "ab")).semigroup for seed in range(30)
+    ],
+    "tables": lambda: [
+        period2_syntactic_table(), chain_semilattice(), group_with_zero(3), cyclic_group(4),
+        partial_identities(3),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(APEX_ORACLE_CASES))
+def test_apex_matches_pairwise_oracle(case):
+    kinds = set()
+    for S in APEX_ORACLE_CASES[case]():
+        assert S.n <= 400
+        S.table  # the oracle's products are then table lookups
+        for A in filter(None, apex_cases(S)):
+            found, witness = apex_outcome(apex, S, A)
+            expected = apex_outcome(apex_pairwise, S, A)[0]
+            assert found == expected, (S, sorted(A))
+            if witness is not None:
+                assert_witness_fails(S, A, found, witness)
+            kinds.add(found if witness is not None else "apex")
+    assert kinds == {"apex", NotFactorial, NotIrreducible}, case
 
 
 def test_lift_identity_and_free_band():

@@ -17,7 +17,7 @@ from soficsemi import (
     loop_language,
     syntactic_semigroup,
 )
-from soficsemi.syntactic import context_profile_classes
+from oracles import context_profile_classes
 
 
 def spanning_cycle_presentation(seed):

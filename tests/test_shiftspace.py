@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from corpus import even_shift, full_shift, golden_mean, period_shift
+from oracles import out_edges
 from soficsemi import (
     BiInfinitePoint,
     Presentation,
@@ -31,7 +32,7 @@ def path_words(P, n):
     for _ in range(n):
         nxt = []
         for w, s in frontier:
-            for (_, a, t) in P.out(s):
+            for (_, a, t) in out_edges(P, s):
                 nxt.append((w + (a,), t))
                 out.add(w + (a,))
         frontier = nxt

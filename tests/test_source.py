@@ -46,3 +46,37 @@ def test_cli_import_leaves_argparse_out():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+def test_every_definition_is_used_in_the_package():
+    """Each function, class and non-dunder method of the package is referenced
+    in it outside its own body, exported by `__init__.py`, or a `cmd_*`
+    handler; test-only code lives in the tests. A method counts as referenced
+    through an attribute of that name, a function or class through any name."""
+    trees = dict(package_trees())
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    refs = [(name, node.lineno, node.attr if isinstance(node, ast.Attribute) else node.id,
+             isinstance(node, ast.Attribute))
+            for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))]
+    defs = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((name, node, node.name, False))
+            if isinstance(node, ast.ClassDef):
+                defs += [(name, m, f"{node.name}.{m.name}", True) for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not (m.name.startswith("__") and m.name.endswith("__"))]
+
+    def used(name, node, method):
+        if not method and (node.name in exported or node.name.startswith("cmd_")):
+            return True
+        return any(ident == node.name and (attr or not method)
+                   and not (where == name and node.lineno <= line <= node.end_lineno)
+                   for where, line, ident, attr in refs)
+
+    unused = [f"{name} {qual}" for name, node, qual, method in defs
+              if not used(name, node, method)]
+    assert not unused, unused

@@ -33,7 +33,8 @@ from soficsemi.errors import (
     RankTooHigh,
 )
 from soficsemi.finsemi import close_generators, maximal_subgroup
-from soficsemi.wreath import EntrySemigroup, preimage_completeness_check
+from soficsemi.wreath import EntrySemigroup
+from oracles import eta, preimage_completeness_check
 
 
 def t3_semigroup():
@@ -200,7 +201,7 @@ def test_structure_lemma_rejects_bad_inputs():
     Z2 = cyclic_group(2)
     with pytest.raises(RankTooHigh):
         wreath_product_0simple_check(Z2, [PartialTransformation((0, 1))])
-    T = [PartialTransformation.constant(2, 0), PartialTransformation.empty(2)]
+    T = [PartialTransformation.constant(2, 0), PartialTransformation([None, None])]
     with pytest.raises(NotTransitive):
         wreath_product_0simple_check(Z2, T)
     with pytest.raises(HypothesisViolated):
@@ -250,7 +251,7 @@ def test_build_cover_identity_alpha():
     # rho . eta = phi on all generator words up to length 6
     for n in range(1, 7):
         for w in itertools.product(D.alphabet, repeat=n):
-            assert res.rho[res.eta(w)] == D.image(w)
+            assert res.rho[eta(res, w)] == D.image(w)
 
 
 def test_build_cover_z2_over_trivial_k():
@@ -293,10 +294,10 @@ def test_build_cover_known_collapse_on_rank1_prefix():
 def test_cover_rejects_letters_outside_its_alphabet():
     res = build_cover(gm3_data(), cyclic_group(2), [0, 0], ("a", "b"), ("a",))
     with pytest.raises(HypothesisViolated, match="letter 'q' is not in the cover's alphabet"):
-        res.eta(("q",))
+        eta(res, ("q",))
     with pytest.raises(HypothesisViolated, match="letter 'q'"):
         preimage_completeness_check(res, ("a", "b", "q"))
-    assert res.eta(iter(("a", "b"))) == res.eta(("a", "b"))
+    assert eta(res, iter(("a", "b"))) == eta(res, ("a", "b"))
 
 
 def test_build_cover_zero_criterion_sampled():
@@ -308,7 +309,7 @@ def test_build_cover_zero_criterion_sampled():
     rng = random.Random(0)
     for _ in range(2000):
         w = tuple(rng.choice(D.alphabet) for _ in range(rng.randint(1, 12)))
-        assert res.s_prime.names[res.eta(w)].is_zero() == (D.image(w) == D.zero)
+        assert res.s_prime.names[eta(res, w)].is_zero() == (D.image(w) == D.zero)
 
 
 def test_build_cover_hypothesis_checks():
@@ -383,7 +384,7 @@ def test_build_cover_three_live_letters():
 
     rng_words = itertools.product("abcd", repeat=6)
     for w in itertools.islice(rng_words, 0, None, 7):
-        assert res.rho[res.eta(w)] == D.image(w)
+        assert res.rho[eta(res, w)] == D.image(w)
 
 
 def test_full_reduction_pipeline_witness_recode_cover():

@@ -25,7 +25,8 @@ from soficsemi import (
     syntactic_semigroup,
 )
 from soficsemi.errors import InvalidState
-from soficsemi.zimin import ZiminTerm, in_minimal_ideal, phi_image_of_language
+from soficsemi.zimin import ZiminTerm, in_minimal_ideal, minimal_ideal, phi_image_of_language
+from oracles import minimal_ideal_of_subset, out_edges, word_length
 
 
 def take(stream, k):
@@ -52,7 +53,7 @@ def test_loop_language_golden_mean():
     for _ in range(4):
         nxt = []
         for w, s in frontier:
-            for (_, a, t) in golden_mean().out(s):
+            for (_, a, t) in out_edges(golden_mean(), s):
                 nxt.append((w + (a,), t))
                 if t == 0:
                     loops.add(w + (a,))
@@ -141,7 +142,7 @@ def test_zimin_term_structure():
     t = ZiminTerm.leaf(("a",))
     t = t.extend(("b",), 2)
     t = t.extend(("a", "b"), 3)
-    assert t.word_length() == ((2 * (1 * 2 + 1) * 2) + 2) * 6
+    assert word_length(t) == ((2 * (1 * 2 + 1) * 2) + 2) * 6
     assert t.pretty() == "w1=a; w2=(w1 b w1)^(2!); w3=(w2 ab w2)^(3!)"
 
 
@@ -219,6 +220,26 @@ def test_first_depths_match_bounded_bfs_oracle():
         for bound in range(max(depths.values()) + 2):
             reached = {s for s, k in depths.items() if k <= bound}
             assert reached == bounded_image_oracle(d, S, gens_map, bound)
+
+
+def test_minimal_ideal_matches_subsemigroup_oracle():
+    """At every loop vertex, the kernel of phi(T) read off the J-order of S
+    equals the kernel of phi(T) closed as a semigroup of its own, in the
+    syntactic semigroup and in a random transformation semigroup."""
+    from corpus import corpus_presentations, random_presentation, random_transformation_semigroup
+
+    presentations = [P for _, P in corpus_presentations()] + [
+        random_presentation(seed, n, "ab") for seed in range(6) for n in (3, 4, 5)
+    ]
+    for i, P in enumerate(presentations):
+        D = syntactic_semigroup(P)
+        R = random_transformation_semigroup(i, 3, len(P.alphabet))
+        targets = [(D.semigroup, D.letter_map), (R, dict(zip(P.alphabet, R.generators)))]
+        for v in range(P.n_states):
+            dfa = loop_language(P, v).dfa
+            for S, gens_map in targets:
+                image = phi_image_of_language(dfa, S, gens_map)
+                assert minimal_ideal(S, image) == minimal_ideal_of_subset(S, image), (P, v)
 
 
 def test_checks_survive_optimize():
