@@ -29,18 +29,52 @@ TABLE_LIMIT = 2000  # above this, `.table` refuses to materialize the n x n tabl
 DEFAULT_CAP = 2_000_000  # element cap of a closure unless the caller passes one
 
 
+# -- packed carriers ------------------------------------------------------
+#
+# A carrier (a PartialTransformation here, a RowMonomialMatrix in `wreath`)
+# is a packed tuple `_b` of points in [0, N), N standing for "no point", and
+# a right table, built on first use by `_right()`, that sends each point q
+# to the point of q*carrier and N to N.  x*y is then one gather of x's
+# points through y's table, and `_wrap(b)` makes a carrier of x's kind from
+# packed points without validation (products of valid carriers are valid).
+
+
+def pack_points(points, sentinel):
+    """Packed points: `bytes` when the sentinel fits a byte, else a tuple.
+    The tuple path alone would serve every size, but on the benchmark's
+    `large` workload it took about a quarter more time and a fifth more
+    memory than `bytes`."""
+    return bytes(points) if sentinel <= 255 else tuple(points)
+
+
+def right_table(images, sentinel):
+    """A right table from the images of the points 0..sentinel-1, padded to
+    the 256 entries of `bytes.translate` on the bytes path."""
+    if sentinel <= 255:
+        return bytes(images) + bytes([sentinel]) * (256 - sentinel)
+    return (*images, sentinel)
+
+
+def gatherer(b):
+    """The product rule: packed points b times a right table is one C-level
+    gather, `bytes.translate` or one `itemgetter` (which returns a lone
+    item, not a 1-tuple, when it has a single index)."""
+    if isinstance(b, bytes):
+        return b.translate
+    if len(b) == 1:
+        (q,) = b
+        return lambda table: (table[q],)
+    return itemgetter(*b)
+
+
 class PartialTransformation:
     """Partial self-map of {0..dim-1}; the product x*y applies x first, then y.
 
-    Stored packed in `_b`, one entry per point with the value dim standing
-    for "undefined": `bytes` when dim <= 255, else a tuple.  x*y is then one
-    C-level gather through y's `_pad` (y's entries followed by dim, padded to
-    256 for `bytes.translate`), built once per right factor.  The tuple path
-    alone would serve every dim, but on the benchmark's `large` workload it
-    took about a quarter more time and a fifth more memory than `bytes`.
+    A packed carrier: point i is stored as its image, with dim standing for
+    "undefined", so the right table is the images followed by dim.
     """
 
-    __slots__ = ("dim", "_b", "_pad", "_hash")
+    __slots__ = ("dim", "_b", "_pad")
 
     def __init__(self, mapping, dim=None):
         mapping = tuple(mapping)
@@ -51,21 +85,21 @@ class PartialTransformation:
         for v in mapping:
             if v is not None and not (0 <= v < dim):
                 raise DimensionMismatch(f"image {v} outside 0..{dim - 1}")
-        packed = tuple(dim if v is None else v for v in mapping)
         self.dim = dim
-        self._b = bytes(packed) if dim <= 255 else packed
+        self._b = pack_points((dim if v is None else v for v in mapping), dim)
         self._pad = None
-        self._hash = hash(self._b)
 
-    @classmethod
-    def _packed(cls, b, dim):
-        """Wrap packed entries without validation (products of valid maps)."""
-        self = object.__new__(cls)
-        self.dim = dim
-        self._b = b
-        self._pad = None
-        self._hash = hash(b)
-        return self
+    def _wrap(self, b):
+        new = object.__new__(PartialTransformation)
+        new.dim = self.dim
+        new._b = b
+        new._pad = None
+        return new
+
+    def _right(self):
+        if self._pad is None:
+            self._pad = right_table(self._b, self.dim)
+        return self._pad
 
     @property
     def mapping(self):
@@ -87,24 +121,16 @@ class PartialTransformation:
     def __mul__(self, other):
         if not isinstance(other, PartialTransformation):
             return NotImplemented
-        dim = self.dim
-        if other.dim != dim:
+        if other.dim != self.dim:
             raise DimensionMismatch("composing maps of different dimensions")
-        pad = other._pad
-        if dim <= 255:
-            if pad is None:
-                pad = other._pad = other._b + bytes([dim]) * (256 - dim)
-            return PartialTransformation._packed(self._b.translate(pad), dim)
-        if pad is None:
-            pad = other._pad = other._b + (dim,)
-        return PartialTransformation._packed(itemgetter(*self._b)(pad), dim)
+        return self._wrap(gatherer(self._b)(other._right()))
 
     def __eq__(self, other):
         # the packed entries have length dim, so equal entries mean equal dim
         return isinstance(other, PartialTransformation) and self._b == other._b
 
     def __hash__(self):
-        return self._hash
+        return hash(self._b)
 
     def __repr__(self):
         dim = self.dim
@@ -380,56 +406,58 @@ class FiniteSemigroup:
 
 
 def close_generators(gens, cap=DEFAULT_CAP):
-    """Close a list of carriers (transformations, matrices, ...) under *.
+    """Close a list of packed carriers (transformations, matrices) under *.
 
-    Deterministic BFS by shortlex generator words; returns a FiniteSemigroup
-    whose `names` are the carrier objects.
+    Froidure-Pin's right-Cayley BFS by shortlex generator words, run on the
+    packed points: an element's successors are one gather of its points
+    through each generator's right table, looked up as `bytes` or tuples,
+    and each element is wrapped as a carrier once the closure is done.
+    Returns a FiniteSemigroup whose `names` are the carriers.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    dim = getattr(gens[0], "dim", None)
-    for g in gens:
-        if getattr(g, "dim", None) != dim:
-            raise DimensionMismatch("generators have mixed dimensions")
+    first = gens[0]
+    for g in gens:  # what a product checks, checked once
+        if (type(g) is not type(first) or g.dim != first.dim
+                or getattr(g, "entries", None) is not getattr(first, "entries", None)):
+            raise DimensionMismatch("generators differ in kind, dimension or entries")
+    tables = [g._right() for g in gens]
     index = {}
-    elems = []
+    keys = []
+    names = []
     witness = []
     parent = []
     lastgen = []
     gen_elts = []
     for j, g in enumerate(gens):
-        if g in index:
-            gen_elts.append(index[g])
-            continue
-        idx = len(elems)
-        index[g] = idx
-        elems.append(g)
-        witness.append((j,))
-        parent.append(None)
-        lastgen.append(j)
-        gen_elts.append(idx)
+        at = index.get(g._b)
+        if at is None:
+            at = index[g._b] = len(keys)
+            keys.append(g._b)
+            names.append(g)
+            witness.append((j,))
+            parent.append(None)
+            lastgen.append(j)
+        gen_elts.append(at)
     cayley = []
-    head = 0
-    while head < len(elems):
-        x = elems[head]
+    for head, x in enumerate(keys):  # keys grows while it is walked
         row = []
-        for j, g in enumerate(gens):
-            y = x * g
+        for j, y in enumerate(map(gatherer(x), tables)):
             at = index.get(y)
             if at is None:
-                at = len(elems)
+                at = len(keys)
                 if at >= cap:
                     raise CapExceeded(cap, "element closure")
                 index[y] = at
-                elems.append(y)
+                keys.append(y)
                 witness.append(witness[head] + (j,))
                 parent.append(head)
                 lastgen.append(j)
             row.append(at)
         cayley.append(row)
-        head += 1
-    return FiniteSemigroup._from_closure(elems, cayley, gen_elts, witness, parent, lastgen)
+    names += map(first._wrap, keys[len(names):])
+    return FiniteSemigroup._from_closure(names, cayley, gen_elts, witness, parent, lastgen)
 
 
 # -- Green's relations --------------------------------------------------
@@ -659,7 +687,7 @@ def lift_jclass(phi, j_target):
     pullback = {s for s in range(S.n) if phi(s) in fact_t}
     j_prime = apex(S, pullback)
     gs = S.green()
-    target = set(gt.j_classes[j_target])
+    target = gt.j_classes[j_target]
 
     # (1) unique minimal among source classes mapping into j_target
     into = {
@@ -671,13 +699,16 @@ def lift_jclass(phi, j_target):
     # (2) regular with exact image
     check(gs.regular[j_prime], "lifted class is regular", j_prime)
     image = {phi(s) for s in gs.j_classes[j_prime]}
-    check(image == target, "lifted class maps onto the target class", j_prime)
+    check(image == set(target), "lifted class maps onto the target class", j_prime)
     # (3) each R/L/H-class of J' maps onto a class of J, covering all of them
     for cls_of, classes_of, t_cls_of in (
         (gs.r_class, gs.r_classes, gt.r_class),
         (gs.l_class, gs.l_classes, gt.l_class),
         (gs.h_class, gs.h_classes, gt.h_class),
     ):
+        full = {}  # class id -> its members in J
+        for t in target:
+            full.setdefault(t_cls_of[t], set()).add(t)
         source_ids = {cls_of[s] for s in gs.j_classes[j_prime]}
         covered = set()
         for cid in source_ids:
@@ -685,12 +716,10 @@ def lift_jclass(phi, j_target):
             tids = {t_cls_of[t] for t in img}
             check(len(tids) == 1, "a class of J' maps into one class of J", cid)
             tid = tids.pop()
-            full = {t for t in target if t_cls_of[t] == tid}
-            check(img == full, "a class of J' maps onto a class of J", cid)
+            check(img == full.get(tid), "a class of J' maps onto a class of J", cid)
             covered.add(tid)
-        expected = {t_cls_of[t] for t in gt.j_classes[j_target]}
-        check(covered == expected, "the classes of J' cover those of J",
-              sorted(expected - covered))
+        check(covered == full.keys(), "the classes of J' cover those of J",
+              sorted(full.keys() - covered))
     # (4) idempotents map onto idempotents
     e_src = {phi(s) for s in gs.j_classes[j_prime] if S.is_idempotent(s)}
     e_tgt = {t for t in gt.j_classes[j_target] if T.is_idempotent(t)}

@@ -29,56 +29,110 @@ from .finsemi import (
     PartialTransformation,
     SemigroupMorphism,
     close_generators,
+    gatherer,
     group_inverse,
     maximal_subgroup,
     omega_exponent,
     omega_power,
+    pack_points,
+    right_table,
 )
 
 
 class EntrySemigroup:
     """The entries of row-monomial matrices: a finite semigroup with its table.
 
-    `table[s][t]` is the index of s*t, `names` the carrier of each index and
-    `dead` the index that stands for 0: None over a group, whose entries
+    `columns[t][s]` is the index of s*t, `names` the carrier of each index
+    and `dead` the index that stands for 0: None over a group, whose entries
     never vanish, and the zero block when the entries are themselves blocks.
     """
 
-    __slots__ = ("semigroup", "names", "table", "dead")
+    __slots__ = ("semigroup", "names", "columns", "dead")
 
     def __init__(self, semigroup, dead=None):
         self.semigroup = semigroup
         self.names = semigroup.names
-        self.table = [semigroup.left_row(s) for s in range(semigroup.n)]
+        self.columns = semigroup.right_action(range(semigroup.n))
         self.dead = dead
 
 
 class RowMonomialMatrix:
-    """Square matrix with at most one non-zero entry per row.
+    """Square p x p matrix with at most one non-zero entry per row, entries
+    indexing an EntrySemigroup E.
 
-    Rows are stored as (column, entry index) or None, entries indexing an
-    EntrySemigroup.  A product is one table lookup per row, and a row whose
-    entry product is the dead index dies.  Only the public constructor
+    A packed carrier like `PartialTransformation`: a row with entry t in
+    column c is the point c*|E| + t of [p] x E, a zero row the sentinel
+    p*|E|.  The matrix acts on the right of [p] x E by (c, t) -> (column
+    of row c, t * entry of row c), and sends (c, t) to the sentinel when
+    row c is zero or the entry product is the dead index (Rhodes and
+    Steinberg, The q-theory of Finite Semigroups, wreath products).  That
+    action is its right table, so a product is one gather.  `rows` decodes
+    the (column, entry index) pairs on demand.  Only the public constructor
     validates; products of valid matrices are valid.
     """
 
-    __slots__ = ("entries", "rows", "_hash")
+    __slots__ = ("entries", "_b", "_pad")
 
     def __init__(self, entries, rows):
         rows = tuple(rows)
-        n = len(entries.table)
+        n, p = len(entries.columns), len(rows)
+        points = []
         for r in rows:
-            if r is not None:
-                c, t = r
-                if not (0 <= c < len(rows) and 0 <= t < n) or t == entries.dead:
-                    raise DimensionMismatch(f"row {r} out of range or dead")
+            if r is None:
+                points.append(p * n)
+                continue
+            c, t = r
+            if not (0 <= c < p and 0 <= t < n) or t == entries.dead:
+                raise DimensionMismatch(f"row {r} out of range or dead")
+            points.append(c * n + t)
         self.entries = entries
-        self.rows = rows
-        self._hash = hash(rows)
+        self._b = pack_points(points, p * n)
+        self._pad = None
+
+    def _wrap(self, b):
+        new = object.__new__(RowMonomialMatrix)
+        new.entries = self.entries
+        new._b = b
+        new._pad = None
+        return new
+
+    def _right(self):
+        if self._pad is None:
+            entries = self.entries
+            n, dead = len(entries.columns), entries.dead
+            sentinel = len(self._b) * n
+            images = []
+            for q in self._b:
+                if q == sentinel:
+                    images += [sentinel] * n
+                else:
+                    c, t = divmod(q, n)
+                    images += [sentinel if s == dead else c * n + s for s in entries.columns[t]]
+            self._pad = right_table(images, sentinel)
+        return self._pad
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._b)
+
+    @property
+    def points(self):
+        """Per row, its point of [p] x E or the sentinel; `point_tables`
+        reads them."""
+        return tuple(self._b)
+
+    def point_tables(self):
+        """Per point of [p] x E and then the sentinel, its column and its
+        entry index, both None for the sentinel."""
+        n, p = len(self.entries.columns), len(self._b)
+        columns = [c for c in range(p) for _ in range(n)] + [None]
+        return columns, [*range(n)] * p + [None]
+
+    @property
+    def rows(self):
+        n = len(self.entries.columns)
+        sentinel = len(self._b) * n
+        return tuple(None if q == sentinel else divmod(q, n) for q in self._b)
 
     @classmethod
     def zero(cls, entries, size):
@@ -91,33 +145,19 @@ class RowMonomialMatrix:
     def __mul__(self, other):
         if not isinstance(other, RowMonomialMatrix):
             return NotImplemented
-        entries = self.entries
-        if other.entries is not entries or len(other.rows) != len(self.rows):
+        if other.entries is not self.entries or len(other._b) != len(self._b):
             raise DimensionMismatch("matrices differ in size or entry semigroup")
-        table, dead, orows = entries.table, entries.dead, other.rows
-        out = []
-        for r in self.rows:
-            nxt = None if r is None else orows[r[0]]
-            if nxt is None:
-                out.append(None)
-                continue
-            t = table[r[1]][nxt[1]]
-            out.append(None if t == dead else (nxt[0], t))
-        prod = object.__new__(RowMonomialMatrix)
-        prod.entries = entries
-        prod.rows = rows = tuple(out)
-        prod._hash = hash(rows)
-        return prod
+        return self._wrap(gatherer(self._b)(other._right()))
 
     def __eq__(self, other):
         return (
             isinstance(other, RowMonomialMatrix)
             and self.entries is other.entries
-            and self.rows == other.rows
+            and self._b == other._b
         )
 
     def __hash__(self):
-        return self._hash
+        return hash(self._b)
 
     def __repr__(self):
         body = ";".join("-" if r is None else f"{r[0]}:{r[1]}" for r in self.rows)
@@ -139,7 +179,7 @@ class RowMonomialMatrix:
 
     def support(self):
         return PartialTransformation(
-            tuple(None if r is None else r[0] for r in self.rows), len(self.rows)
+            tuple(None if r is None else r[0] for r in self.rows), self.dim
         )
 
     def map_entries(self, func, entries):
@@ -149,7 +189,7 @@ class RowMonomialMatrix:
 
     def rotate(self, shift):
         """Conjugate by the cyclic renaming j -> (j - shift) mod size."""
-        p = len(self.rows)
+        p = self.dim
         rows = [None] * p
         for i, r in enumerate(self.rows):
             if r is not None:
@@ -440,9 +480,10 @@ def wreath_embed(S, j_id, idempotent=None):
     g = S.green()
     r0 = g.r_classes[g.r_class[rees.e0]]
     for s, act in enumerate(S.right_action(r0)):
+        rows = mats[s].rows
         for x, y in zip(r0, act):
             _, gx, bx = coord[x]
-            row = mats[s].rows[bx]
+            row = rows[bx]
             if y in coord:
                 ok = row is not None and coord[y] == (rees.a0, K.mul(gx, row[1]), row[0])
             else:
@@ -735,9 +776,12 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
     phi_w = SemigroupMorphism.from_generator_map(
         s_prime, S, [phi[a] for a in X], check=False
     ).mapping
+    # the whole-S' checks read each matrix's points through the column and
+    # entry of every point, decoding no rows
+    col_of, entry_of = gens[0].point_tables()
     rho = []
     for x in range(s_prime.n):
-        rows = s_prime.names[x].rows
+        entries = [entry_of[q] for q in s_prime.names[x].points]
         if x == zero_prime:
             if phi_w[x] != D.zero:
                 raise CheckFailed("eta(u) = 0 must force phi(u) = 0", s_prime.word_letters(x, X))
@@ -745,9 +789,9 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
             continue
         if phi_w[x] == D.zero:
             raise CheckFailed("phi(u) = 0 must force eta(u) = 0", s_prime.word_letters(x, X))
-        if None in rows:
+        if None in entries:
             raise CheckFailed("non-zero elements are total on [p]", s_prime.word_letters(x, X))
-        images = {block_rho[r[1]] for r in rows}
+        images = {block_rho[t] for t in entries}
         if len(images) != 1:
             raise CheckFailed("block entries must agree under alpha", s_prime.word_letters(x, X))
         if images != {phi_w[x]}:
@@ -782,11 +826,11 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
     # one block (the twists form a group, so any block of the row will do)
     preimages = [{t_index.get(t * blk) for t in twists} for blk in T.names]
     for x in gp.j_classes[j_prime]:
-        rows = s_prime.names[x].rows
-        if len({r[0] for r in rows}) != 1:
+        points = s_prime.names[x].points
+        if len({col_of[q] for q in points}) != 1:
             raise CheckFailed("blocks of J' lie in one column", s_prime.word_letters(x, X))
-        entries = {r[1] for r in rows}
-        if not entries <= preimages[rows[0][1]]:
+        entries = {entry_of[q] for q in points}
+        if not entries <= preimages[entry_of[points[0]]]:
             raise CheckFailed(
                 "block entries must be preimages of one matrix", s_prime.word_letters(x, X)
             )

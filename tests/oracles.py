@@ -7,9 +7,70 @@ path by path, so the tests can compare the two.
 
 import math
 
-from soficsemi.errors import HypothesisViolated, NotFactorial, NotIrreducible, check
-from soficsemi.finsemi import FiniteSemigroup
+from soficsemi.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    HypothesisViolated,
+    NotFactorial,
+    NotIrreducible,
+    check,
+)
+from soficsemi.finsemi import DEFAULT_CAP, FiniteSemigroup
 from soficsemi.wreath import RowMonomialMatrix, _kernel_tuples
+
+
+def close_by_products(gens, cap=DEFAULT_CAP):
+    """Close carriers of any type under `*`, one carrier object per product.
+
+    The same BFS by shortlex generator words as `close_generators`, with a
+    carrier dict in place of the packed points: each product makes its
+    carrier and looks it up through its `__hash__` and `__eq__`.
+    """
+    gens = list(gens)
+    if not gens:
+        raise ValueError("need at least one generator")
+    dim = getattr(gens[0], "dim", None)
+    for g in gens:
+        if getattr(g, "dim", None) != dim:
+            raise DimensionMismatch("generators have mixed dimensions")
+    index = {}
+    elems = []
+    witness = []
+    parent = []
+    lastgen = []
+    gen_elts = []
+    for j, g in enumerate(gens):
+        if g in index:
+            gen_elts.append(index[g])
+            continue
+        idx = len(elems)
+        index[g] = idx
+        elems.append(g)
+        witness.append((j,))
+        parent.append(None)
+        lastgen.append(j)
+        gen_elts.append(idx)
+    cayley = []
+    head = 0
+    while head < len(elems):
+        x = elems[head]
+        row = []
+        for j, g in enumerate(gens):
+            y = x * g
+            at = index.get(y)
+            if at is None:
+                at = len(elems)
+                if at >= cap:
+                    raise CapExceeded(cap, "element closure")
+                index[y] = at
+                elems.append(y)
+                witness.append(witness[head] + (j,))
+                parent.append(head)
+                lastgen.append(j)
+            row.append(at)
+        cayley.append(row)
+        head += 1
+    return FiniteSemigroup._from_closure(elems, cayley, gen_elts, witness, parent, lastgen)
 
 
 def apex_pairwise(S, A):

@@ -43,6 +43,7 @@ from soficsemi import (
     evaluate_zimin,
     factor_dfa,
     fischer_cover,
+    format_semigroup,
     higher_block,
     image_apex,
     is_aggm,
@@ -311,6 +312,31 @@ def test_criterion_11_z6_cover_time():
     assert digest == "2dc0c5118d70575c754268f053dc15ec205354ced1ee77092b13bf4c93b46b17"
     report(11, "Z6 cover of the even shift, 8704 elements, same serialization",
            elapsed <= 3, f"{elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("shift, k, digest", [
+    ("even", 2, "6ba62c910061ab8c7335f82139602107bc5998f30a46f172be89b49895801382"),
+    ("even", 3, "d9b48db1249f767c386ce02031a9461bea96a86b757cbb8ce1a08527b8b35466"),
+    ("even", 4, "14b293caf8a08a23a1193c7587d5ca134a5e15d636913bdcc4bc3842cc7156e6"),
+    ("even", 5, "1a06db96e8e17aefc465bb146fb22291f6a59fa16ef5419c4dca624d8ff9838b"),
+    ("golden_mean", 2, "da94f6f8d55dabf619505501384978ff79c75f6f2366cfeda06992e0811dcef3"),
+    ("golden_mean", 3, "5e46ba0755853ca581ca188bcaa8355be60a2e067825c2e1d8f270ad3a60fcf6"),
+    ("golden_mean", 4, "188826a4c413af6c2c1710bf4149828f3bff07a8d5e68d65a740dec6cf061dbb"),
+    ("golden_mean", 5, "0d3de20062cae5de09d518514e688e1456432ee764c1add44775ddd40cb08b96"),
+])
+def test_criterion_11_cover_stdout(tmp_path, shift, k, digest):
+    """The `cover` verb prints the same bytes for H = Z2..Z5 on both shifts."""
+    P, e_word = {"even": (even_shift(), "abb"), "golden_mean": (golden_mean(), "ab")}[shift]
+    pres, group, spec = tmp_path / "s.pres", tmp_path / "h.sg", tmp_path / "c.spec"
+    pres.write_text(format_presentation(P))
+    group.write_text(format_semigroup(cyclic_group(k)))
+    spec.write_text(f"e {e_word}\nz a\nextra c\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["cover", str(pres), str(group), str(spec)])
+    assert code == 0
+    ok = hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    report(11, f"cover of {shift} with Z{k}, same output", ok)
 
 
 @pytest.mark.parametrize("seed, states, digest", [

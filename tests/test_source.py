@@ -9,6 +9,7 @@ import sys
 import soficsemi
 
 WITNESS_TREE_FIELDS = {"_order", "_parent", "_lastgen", "_cayley"}
+PACKED_FIELDS = {"_b", "_pad", "_right", "_wrap"}  # packed points, the right table
 
 
 def package_trees():
@@ -34,6 +35,23 @@ def test_witness_tree_stays_in_finsemi():
         if name != "finsemi.py":
             found += [f"{name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr in WITNESS_TREE_FIELDS]
+    assert not found, found
+
+
+def test_packed_carriers_stay_in_their_classes():
+    """Only `finsemi` and `RowMonomialMatrix`'s own methods read a carrier's
+    packed points or its right table; every other line goes through
+    products, `mapping`, `rows` or a matrix's `points`."""
+    found = []
+    for name, tree in package_trees():
+        if name == "finsemi.py":
+            continue
+        own = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "RowMonomialMatrix"
+               for node in ast.walk(cls)}
+        found += [f"{name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in PACKED_FIELDS
+                  and id(node) not in own]
     assert not found, found
 
 

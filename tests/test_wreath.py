@@ -34,7 +34,7 @@ from soficsemi.errors import (
 )
 from soficsemi.finsemi import close_generators, maximal_subgroup
 from soficsemi.wreath import EntrySemigroup
-from oracles import eta, preimage_completeness_check
+from oracles import close_by_products, eta, preimage_completeness_check
 
 
 def t3_semigroup():
@@ -586,7 +586,7 @@ def assert_matches_object_closure(D, res, alpha):
     S = res.s_prime
     gens = [ObjectBlockMatrix(res.p, res.group_h, decoded_rows(S.names[g]))
             for g in S.generators]
-    oracle = close_generators(gens, cap=10 ** 6)
+    oracle = close_by_products(gens, cap=10 ** 6)
     assert oracle.n == S.n and oracle.generators == S.generators
     assert oracle._cayley == S._cayley
     assert all(oracle.names[x].rows == decoded_rows(S.names[x]) for x in range(S.n))
