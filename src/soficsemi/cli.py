@@ -43,48 +43,65 @@ def _emit(pairs, fmt):
             print(f"{k} {v}")
 
 
+def _emit_text(key, text, fmt):
+    """A verb's text output, or under json the object {key: text}."""
+    if fmt == "json":
+        _emit([(key, text)], fmt)
+    else:
+        sys.stdout.write(text)
+
+
 def _bool(v):
     return "true" if v else "false"
+
+
+def _structure_pairs(S, zero):
+    g = S.green()
+    return [
+        ("semigroup_size", S.n),
+        ("generators", len(S.generators)),
+        ("zero", zero if zero is not None else "none"),
+        ("j_classes", len(g.j_classes)),
+        ("regular_j_classes", sum(1 for r in g.regular if r)),
+    ]
 
 
 def cmd_syntactic(args):
     P = _load_presentation(args.presentation)
     D = syntactic_mod.syntactic_semigroup(P, cap=args.cap)
-    g = D.semigroup.green()
-    pairs = [
-        ("semigroup_size", D.semigroup.n),
-        ("generators", len(D.semigroup.generators)),
-        ("zero", D.zero if D.zero is not None else "none"),
-        ("j_classes", len(g.j_classes)),
-        ("regular_j_classes", sum(1 for r in g.regular if r)),
-    ]
-    _emit(pairs, args.format)
+    _emit(_structure_pairs(D.semigroup, D.zero), args.format)
     if args.format != "json":
         _print_eggbox(D.semigroup)
     return 0
 
 
 def _print_eggbox(S):
+    """One block per J-class, bottom up: a row per R-class and a column per
+    L-class, both in the order of their ids (which is that of their least
+    members), each cell an H-class. No cell is empty, since J = D in a
+    finite semigroup."""
     g = S.green()
-    order = sorted(
-        range(len(g.j_classes)), key=lambda c: (len(g.j_below[c]), min(g.j_classes[c]))
-    )
+    cells = [",".join(map(str, h)) for h in g.h_classes]
+    width = len(g.l_classes)
+    place = [g.r_class[h[0]] * width + g.l_class[h[0]] for h in g.h_classes]  # row-major
+    order = sorted(range(len(g.j_classes)),
+                   key=lambda c: (g.j_below[c].bit_count(), g.j_classes[c][0]))
+    write = sys.stdout.write
     for c in order:
         elems = g.j_classes[c]
-        print(f"jclass {c} regular={_bool(g.regular[c])} size={len(elems)}")
-        cells = {}
-        for x in elems:
-            cells.setdefault((g.r_class[x], g.l_class[x]), []).append(str(x))
-        r_ids = sorted({g.r_class[x] for x in elems}, key=lambda r: min(g.r_classes[r]))
-        l_ids = sorted({g.l_class[x] for x in elems}, key=lambda l: min(g.l_classes[l]))
-        for r in r_ids:
-            row = (",".join(cells[r, l]) if (r, l) in cells else "-" for l in l_ids)
-            print("  row " + " | ".join(row))
+        hs = sorted(set(map(g.h_class.__getitem__, elems)), key=place.__getitem__)
+        grid = [cells[h] for h in hs]
+        cols = len(set(map(g.l_class.__getitem__, elems)))
+        write(f"jclass {c} regular={_bool(g.regular[c])} size={len(elems)}\n" + "".join(
+            f"  row {' | '.join(grid[i:i + cols])}\n" for i in range(0, len(grid), cols)))
 
 
 def cmd_green(args):
     S = _load_semigroup(args.semigroup)
-    _print_eggbox(S)
+    if args.format == "json":
+        _emit(_structure_pairs(S, S.zero), args.format)
+    else:
+        _print_eggbox(S)
     return 0
 
 
@@ -108,13 +125,13 @@ def cmd_fischer(args):
     P = _load_presentation(args.presentation)
     D = syntactic_mod.syntactic_semigroup(P, cap=args.cap)
     cover = syntactic_mod.fischer_cover(D)
-    sys.stdout.write(format_presentation(cover))
+    _emit_text("presentation", format_presentation(cover), args.format)
     return 0
 
 
 def cmd_block(args):
     P = _load_presentation(args.presentation)
-    sys.stdout.write(format_presentation(higher_block(P, args.n)))
+    _emit_text("presentation", format_presentation(higher_block(P, args.n)), args.format)
     return 0
 
 
@@ -232,8 +249,11 @@ def cmd_cover(args):
         (k, _bool(v) if isinstance(v, bool) else v)
         for k, v in sorted(result.report.items())
     ]
-    _emit(pairs, args.format)
-    sys.stdout.write(result.serialize())
+    if args.format == "json":
+        _emit(pairs + [("cover", result.serialize())], args.format)
+    else:
+        _emit(pairs, args.format)
+        sys.stdout.write(result.serialize())
     return 0
 
 

@@ -1,17 +1,21 @@
 """Finite semigroups given by generators or by multiplication tables.
 
-Elements are canonical indices 0..n-1.  A semigroup built from generators
-carries per element a shortlex generator-word witness; element numbering
-follows the deterministic BFS discovery order (words compared by length
-first, ties broken by generator position as listed in the input).
-Every semigroup keeps that order as `_order` (a table's own numbering may
-differ from it), so each element comes after its witness-tree `_parent`.
+Elements are canonical indices 0..n-1.  Element numbering follows the
+deterministic BFS discovery order of Froidure-Pin's closure (words compared
+by length first, ties broken by generator position as listed in the input),
+and a semigroup keeps the right Cayley graph as one column per generator
+plus the BFS tree, from which an element's shortlex generator-word witness
+is spelled on demand.  Every semigroup keeps that order as `_order` (a
+table's own numbering may differ from it), so each element comes after its
+witness-tree `_parent`.  A closure multiplies by gathers on its carriers'
+packed points and keeps no table until `.table` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import eq, itemgetter
 
 from .errors import (
     CapExceeded,
@@ -33,10 +37,11 @@ DEFAULT_CAP = 2_000_000  # element cap of a closure unless the caller passes one
 #
 # A carrier (a PartialTransformation here, a RowMonomialMatrix in `wreath`)
 # is a packed tuple `_b` of points in [0, N), N standing for "no point", and
-# a right table, built on first use by `_right()`, that sends each point q
-# to the point of q*carrier and N to N.  x*y is then one gather of x's
-# points through y's table, and `_wrap(b)` makes a carrier of x's kind from
-# packed points without validation (products of valid carriers are valid).
+# a right table that sends each point q to the point of q*carrier and N to
+# N: `_right_table()` builds it, `_right()` builds it on first use and keeps
+# it.  x*y is then one gather of x's points through y's table, and
+# `_wrap(b)` makes a carrier of x's kind from packed points without
+# validation (products of valid carriers are valid).
 
 
 def pack_points(points, sentinel):
@@ -96,9 +101,12 @@ class PartialTransformation:
         new._pad = None
         return new
 
+    def _right_table(self):
+        return right_table(self._b, self.dim)
+
     def _right(self):
         if self._pad is None:
-            self._pad = right_table(self._b, self.dim)
+            self._pad = self._right_table()
         return self._pad
 
     @property
@@ -157,7 +165,11 @@ class FiniteSemigroup:
 
     `names` optionally carries a payload per element (the carrier object the
     index stands for: a transformation, a matrix, an element of a larger
-    semigroup, ...).
+    semigroup, ...).  The right Cayley graph is kept as one column per
+    generator, `_cols[j][x]` being x times generator j, and the witness tree
+    as `_parent` and `_lastgen`: x is `_parent[x]` (None for a generator)
+    times generator `_lastgen[x]`.  A closure also keeps `_index`, its
+    elements' packed points to their indices, which its products look up.
     """
 
     def __init__(self, table, generators=None, *, names=None, zero="auto",
@@ -176,9 +188,10 @@ class FiniteSemigroup:
             raise ValueError("generator out of range")
         self.n = n
         self._table = table
+        self._index = None
         self.generators = list(generators)
         self.names = list(names) if names is not None else None
-        self._cayley = [[table[x][g] for g in self.generators] for x in range(n)]
+        self._cols = [[row[g] for row in table] for g in self.generators]
         self._derive_witnesses()
         if check:
             self._check_associative()
@@ -194,16 +207,16 @@ class FiniteSemigroup:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def _from_closure(cls, names, cayley, gen_elts, witness, parent, lastgen):
+    def _from_closure(cls, names, cols, gen_elts, parent, lastgen, index):
         self = object.__new__(cls)
         self.n = len(names)
         self.names = list(names)
         self.generators = list(gen_elts)
-        self._cayley = cayley
-        self.witness = witness
+        self._cols = cols
         self._parent = parent
         self._lastgen = lastgen
         self._order = range(self.n)
+        self._index = index
         self._table = None
         self.zero = self._find_zero()
         self.identity = self._find_identity()
@@ -226,51 +239,32 @@ class FiniteSemigroup:
                     raise ValueError(f"table not associative at ({x},{a},{y})")
 
     def _derive_witnesses(self):
-        # BFS over right multiplication by generators; shortlex witnesses.
+        # BFS over right multiplication by generators: the shortlex witness
+        # tree, an element being unseen while its `lastgen` is None
         n = self.n
-        witness = [None] * n
         parent = [None] * n
         lastgen = [None] * n
         order = []
         for j, g in enumerate(self.generators):
-            if witness[g] is None:
-                witness[g] = (j,)
+            if lastgen[g] is None:
                 lastgen[g] = j
                 order.append(g)
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for j in range(len(self.generators)):
-                y = self._cayley[x][j]
-                if witness[y] is None:
-                    witness[y] = witness[x] + (j,)
+        for x in order:  # grows while it is walked
+            for j, col in enumerate(self._cols):
+                y = col[x]
+                if lastgen[y] is None:
                     parent[y] = x
                     lastgen[y] = j
                     order.append(y)
         if len(order) != n:
             raise ValueError("generators do not generate the semigroup")
-        self.witness = witness
         self._parent = parent
         self._lastgen = lastgen
         self._order = order
 
     def _materialize_table(self):
-        # Fill the table column by column in discovery order:
-        # x*(z*g) = (x*z)*g needs only Cayley lookups.
-        n = self.n
-        table = [[0] * n for _ in range(n)]
-        cay = self._cayley
-        for y in self._order:
-            if self._parent[y] is None:
-                j = self._lastgen[y]
-                for x in range(n):
-                    table[x][y] = cay[x][j]
-            else:
-                z, j = self._parent[y], self._lastgen[y]
-                for x in range(n):
-                    table[x][y] = cay[table[x][z]][j]
-        self._table = table
+        # column y of the table is the right action of y on all of S
+        self._table = [list(row) for row in zip(*self.right_action(range(self.n)))]
 
     # -- basic operations -------------------------------------------------
 
@@ -286,34 +280,41 @@ class FiniteSemigroup:
         return self._table
 
     def mul(self, x, y):
+        """x*y: a table lookup, or on a closure one gather of x's packed
+        points through y's right table, looked up in the key index."""
         if self._table is not None:
             return self._table[x][y]
-        cur = x
-        for j in self.witness[y]:
-            cur = self._cayley[cur][j]
-        return cur
+        names = self.names
+        return self._index[gatherer(names[x]._b)(names[y]._right())]
+
+    def is_idempotent(self, x):
+        """Whether x*x = x; on a closure the gather of `mul`, through a right
+        table of x that is not kept."""
+        if self._table is not None:
+            return self._table[x][x] == x
+        b = self.names[x]._b
+        return gatherer(b)(self.names[x]._right_table()) == b
 
     def left_row(self, g):
-        """Row of left multiplication by element g: [g*x for x in S]."""
+        """Row of left multiplication by element g: [g*x for x in S], one
+        Cayley lookup per element along the witness tree."""
         if self._table is not None:
             return self._table[g]
-        n = self.n
-        row = [None] * n
+        cols, parent, lastgen = self._cols, self._parent, self._lastgen
+        row = [None] * self.n
         for y in self._order:
-            if self._parent[y] is None:
-                row[y] = self._cayley[g][self._lastgen[y]]
-            else:
-                row[y] = self._cayley[row[self._parent[y]]][self._lastgen[y]]
+            p = parent[y]
+            row[y] = cols[lastgen[y]][g if p is None else row[p]]
         return row
 
     def right_action(self, points):
         """Per element s, the tuple (x*s for x in points): one fold along the
         witness tree, where x*(p*g) = (x*p)*g is one Cayley lookup."""
-        cay, parent, lastgen = self._cayley, self._parent, self._lastgen
+        cols, parent, lastgen = self._cols, self._parent, self._lastgen
         acts = [None] * self.n
         for s in self._order:
-            p, j = parent[s], lastgen[s]
-            acts[s] = tuple(cay[x][j] for x in (points if p is None else acts[p]))
+            p = parent[s]
+            acts[s] = tuple(map(cols[lastgen[s]].__getitem__, points if p is None else acts[p]))
         return acts
 
     def left_action(self, points):
@@ -333,7 +334,7 @@ class FiniteSemigroup:
         generators and the right Cayley graph (they determine every product)
         in O(|S| * k), so no table is materialized."""
         return self is other or (
-            self.generators == other.generators and self._cayley == other._cayley
+            self.generators == other.generators and self._cols == other._cols
         )
 
     def eval_word(self, word):
@@ -343,8 +344,17 @@ class FiniteSemigroup:
             raise ValueError("empty word")
         cur = self.generators[word[0]]
         for j in word[1:]:
-            cur = self._cayley[cur][j]
+            cur = self._cols[j][cur]
         return cur
+
+    def word(self, x):
+        """The shortlex witness word of x, as generator positions, spelled
+        from the witness tree."""
+        word = []
+        while x is not None:
+            word.append(self._lastgen[x])
+            x = self._parent[x]
+        return tuple(reversed(word))
 
     def power(self, s, k):
         if k < 1:
@@ -371,26 +381,24 @@ class FiniteSemigroup:
         first = seen[cur]
         return first, e - first
 
-    def is_idempotent(self, x):
-        return self.mul(x, x) == x
-
-    def idempotent_list(self):
-        return [x for x in range(self.n) if self.is_idempotent(x)]
+    def _right_solutions(self, images):
+        """The elements x, ascending, with x*g = images[j][x] for each
+        generator g at position j: one C-level comparison per column."""
+        n = self.n
+        hits = [set(compress(range(n), map(eq, col, want)))
+                for col, want in zip(self._cols, images)]
+        return sorted(set.intersection(*hits)) if hits else []
 
     def _find_zero(self):
-        k = len(self.generators)
-        for z, row in enumerate(self._cayley):
-            # one C-level scan of the right Cayley row first, then the left side
-            if row.count(z) == k and {self.mul(g, z) for g in self.generators} == {z}:
-                return z
-        return None
+        # a zero is the only left zero (z*s = z for all s), and a lone left
+        # zero z is a zero, since every s*z is again a left zero
+        left_zeros = self._right_solutions([range(self.n)] * len(self.generators))
+        return left_zeros[0] if len(left_zeros) == 1 else None
 
     def _find_identity(self):
         gelts = self.generators
-        for e, row in enumerate(self._cayley):
-            if row == gelts and all(self.mul(g, e) == g for g in gelts):
-                return e
-        return None
+        return next((e for e in self._right_solutions([repeat(g) for g in gelts])
+                     if all(self.mul(g, e) == g for g in gelts)), None)
 
     def green(self):
         if self._green is None:
@@ -399,7 +407,7 @@ class FiniteSemigroup:
 
     def word_letters(self, x, letters):
         """Witness word of x spelled with the given generator labels."""
-        return tuple(letters[j] for j in self.witness[x])
+        return tuple(letters[j] for j in self.word(x))
 
     def __repr__(self):
         return f"FiniteSemigroup(n={self.n}, gens={len(self.generators)})"
@@ -410,9 +418,11 @@ def close_generators(gens, cap=DEFAULT_CAP):
 
     Froidure-Pin's right-Cayley BFS by shortlex generator words, run on the
     packed points: an element's successors are one gather of its points
-    through each generator's right table, looked up as `bytes` or tuples,
-    and each element is wrapped as a carrier once the closure is done.
-    Returns a FiniteSemigroup whose `names` are the carriers.
+    through each generator's right table, looked up as `bytes` or tuples in
+    the key index and appended to that generator's Cayley column.  Every
+    element, generators included, counts against `cap`, and each is wrapped
+    as a carrier once the closure is done.  Returns a FiniteSemigroup whose
+    `names` are the carriers.
     """
     gens = list(gens)
     if not gens:
@@ -426,24 +436,27 @@ def close_generators(gens, cap=DEFAULT_CAP):
     index = {}
     keys = []
     names = []
-    witness = []
     parent = []
     lastgen = []
     gen_elts = []
     for j, g in enumerate(gens):
         at = index.get(g._b)
         if at is None:
-            at = index[g._b] = len(keys)
+            at = len(keys)
+            if at >= cap:
+                raise CapExceeded(cap, "element closure")
+            index[g._b] = at
             keys.append(g._b)
             names.append(g)
-            witness.append((j,))
             parent.append(None)
             lastgen.append(j)
         gen_elts.append(at)
-    cayley = []
+    cols = [[] for _ in gens]
+    steps = list(enumerate(zip(tables, cols)))
     for head, x in enumerate(keys):  # keys grows while it is walked
-        row = []
-        for j, y in enumerate(map(gatherer(x), tables)):
+        gather = gatherer(x)
+        for j, (table, col) in steps:
+            y = gather(table)
             at = index.get(y)
             if at is None:
                 at = len(keys)
@@ -451,13 +464,11 @@ def close_generators(gens, cap=DEFAULT_CAP):
                     raise CapExceeded(cap, "element closure")
                 index[y] = at
                 keys.append(y)
-                witness.append(witness[head] + (j,))
                 parent.append(head)
                 lastgen.append(j)
-            row.append(at)
-        cayley.append(row)
+            col.append(at)
     names += map(first._wrap, keys[len(names):])
-    return FiniteSemigroup._from_closure(names, cayley, gen_elts, witness, parent, lastgen)
+    return FiniteSemigroup._from_closure(names, cols, gen_elts, parent, lastgen, index)
 
 
 # -- Green's relations --------------------------------------------------
@@ -475,18 +486,19 @@ class GreenStructure:
     l_classes: tuple
     j_classes: tuple
     h_classes: tuple
-    j_below: tuple  # per J-class id, frozenset of class ids <=_J it (incl. itself)
+    j_below: tuple  # per J-class id c, the bitmask of the class ids <=_J c (bit c set)
     regular: tuple
     anchors: tuple  # per J-class id, its least idempotent, None when not regular
 
     def leq_j(self, a, b):
         """a <=_J b on J-class ids."""
-        return a in self.j_below[b]
+        return (self.j_below[b] >> a) & 1 == 1
 
     def minimal_among(self, ids):
         """The <=_J-minimal class ids among the given class ids, ascending."""
-        ids = set(ids)
-        return sorted(c for c in ids if len(self.j_below[c] & ids) == 1)
+        ids = sorted(set(ids))
+        mask = sum(1 << c for c in ids)
+        return [c for c in ids if (self.j_below[c] & mask) == 1 << c]
 
     def zero_minimal_j_classes(self, zero):
         """The J-classes whose only class strictly below is the zero's."""
@@ -499,24 +511,26 @@ class GreenStructure:
         return self.anchors[c]
 
 
-def _classes_within(rows, j_class):
-    """R-classes (rows = right Cayley graph) or L-classes (left columns).
+def _classes_within(cols, j_class):
+    """R-classes (cols = right Cayley columns) or L-classes (left rows).
 
     By stability, the R-class of x is what x reaches along right Cayley
     edges inside its J-class (dually for L). Walking from each unlabelled
     node in increasing order starts every class at its least member, so the
     numbering is the one `sccs` gives.
     """
-    cls = [None] * len(rows)
+    n = len(j_class)
+    cls = [None] * n
     classes = []
-    for x in range(len(rows)):
+    for x in range(n):
         if cls[x] is not None:
             continue
         c, jx = len(classes), j_class[x]
         cls[x] = c
         members = [x]
         for v in members:  # grows while it is walked
-            for w in rows[v]:
+            for col in cols:
+                w = col[v]
                 if cls[w] is None and j_class[w] == jx:
                     cls[w] = c
                     members.append(w)
@@ -529,12 +543,12 @@ def green_structure(S):
     """Green's relations from one Tarjan pass on the two-sided Cayley graph:
     J-classes and the J-order from its condensation, R and L by stability."""
     n = S.n
-    right = S._cayley
-    cols = list(zip(*(S.left_row(g) for g in S.generators)))
-    adj = [(*r, *c) for r, c in zip(right, cols)]
+    right = S._cols
+    left = [S.left_row(g) for g in S.generators]
+    adj = list(zip(*right, *left))
     j_class, j_classes, done = sccs(n, adj.__getitem__)
     r_class, r_classes = _classes_within(right, j_class)
-    l_class, l_classes = _classes_within(cols, j_class)
+    l_class, l_classes = _classes_within(left, j_class)
 
     # (R, L) pairs first met in increasing x are numbered by least member
     pair_ids = {}
@@ -543,19 +557,17 @@ def green_structure(S):
     for x, h in enumerate(h_class):
         h_classes[h].append(x)
 
-    # the J-order, folded over the condensation sinks first
-    nc = len(j_classes)
-    succ = [set() for _ in range(nc)]
-    for v in range(n):
-        succ[j_class[v]].update(map(j_class.__getitem__, adj[v]))
-    j_below = [None] * nc
+    # the J-order as bitmasks, folded over the condensation sinks first
+    to_class = j_class.__getitem__
+    j_below = [0] * len(j_classes)
     for c in done:
-        # copied through a set: frozenset.union would keep the union's slack
-        j_below[c] = frozenset(set((c,)).union(*(j_below[d] for d in succ[c] if d != c)))
+        below = 1 << c
+        for d in set(map(to_class, chain.from_iterable(map(adj.__getitem__, j_classes[c])))):
+            below |= j_below[d]
+        j_below[c] = below
 
-    anchors = [None] * nc
-    for e in reversed(S.idempotent_list()):  # the least one per class is set last
-        anchors[j_class[e]] = e
+    # the least idempotent of each class: its members scanned in ascending order
+    anchors = tuple(next(filter(S.is_idempotent, members), None) for members in j_classes)
 
     return GreenStructure(
         r_class=r_class,
@@ -568,7 +580,7 @@ def green_structure(S):
         h_classes=tuple(map(tuple, h_classes)),
         j_below=tuple(j_below),
         regular=tuple(a is not None for a in anchors),
-        anchors=tuple(anchors),
+        anchors=anchors,
     )
 
 
@@ -613,12 +625,13 @@ def apex(S, A):
         raise ValueError("A is empty")
     g = S.green()
     inside = {g.j_class[a] for a in A}
+    inside_mask = sum(1 << c for c in inside)
     # factorial: every factor (J-above element) of a member is a member
     for c, below in enumerate(g.j_below):
-        if not below.isdisjoint(inside):
+        if below & inside_mask:
             b = next((b for b in g.j_classes[c] if b not in A), None)
             if b is not None:
-                raise NotFactorial((min(a for a in A if g.j_class[a] in below), b))
+                raise NotFactorial((min(a for a in A if g.leq_j(g.j_class[a], c)), b))
     # irreducible: for all u, v in A some u*w*v lies in A; it has a class
     # below both, so u, v from two minimal classes fail, and so does u = v
     # in a non-regular least class, since u*w*u J u makes it regular

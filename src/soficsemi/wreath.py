@@ -96,19 +96,22 @@ class RowMonomialMatrix:
         new._pad = None
         return new
 
+    def _right_table(self):
+        entries = self.entries
+        n, dead = len(entries.columns), entries.dead
+        sentinel = len(self._b) * n
+        images = []
+        for q in self._b:
+            if q == sentinel:
+                images += [sentinel] * n
+            else:
+                c, t = divmod(q, n)
+                images += [sentinel if s == dead else c * n + s for s in entries.columns[t]]
+        return right_table(images, sentinel)
+
     def _right(self):
         if self._pad is None:
-            entries = self.entries
-            n, dead = len(entries.columns), entries.dead
-            sentinel = len(self._b) * n
-            images = []
-            for q in self._b:
-                if q == sentinel:
-                    images += [sentinel] * n
-                else:
-                    c, t = divmod(q, n)
-                    images += [sentinel if s == dead else c * n + s for s in entries.columns[t]]
-            self._pad = right_table(images, sentinel)
+            self._pad = self._right_table()
         return self._pad
 
     @property

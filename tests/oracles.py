@@ -24,7 +24,8 @@ def close_by_products(gens, cap=DEFAULT_CAP):
 
     The same BFS by shortlex generator words as `close_generators`, with a
     carrier dict in place of the packed points: each product makes its
-    carrier and looks it up through its `__hash__` and `__eq__`.
+    carrier and looks it up through its `__hash__` and `__eq__`. Carriers
+    without packed points (`_b`) give a semigroup with a table.
     """
     gens = list(gens)
     if not gens:
@@ -35,7 +36,6 @@ def close_by_products(gens, cap=DEFAULT_CAP):
             raise DimensionMismatch("generators have mixed dimensions")
     index = {}
     elems = []
-    witness = []
     parent = []
     lastgen = []
     gen_elts = []
@@ -44,17 +44,17 @@ def close_by_products(gens, cap=DEFAULT_CAP):
             gen_elts.append(index[g])
             continue
         idx = len(elems)
+        if idx >= cap:
+            raise CapExceeded(cap, "element closure")
         index[g] = idx
         elems.append(g)
-        witness.append((j,))
         parent.append(None)
         lastgen.append(j)
         gen_elts.append(idx)
-    cayley = []
+    cols = [[] for _ in gens]
     head = 0
     while head < len(elems):
         x = elems[head]
-        row = []
         for j, g in enumerate(gens):
             y = x * g
             at = index.get(y)
@@ -64,13 +64,38 @@ def close_by_products(gens, cap=DEFAULT_CAP):
                     raise CapExceeded(cap, "element closure")
                 index[y] = at
                 elems.append(y)
-                witness.append(witness[head] + (j,))
                 parent.append(head)
                 lastgen.append(j)
-            row.append(at)
-        cayley.append(row)
+            cols[j].append(at)
         head += 1
-    return FiniteSemigroup._from_closure(elems, cayley, gen_elts, witness, parent, lastgen)
+    if not hasattr(gens[0], "_b"):  # no packed points to gather: a table semigroup
+        return FiniteSemigroup(table_from_cayley(cols, parent, lastgen), gen_elts,
+                               names=elems, check=False)
+    packed = {x._b: i for i, x in enumerate(elems)}
+    return FiniteSemigroup._from_closure(elems, cols, gen_elts, parent, lastgen, packed)
+
+
+def table_from_cayley(cols, parent, lastgen):
+    """The multiplication table of a closure from its right Cayley columns:
+    column y of the table is column parent[y] moved by generator lastgen[y]
+    (a parent is numbered before its children)."""
+    columns = []
+    for p, j in zip(parent, lastgen):
+        columns.append(cols[j] if p is None else [cols[j][v] for v in columns[p]])
+    return [list(row) for row in zip(*columns)]
+
+
+def walk_mul(S, x, y):
+    """x*y by walking the witness word of y from x along the right Cayley
+    graph: no table and no carrier."""
+    for j in S.word(y):
+        x = S._cols[j][x]
+    return x
+
+
+def walk_idempotents(S):
+    """The idempotents of S, ascending, each found by one witness walk."""
+    return [x for x in range(S.n) if walk_mul(S, x, x) == x]
 
 
 def apex_pairwise(S, A):
@@ -110,9 +135,14 @@ def minimal_ideal_of_subset(S, subset):
     table = [[pos[S.mul(x, y)] for y in subset] for x in subset]
     sub = FiniteSemigroup(table, names=subset, check=False)
     g = sub.green()
-    bottoms = [c for c in range(len(g.j_classes)) if g.j_below[c] == {c}]
+    bottoms = [c for c in range(len(g.j_classes)) if j_below_set(g, c) == {c}]
     check(len(bottoms) == 1, "a finite semigroup has a unique kernel", bottoms)
     return frozenset(subset[i] for i in g.j_classes[bottoms[0]])
+
+
+def j_below_set(g, c):
+    """The set of J-class ids <=_J c, read off the bitmask `g.j_below[c]`."""
+    return {d for d in range(len(g.j_classes)) if g.leq_j(d, c)}
 
 
 def out_edges(P, state, letter=None):

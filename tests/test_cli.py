@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from corpus import golden_mean, period_shift
+from corpus import full_shift, golden_mean, period_shift
+from oracles import j_below_set
 from soficsemi import cli, entropy, shiftspace, syntactic
 from soficsemi.cli import _format_bound, _print_eggbox, main
 from soficsemi.finsemi import format_semigroup
@@ -272,12 +273,66 @@ def test_cap_binds_on_every_closure(capsys, gm_path, verb):
     assert out.startswith("ERR cap")
 
 
+def test_cap_counts_generators(capsys, tmp_path):
+    """The full shift's syntactic semigroup is its one distinct generator,
+    which counts against the cap like every other element."""
+    p = tmp_path / "full2.pres"
+    p.write_text(format_presentation(full_shift(2)))
+    code, out = run(capsys, ["--cap", "0", "syntactic", str(p)])
+    assert code == 2
+    assert out.startswith("ERR cap")
+    code, out = run(capsys, ["--cap", "1", "syntactic", str(p)])
+    assert code == 0
+    assert out.startswith("semigroup_size 1\n")
+
+
+def test_every_verb_emits_json(capsys, tmp_path, gm_path):
+    """Under --format json every verb prints one JSON object: `green` the
+    counts of `syntactic`, `fischer` and `block` their presentation text,
+    `cover` its report and its cover text, each as the TSV output has it."""
+    sg = tmp_path / "gm.sg"
+    sg.write_text(format_semigroup(syntactic.syntactic_semigroup(golden_mean()).semigroup))
+    h = tmp_path / "z2.sg"
+    h.write_text("semigroup 2 1\n0 1\n1 0\ngenerators 1\nidentity 0\n")
+    spec = tmp_path / "cover.spec"
+    spec.write_text("e ab\nz a\nextra c\n")
+    argvs = {
+        "syntactic": ["syntactic", gm_path],
+        "green": ["green", str(sg)],
+        "aggm": ["aggm", gm_path],
+        "fischer": ["fischer", gm_path],
+        "block": ["block", gm_path, "2"],
+        "witness": ["witness", gm_path],
+        "entropy": ["entropy", gm_path, "--nmax", "6"],
+        "idempotent": ["idempotent", gm_path, "0"],
+        "cover": ["cover", gm_path, str(h), str(spec)],
+    }
+    assert set(argvs) == set(cli.make_parser()) - {None}
+    tsv, objects = {}, {}
+    for verb, argv in argvs.items():
+        code, tsv[verb] = run(capsys, argv)
+        assert code == 0, verb
+        code, out = run(capsys, ["--format", "json", *argv])
+        assert code == 0, verb
+        assert out.endswith("}\n") and out.count("\n") == 1, verb
+        objects[verb] = json.loads(out)
+        assert isinstance(objects[verb], dict), verb
+    assert objects["green"] == objects["syntactic"]
+    for verb in ("fischer", "block"):
+        assert objects[verb] == {"presentation": tsv[verb]}
+    report = dict(objects["cover"])
+    cover_text = report.pop("cover")
+    pairs = "".join(f"{k} {str(v).lower() if isinstance(v, bool) else v}\n"
+                    for k, v in sorted(report.items()))
+    assert tsv["cover"] == pairs + cover_text
+
+
 def eggbox_by_cell_scan(S):
     """The eggbox printed by rescanning the J-class for every cell: the
     oracle for the bucketed version."""
     g = S.green()
     order = sorted(
-        range(len(g.j_classes)), key=lambda c: (len(g.j_below[c]), min(g.j_classes[c]))
+        range(len(g.j_classes)), key=lambda c: (len(j_below_set(g, c)), min(g.j_classes[c]))
     )
     out = []
     for c in order:

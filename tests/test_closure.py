@@ -1,34 +1,74 @@
 """`close_generators` on packed carriers against the product-by-product
 closure of `oracles.close_by_products`."""
 
+import itertools
+import random
+
 import pytest
 
-from corpus import corpus_presentations, cyclic_group, even_shift, golden_mean
-from oracles import close_by_products
-from soficsemi import build_cover, factor_dfa, syntactic_semigroup
+from corpus import corpus_presentations, cyclic_group, even_shift, golden_mean, random_presentation
+from oracles import close_by_products, walk_idempotents, walk_mul
+from soficsemi import build_cover, cli, factor_dfa, syntactic_semigroup
 from soficsemi.errors import CapExceeded, DimensionMismatch
-from soficsemi.finsemi import PartialTransformation, close_generators
+from soficsemi.finsemi import (
+    TABLE_LIMIT,
+    FiniteSemigroup,
+    PartialTransformation,
+    close_generators,
+)
+from soficsemi.shiftspace import format_presentation
 from soficsemi.wreath import EntrySemigroup, RowMonomialMatrix
 
 
 def assert_same_closure(gens):
     """Both closures give the same elements, numbering, Cayley graph and
-    witnesses; the closure at cap |S| passes, and at |S| - 1 it stops
-    unless the generators are all of S (they are not counted against it)."""
+    witness tree, and products and idempotents that agree with the walk
+    oracle; the closure at cap |S| passes, and at |S| - 1 it stops,
+    generators counted."""
     S, oracle = close_generators(gens), close_by_products(gens)
-    assert S._cayley == oracle._cayley
+    assert S._cols == oracle._cols
     assert S.generators == oracle.generators
-    assert S.witness == oracle.witness
+    assert (S._parent, S._lastgen) == (oracle._parent, oracle._lastgen)
     assert S.names == oracle.names
     assert (S.zero, S.identity) == (oracle.zero, oracle.identity)
-    assert close_generators(gens, cap=S.n)._cayley == S._cayley
+    assert_products_match_walk(S, some_pairs(S))
+    assert close_generators(gens, cap=S.n)._cols == S._cols
     for close in (close_generators, close_by_products):
-        if S.n > len(set(S.generators)):
-            with pytest.raises(CapExceeded):
-                close(gens, cap=S.n - 1)
-        else:
-            assert close(gens, cap=S.n - 1)._cayley == S._cayley
+        with pytest.raises(CapExceeded):
+            close(gens, cap=S.n - 1)
     return S
+
+
+def some_pairs(S, limit=500, samples=20000):
+    """Every pair of elements up to `limit` elements, else seeded samples."""
+    if S.n <= limit:
+        return itertools.product(range(S.n), repeat=2)
+    rng = random.Random(S.n)
+    return [(rng.randrange(S.n), rng.randrange(S.n)) for _ in range(samples)]
+
+
+def assert_products_match_walk(S, pairs):
+    """`S.mul` on the given pairs and `S.is_idempotent` on their left
+    factors, on a closure with no table, agree with the witness walk."""
+    assert S._table is None
+    pairs = list(pairs)
+    for x, y in pairs:
+        assert S.mul(x, y) == walk_mul(S, x, y), (x, y)
+    for x in sorted({x for x, _ in pairs}):
+        assert S.is_idempotent(x) == (walk_mul(S, x, x) == x), x
+    assert S._table is None
+
+
+def assert_anchors_match_idempotents(S):
+    """Each J-class's anchor is its least idempotent, and a class is regular
+    when it has one, by a witness-walk scan over every element."""
+    g = S.green()
+    least = {}
+    for e in walk_idempotents(S):
+        least.setdefault(g.j_class[e], e)
+    classes = range(len(g.j_classes))
+    assert g.anchors == tuple(least.get(c) for c in classes)
+    assert g.regular == tuple(c in least for c in classes)
 
 
 def letter_actions(dfa):
@@ -40,6 +80,44 @@ def test_corpus_syntactic_closures_match_oracle():
     for name, P in corpus_presentations():
         S = assert_same_closure(letter_actions(factor_dfa(P)))
         assert S.n == syntactic_semigroup(P).semigroup.n, name
+        assert_anchors_match_idempotents(S)
+
+
+ANCHORS = {22: 10, 159: 18}  # anchor seed: states, over abc
+
+
+@pytest.mark.parametrize("seed", list(ANCHORS))
+def test_anchor_products_and_anchors_match_walk(seed):
+    S = syntactic_semigroup(random_presentation(seed, ANCHORS[seed], "abc")).semigroup
+    assert S.n > TABLE_LIMIT
+    assert_products_match_walk(S, some_pairs(S, limit=0, samples=2000))
+    assert_anchors_match_idempotents(S)
+
+
+def test_syntactic_keeps_no_row_or_word_per_element(capsys, monkeypatch, tmp_path):
+    """`syntactic` on anchor seed 159 keeps its Cayley graph as columns and
+    spells no witness word: no attribute of the semigroup holds a list or
+    tuple per element."""
+    made = []
+    real = cli.syntactic_mod.syntactic_semigroup
+
+    def recording(*args, **kwargs):
+        D = real(*args, **kwargs)
+        made.append(D.semigroup)
+        return D
+
+    monkeypatch.setattr(cli.syntactic_mod, "syntactic_semigroup", recording)
+    monkeypatch.setattr(FiniteSemigroup, "word", None)
+    path = tmp_path / "a159.pres"
+    path.write_text(format_presentation(random_presentation(159, ANCHORS[159], "abc")))
+    assert cli.main(["syntactic", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("semigroup_size 12258\n")
+    (S,) = made
+    assert S._table is None and len(S._cols) == 3
+    per_element = [name for name, v in vars(S).items()
+                   if isinstance(v, (list, tuple)) and len(v) == S.n
+                   and any(isinstance(item, (list, tuple)) for item in v)]
+    assert per_element == []
 
 
 def wide_maps(dim):
@@ -91,8 +169,8 @@ def test_cover_closures_match_oracle(shift, k):
     inner = S.names[0].entries
     assert inner.dead is not None
     T = inner.semigroup
-    assert_same_closure([T.names[g] for g in T.generators])
-    assert_same_closure([S.names[g] for g in S.generators])
+    assert_anchors_match_idempotents(assert_same_closure([T.names[g] for g in T.generators]))
+    assert_anchors_match_idempotents(assert_same_closure([S.names[g] for g in S.generators]))
 
 
 def test_mixed_generators_raise_dimension_mismatch():

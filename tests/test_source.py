@@ -8,8 +8,8 @@ import sys
 
 import soficsemi
 
-WITNESS_TREE_FIELDS = {"_order", "_parent", "_lastgen", "_cayley"}
-PACKED_FIELDS = {"_b", "_pad", "_right", "_wrap"}  # packed points, the right table
+WITNESS_TREE_FIELDS = {"_order", "_parent", "_lastgen", "_cols", "_index"}
+PACKED_FIELDS = {"_b", "_pad", "_right", "_right_table", "_wrap"}  # packed points, right tables
 
 
 def package_trees():

@@ -35,7 +35,7 @@ from soficsemi import (
     syntactic_semigroup,
 )
 from soficsemi.errors import NoCompatibleTriangle, NotAGGM
-from oracles import context_profile_classes, in_language
+from oracles import context_profile_classes, in_language, j_below_set
 from soficsemi.finsemi import parse_semigroup
 from soficsemi.syntactic import (
     _faithful_both_sides,
@@ -253,7 +253,7 @@ def is_aggm_oracle(S):
         c
         for c, J in enumerate(g.j_classes)
         if c != zcls
-        and g.j_below[c] <= {c, zcls}
+        and j_below_set(g, c) <= {c, zcls}
         and g.regular[c]
         and faithful_oracle(S, set(J) | ({S.zero} - {None}))
         and all(len(g.h_classes[g.h_class[x]]) == 1 for x in J)
@@ -279,7 +279,7 @@ def assert_aggm_matches_oracle(S):
     g = S.green()
     zcls = None if S.zero is None else g.j_class[S.zero]
     for c, J in enumerate(g.j_classes):
-        if c != zcls and g.j_below[c] <= {c, zcls}:
+        if c != zcls and j_below_set(g, c) <= {c, zcls}:
             ideal = set(J) | ({S.zero} - {None})
             assert _faithful_both_sides(S, J) == faithful_oracle(S, ideal), c
         assert list(separating_contexts(S, J).values()) == separating_contexts_oracle(S, J), c

@@ -588,7 +588,7 @@ def assert_matches_object_closure(D, res, alpha):
             for g in S.generators]
     oracle = close_by_products(gens, cap=10 ** 6)
     assert oracle.n == S.n and oracle.generators == S.generators
-    assert oracle._cayley == S._cayley
+    assert oracle._cols == S._cols
     assert all(oracle.names[x].rows == decoded_rows(S.names[x]) for x in range(S.n))
     for g in S.generators:  # the cyclic renaming, also for shifts other than the column
         for shift in range(res.p):
