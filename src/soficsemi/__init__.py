@@ -3,9 +3,7 @@ semigroups: Green's relations, the AGGM characterization, Fischer covers,
 row-monomial wreath covers, computable idempotents, and entropy."""
 
 from .entropy import (
-    ComplexityProfile,
     EntropyResult,
-    complexity,
     entropy_estimate,
     entropy_gap_check,
     spectral_radius,

@@ -16,40 +16,11 @@ from .graph import sccs
 from .shiftspace import factor_dfa
 
 
-@dataclass
-class ComplexityProfile:
-    counts: tuple  # q(1) .. q(n_max)
-    entropy_upper: float  # min over computed (1/n) log2 q(n)
-    perron_estimate: float
-
-
 def _ratio_estimate(counts):
     """Ratio-based estimate log2(q(n)/q(n-1)); 0 exactly when q stalls."""
     if len(counts) < 2 or counts[-1] == counts[-2]:
         return 0.0
     return math.log2(counts[-1] / counts[-2])
-
-
-def _checked_counts(P, n_max):
-    """The factor DFA and q(1..n_max), checked positive and submultiplicative."""
-    if not 1 <= n_max <= 64:
-        raise ValueError(f"n_max must lie in 1..64, got {n_max}")
-    d = factor_dfa(P)
-    counts = d.count_words(n_max)
-    check(all(c > 0 for c in counts), "factor counts must be positive", counts)
-    for n in range(1, n_max + 1):
-        for m in range(1, n_max - n + 1):
-            check(counts[n + m - 1] <= counts[n - 1] * counts[m - 1],
-                  "submultiplicativity fails", (n, m))
-    return d, counts
-
-
-def complexity(P, n_max):
-    d, counts = _checked_counts(P, n_max)
-    upper = min(math.log2(counts[n - 1]) / n for n in range(1, n_max + 1))
-    perron = math.log2(_live_spectral_radius(d, tol=1e-12))
-    check(upper >= perron - 1e-9, "counting bounds must dominate the entropy", (upper, perron))
-    return ComplexityProfile(tuple(counts), upper, perron)
 
 
 def _live_adjacency(d):
@@ -62,10 +33,6 @@ def _live_adjacency(d):
             if r in pos:
                 mat[pos[q]][pos[r]] += 1
     return mat
-
-
-def _live_spectral_radius(d, tol):
-    return spectral_radius(_live_adjacency(d), tol)
 
 
 def spectral_radius(mat, tol=1e-9, max_iter=200000):
@@ -114,8 +81,19 @@ class EntropyResult:
 
 
 def entropy_estimate(P, n_max=24, tol=1e-9):
-    d, counts = _checked_counts(P, n_max)
-    value = math.log2(_live_spectral_radius(d, tol))
+    """Entropy as log2 of the live-state spectral radius, certified by the
+    factor counts q(1..n_max): they must be positive and submultiplicative,
+    and every counting bound (1/n) log2 q(n) must dominate the entropy."""
+    if not 1 <= n_max <= 64:
+        raise ValueError(f"n_max must lie in 1..64, got {n_max}")
+    d = factor_dfa(P)
+    counts = d.count_words(n_max)
+    check(all(c > 0 for c in counts), "factor counts must be positive", counts)
+    for n in range(1, n_max + 1):
+        for m in range(1, n_max - n + 1):
+            check(counts[n + m - 1] <= counts[n - 1] * counts[m - 1],
+                  "submultiplicativity fails", (n, m))
+    value = math.log2(spectral_radius(_live_adjacency(d), tol))
     cert = tuple((n, q, math.log2(q) / n) for n, q in enumerate(counts, 1))
     for n, _, ub in cert:
         check(ub >= value - 10 * tol, "counting bound below the entropy", n)

@@ -172,8 +172,7 @@ class FiniteSemigroup:
     elements' packed points to their indices, which its products look up.
     """
 
-    def __init__(self, table, generators=None, *, names=None, zero="auto",
-                 identity="auto", check=True):
+    def __init__(self, table, generators=None, *, names=None, check=True):
         table = [list(row) for row in table]
         n = len(table)
         for row in table:
@@ -195,12 +194,8 @@ class FiniteSemigroup:
         self._derive_witnesses()
         if check:
             self._check_associative()
-        self.zero = self._find_zero() if zero == "auto" else zero
-        self.identity = self._find_identity() if identity == "auto" else identity
-        if zero != "auto" and zero is not None:
-            for s in range(n):
-                if not self.mul(zero, s) == zero == self.mul(s, zero):
-                    raise ValueError(f"declared zero {zero} is not a zero, witness {s}")
+        self.zero = self._find_zero()
+        self.identity = self._find_identity()
         self._green = None
         self._aggm = None
 

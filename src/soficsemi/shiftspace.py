@@ -155,76 +155,43 @@ class Dfa:
         return reach([self.initial], self.trans.__getitem__)
 
     def minimize(self):
-        """Hopcroft partition refinement, then canonical BFS renumbering."""
+        """Moore refinement (Moore, 1956), then canonical BFS renumbering.
+
+        Blocks start as accepting or not over the reachable states; each
+        round numbers every state's signature (its block, then the block of
+        each letter successor) afresh, until the block count stops growing.
+        A round costs states x letters, one round per level of
+        distinguishing depth, so chain-like DFAs take quadratic time. States
+        are numbered by BFS from the initial block in letter order, so the
+        result does not depend on the refinement.
+        """
         reach = sorted(self.reachable())
         idx = {q: i for i, q in enumerate(reach)}
-        n = len(reach)
-        k = len(self.alphabet)
-        trans = [[idx[self.trans[q][a]] for a in range(k)] for q in reach]
-        accepting = {idx[q] for q in self.accepting if q in idx}
+        cols = [[idx[self.trans[q][a]] for q in reach] for a in range(len(self.alphabet))]
+        block = [q in self.accepting for q in reach]
+        count = len(set(block))
+        while True:
+            ids = {}
+            sigs = zip(block, *[map(block.__getitem__, col) for col in cols])
+            block = [ids.setdefault(sig, len(ids)) for sig in sigs]
+            if len(ids) == count:
+                break
+            count = len(ids)
 
-        pre = [[[] for _ in range(n)] for _ in range(k)]
-        for q in range(n):
-            for a in range(k):
-                pre[a][trans[q][a]].append(q)
-
-        part = []
-        block_of = [0] * n
-        fin = sorted(accepting)
-        nonfin = [q for q in range(n) if q not in accepting]
-        for blk in (fin, nonfin):
-            if blk:
-                bid = len(part)
-                part.append(set(blk))
-                for q in blk:
-                    block_of[q] = bid
-        work = {(b, a) for b in range(len(part)) for a in range(k)}
-        while work:
-            b, a = work.pop()
-            splitter = part[b]
-            movers = {}
-            for t in splitter:
-                for q in pre[a][t]:
-                    movers.setdefault(block_of[q], set()).add(q)
-            for src, hit in movers.items():
-                if len(hit) == len(part[src]):
-                    continue
-                new_id = len(part)
-                part[src] -= hit
-                part.append(hit)
-                for q in hit:
-                    block_of[q] = new_id
-                for c in range(k):
-                    if (src, c) in work:
-                        work.add((new_id, c))
-                    else:
-                        small = src if len(part[src]) <= len(hit) else new_id
-                        work.add((small, c))
-
-        # canonical numbering: BFS from the initial block by letter order
-        init_b = block_of[idx[self.initial]]
-        renum = {init_b: 0}
-        order = [init_b]
-        head = 0
-        while head < len(order):
-            b = order[head]
-            head += 1
-            q = min(part[b])
-            for a in range(k):
-                nb = block_of[trans[q][a]]
+        rep = {}
+        for q, b in enumerate(block):
+            rep.setdefault(b, q)
+        order = [block[idx[self.initial]]]
+        renum = {order[0]: 0}
+        for b in order:  # grows as blocks are reached
+            for col in cols:
+                nb = block[col[rep[b]]]
                 if nb not in renum:
                     renum[nb] = len(order)
                     order.append(nb)
-        m = len(order)
-        new_trans = [[0] * k for _ in range(m)]
-        new_acc = set()
-        for b, nb in renum.items():
-            q = min(part[b])
-            for a in range(k):
-                new_trans[nb][a] = renum[block_of[trans[q][a]]]
-            if q in accepting:
-                new_acc.add(nb)
-        return Dfa(new_trans, self.alphabet, 0, new_acc)
+        trans = [[renum[block[col[rep[b]]]] for col in cols] for b in order]
+        accepting = {i for i, b in enumerate(order) if reach[rep[b]] in self.accepting}
+        return Dfa(trans, self.alphabet, 0, accepting)
 
     def dead_state(self):
         for q in range(self.n_states):
@@ -501,14 +468,14 @@ def _witness_pair(P):
     w = None
     length = 1
     while w is None:
-        for cand in _words_of_length(d.alphabet, length):
+        for cand in itertools.product(d.alphabet, repeat=length):
             if any(d.run(cand, start=q) == q for q in sorted(d.accepting)):
                 w = cand
                 break
         length += 1
     rot = rotations(w)
     v = None
-    for cand in _words_of_length(d.alphabet, len(w)):
+    for cand in itertools.product(d.alphabet, repeat=len(w)):
         if cand not in rot and d.accepts(cand):
             v = cand
             break
@@ -518,15 +485,6 @@ def _witness_pair(P):
     check(len(v) == len(w) and v not in rot, "v has the length of w and is no rotation of it",
           (w, v))
     return w, v
-
-
-def _words_of_length(alphabet, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _words_of_length(alphabet, n - 1):
-        for a in alphabet:
-            yield rest + (a,)
 
 
 def conjugate_with_partial_alphabet(P):
@@ -562,7 +520,7 @@ def check_sync_delay(u, m, bound, alphabet=None):
 
     contexts = [()]
     for n in range(1, bound + 1):
-        contexts.extend(_words_of_length(tuple(alphabet), n))
+        contexts.extend(itertools.product(alphabet, repeat=n))
     for x in contexts:
         for y in contexts:
             full = x + core + y

@@ -34,7 +34,7 @@ class SyntacticData:
     dfa: Dfa
     source: Presentation
     zero: int  # element all non-factors map to; None when L(X) = X^+
-    alphabet: tuple = None
+    alphabet: tuple
 
     def image(self, w):
         """The syntactic morphism on a non-empty word."""
@@ -168,22 +168,20 @@ def aggm_forward_check(P, cap=DEFAULT_CAP):
     }
 
 
-def aggm_backward_check(S, alphabet=None):
+def aggm_backward_check(S):
     """Backward half: an AGGM semigroup is the syntactic semigroup of the
     factor language it defines.
 
     Checks, with witnesses: S \\ {0} is factorial and irreducible inside S
     (the algebraic criterion), every pair of distinct elements is separated
     by a context (r, s) in S^1, and the transition semigroup of the minimal
-    DFA of the reconstructed language is generator-isomorphic to S.
+    DFA of the reconstructed language is generator-isomorphic to S. The
+    generators are read as the letters a, b, c, ... in order.
     """
     ok, j = is_aggm(S)
     if not ok:
         raise NotAGGM("input semigroup is not AGGM")
-    if alphabet is None:
-        alphabet = tuple(chr(97 + i) for i in range(len(S.generators)))
-    if len(alphabet) != len(S.generators):
-        raise ValueError(f"{len(alphabet)} letters for {len(S.generators)} generators")
+    alphabet = tuple(chr(97 + i) for i in range(len(S.generators)))
     if S.n == 1:
         dfa = Dfa([[0] * len(alphabet)], alphabet, 0, {0})
         return dfa, {"semigroup_size": 1, "is_aggm": True}
@@ -259,9 +257,8 @@ def fischer_cover(D):
     """Minimal right-resolving presentation, as the right-action graph on an
     R-class of the distinguished J-class."""
     S = D.semigroup
-    alphabet = D.alphabet if D.alphabet is not None else tuple(sorted(D.letter_map))
     if S.n == 1:
-        cover = Presentation(1, [(0, a, 0) for a in alphabet], alphabet)
+        cover = Presentation(1, [(0, a, 0) for a in D.alphabet], D.alphabet)
     else:
         ok, j = is_aggm(S)
         if not ok:

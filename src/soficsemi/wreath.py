@@ -38,6 +38,8 @@ from .finsemi import (
     right_table,
 )
 
+MAX_PRIME = 997  # the prime search for the cover's block count p stops here
+
 
 class EntrySemigroup:
     """The entries of row-monomial matrices: a finite semigroup with its table.
@@ -637,13 +639,15 @@ def _is_prime(n):
     return True
 
 
-def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_prime=997):
+def build_cover(D, H, alpha, e_word, z_word, cap=DEFAULT_CAP):
     """Construct the cover semigroup S' with maximal subgroup H over K.
 
     Inputs: the syntactic data D for the shift (alphabet x_1..x_{n+1} with
     the last letter mapping to zero), a finite group H, `alpha` mapping each
     H element onto the maximal subgroup K at e = image(e_word), the witness
-    words e_word and z_word, and optionally a section `sigma` of alpha.
+    words e_word and z_word. Letters are lifted to H through the section
+    sigma of alpha that sends each element of K to its least preimage (the
+    identity to the identity).
 
     Verifies, exhaustively on the generated semigroup: the zero criterion
     (eta(u) = 0 iff the image of u is 0), single-column block support on the
@@ -654,7 +658,7 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
     alpha . theta = rho restricted to that subgroup.
     """
     S = D.semigroup
-    X = D.alphabet if D.alphabet is not None else D.source.alphabet
+    X = D.alphabet
     n_plus = len(X)
     n = n_plus - 1
     if n < 2:
@@ -704,20 +708,10 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
         for y in range(H.n):
             if alpha[H.mul(x, y)] != K.mul(alpha[x], alpha[y]):
                 raise HypothesisViolated("alpha", f"not a homomorphism at ({x},{y})")
-    if sigma is None:
-        sigma = []
-        for k in range(K.n):
-            if k == K.identity:
-                sigma.append(H.identity)
-            else:
-                sigma.append(min(h for h in range(H.n) if alpha[h] == k))
-        sigma = tuple(sigma)
-    else:
-        sigma = tuple(sigma)
-        if not all(alpha[sigma[k]] == k for k in range(K.n)):
-            raise HypothesisViolated("sigma", "sigma must be a section of alpha")
-        if sigma[K.identity] != H.identity:
-            raise HypothesisViolated("sigma", "sigma must preserve the identity")
+    sigma = tuple(
+        H.identity if k == K.identity else min(h for h in range(H.n) if alpha[h] == k)
+        for k in range(K.n)
+    )
 
     b = len(emb.rees.b_ids)
     kernel = [h for h in range(H.n) if alpha[h] == K.identity]
@@ -744,8 +738,8 @@ def build_cover(D, H, alpha, e_word, z_word, sigma=None, cap=DEFAULT_CAP, max_pr
     p = floor + 1
     while not _is_prime(p):
         p += 1
-        if p > max_prime:
-            raise PrimeSearchFailed(f"no admissible prime <= {max_prime} above {floor}")
+        if p > MAX_PRIME:
+            raise PrimeSearchFailed(f"no admissible prime <= {MAX_PRIME} above {floor}")
 
     # blocks as T-indices: tgen[i] is the lifted letter x_{i+1} for i < n,
     # tgen[n + j] the j-th twist of the lifted x_n

@@ -174,8 +174,7 @@ def evaluate_zimin(T, S, gens_map):
     element of phi(T) is a factor of it; checks the descending chain of
     idempotents and the theoretical bound n* <= N.
     """
-    dfa = T.dfa if isinstance(T, LoopLanguage) else T
-    m = T.m if isinstance(T, LoopLanguage) else dfa.minimize().n_states
+    dfa, m = T.dfa, T.m
     for a in dfa.alphabet:
         if a not in gens_map:
             raise ValueError(f"generator map missing letter {a}")

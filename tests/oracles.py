@@ -16,6 +16,7 @@ from soficsemi.errors import (
     check,
 )
 from soficsemi.finsemi import DEFAULT_CAP, FiniteSemigroup
+from soficsemi.shiftspace import Dfa
 from soficsemi.wreath import RowMonomialMatrix, _kernel_tuples
 
 
@@ -143,6 +144,80 @@ def minimal_ideal_of_subset(S, subset):
 def j_below_set(g, c):
     """The set of J-class ids <=_J c, read off the bitmask `g.j_below[c]`."""
     return {d for d in range(len(g.j_classes)) if g.leq_j(d, c)}
+
+
+def minimize_hopcroft(d):
+    """The minimal DFA of d by Hopcroft partition refinement (Hopcroft, 1971)
+    with set worklists and predecessor lists, numbered by the same BFS from
+    the initial block in letter order as `Dfa.minimize`."""
+    reach = sorted(d.reachable())
+    idx = {q: i for i, q in enumerate(reach)}
+    n = len(reach)
+    k = len(d.alphabet)
+    trans = [[idx[d.trans[q][a]] for a in range(k)] for q in reach]
+    accepting = {idx[q] for q in d.accepting if q in idx}
+
+    pre = [[[] for _ in range(n)] for _ in range(k)]
+    for q in range(n):
+        for a in range(k):
+            pre[a][trans[q][a]].append(q)
+
+    part = []
+    block_of = [0] * n
+    fin = sorted(accepting)
+    nonfin = [q for q in range(n) if q not in accepting]
+    for blk in (fin, nonfin):
+        if blk:
+            bid = len(part)
+            part.append(set(blk))
+            for q in blk:
+                block_of[q] = bid
+    work = {(b, a) for b in range(len(part)) for a in range(k)}
+    while work:
+        b, a = work.pop()
+        splitter = part[b]
+        movers = {}
+        for t in splitter:
+            for q in pre[a][t]:
+                movers.setdefault(block_of[q], set()).add(q)
+        for src, hit in movers.items():
+            if len(hit) == len(part[src]):
+                continue
+            new_id = len(part)
+            part[src] -= hit
+            part.append(hit)
+            for q in hit:
+                block_of[q] = new_id
+            for c in range(k):
+                if (src, c) in work:
+                    work.add((new_id, c))
+                else:
+                    small = src if len(part[src]) <= len(hit) else new_id
+                    work.add((small, c))
+
+    init_b = block_of[idx[d.initial]]
+    renum = {init_b: 0}
+    order = [init_b]
+    head = 0
+    while head < len(order):
+        b = order[head]
+        head += 1
+        q = min(part[b])
+        for a in range(k):
+            nb = block_of[trans[q][a]]
+            if nb not in renum:
+                renum[nb] = len(order)
+                order.append(nb)
+    m = len(order)
+    new_trans = [[0] * k for _ in range(m)]
+    new_acc = set()
+    for b, nb in renum.items():
+        q = min(part[b])
+        for a in range(k):
+            new_trans[nb][a] = renum[block_of[trans[q][a]]]
+        if q in accepting:
+            new_acc.add(nb)
+    return Dfa(new_trans, d.alphabet, 0, new_acc)
 
 
 def out_edges(P, state, letter=None):

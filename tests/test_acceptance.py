@@ -37,7 +37,6 @@ from soficsemi import (
     build_cover,
     check_sync_delay,
     close_generators,
-    complexity,
     entropy_estimate,
     entropy_gap_check,
     evaluate_zimin,
@@ -187,10 +186,10 @@ def test_criterion_4_entropy():
     for k in (1, 2, 3, 4):
         assert entropy_estimate(period_shift(k)).value == 0.0
     for _, P in corpus_presentations():
-        prof = complexity(P, 24)
+        q = [c for _, c, _ in entropy_estimate(P, 24).certificate]
         for n in range(1, 24):
             for m in range(1, 24 - n + 1):
-                assert prof.counts[n + m - 1] <= prof.counts[n - 1] * prof.counts[m - 1]
+                assert q[n + m - 1] <= q[n - 1] * q[m - 1]
     assert entropy_gap_check(full_shift(2), golden_mean())
     assert entropy_gap_check(golden_mean(), period_shift(2))
     assert entropy_gap_check(full_shift(2), even_shift())

@@ -138,13 +138,11 @@ def test_transformations_on_both_sides_of_the_byte_limit(dim):
 
 
 def test_matrices_over_a_group():
-    Z3 = EntrySemigroup(cyclic_group(3))
-    gens = [RowMonomialMatrix(Z3, ((1, 1), (2, 0), (0, 0))),
-            RowMonomialMatrix(Z3, ((0, 2), None, (0, 1)))]
-    assert_same_closure(gens)
-    Z100 = EntrySemigroup(cyclic_group(100))  # 3 * 100 points: the tuple path
-    assert_same_closure([RowMonomialMatrix(Z100, ((1, 1), (2, 0), (0, 0))),
-                         RowMonomialMatrix(Z100, ((0, 50), (1, 99), None))])
+    for k, size, packed in ((3, 37, bytes), (100, 1201, tuple)):  # 3 * 100 points > 255
+        E = EntrySemigroup(cyclic_group(k))
+        S = assert_same_closure([RowMonomialMatrix(E, ((1, 1), (2, 0), (0, 0))),
+                                 RowMonomialMatrix(E, ((0, 2), None, (0, 1)))])
+        assert S.n == size and type(S.names[0]._b) is packed
 
 
 def test_single_row_matrices_on_the_tuple_path():

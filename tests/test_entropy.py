@@ -5,7 +5,6 @@ import pytest
 
 from corpus import even_shift, full_shift, golden_mean, period_shift
 from soficsemi import (
-    complexity,
     entropy_estimate,
     entropy_gap_check,
     factor_dfa,
@@ -16,6 +15,11 @@ from soficsemi.errors import NotASubshift
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 
+def counts(res):
+    """q(1..n_max), read off the certificate rows (n, q(n), bound)."""
+    return [q for _, q, _ in res.certificate]
+
+
 def brute_count(P, n):
     """Oracle: count distinct length-n factors by enumerating all words."""
     d = factor_dfa(P)
@@ -23,25 +27,26 @@ def brute_count(P, n):
 
 
 def test_full_shift_counts_and_entropy():
-    prof = complexity(full_shift(2), 12)
-    assert list(prof.counts) == [2 ** n for n in range(1, 13)]
-    assert prof.perron_estimate == pytest.approx(1.0, abs=1e-12)
+    res = entropy_estimate(full_shift(2), 12, tol=1e-12)
+    assert counts(res) == [2 ** n for n in range(1, 13)]
+    assert res.value == pytest.approx(1.0, abs=1e-12)
     assert entropy_estimate(full_shift(3)).value == pytest.approx(math.log2(3), abs=1e-9)
 
 
 def test_period2_counts_and_entropy():
-    prof = complexity(period_shift(2), 10)
-    assert all(c == 2 for c in prof.counts)
-    assert prof.perron_estimate == 0.0
+    res = entropy_estimate(period_shift(2), 10, tol=1e-12)
+    assert all(c == 2 for c in counts(res))
+    assert res.value == 0.0
     assert entropy_estimate(period_shift(2)).value == 0.0
 
 
 def test_golden_mean_counts_fibonacci():
-    prof = complexity(golden_mean(), 12)
-    assert list(prof.counts[:4]) == [2, 3, 5, 8]
+    res = entropy_estimate(golden_mean(), 12, tol=1e-12)
+    q = counts(res)
+    assert q[:4] == [2, 3, 5, 8]
     for n in (5, 9, 12):
-        assert prof.counts[n - 1] == brute_count(golden_mean(), n)
-    assert prof.perron_estimate == pytest.approx(math.log2(GOLDEN), abs=1e-9)
+        assert q[n - 1] == brute_count(golden_mean(), n)
+    assert res.value == pytest.approx(math.log2(GOLDEN), abs=1e-9)
 
 
 def test_counting_and_perron_methods_agree():
@@ -57,11 +62,12 @@ def test_counting_and_perron_methods_agree():
 
 def test_submultiplicativity_and_upper_bounds():
     for P in (golden_mean(), even_shift(), full_shift(2), period_shift(3)):
-        prof = complexity(P, 16)
+        res = entropy_estimate(P, 16, tol=1e-12)
+        q = counts(res)
         for n in range(1, 16):
             for m in range(1, 16 - n + 1):
-                assert prof.counts[n + m - 1] <= prof.counts[n - 1] * prof.counts[m - 1]
-            assert math.log2(prof.counts[n - 1]) / n >= prof.perron_estimate - 1e-9
+                assert q[n + m - 1] <= q[n - 1] * q[m - 1]
+            assert math.log2(q[n - 1]) / n >= res.value - 1e-9
 
 
 def test_entropy_gap_checks():

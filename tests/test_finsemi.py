@@ -700,18 +700,16 @@ def test_closure_table_is_built_on_demand():
 
 
 def test_argument_checks_survive_optimize():
-    """A declared zero that is not a zero and power(s, 0) raise ValueError
-    under `python -O`, where an assert would not."""
+    """power(s, 0) raises ValueError under `python -O`, where an assert
+    would not."""
     code = (
         "from soficsemi import FiniteSemigroup\n"
         "assert False, 'asserts are on'\n"
-        "S = FiniteSemigroup([[0, 1], [1, 1]], [0, 1], zero='auto')\n"
-        "for call in (lambda: FiniteSemigroup([[0, 1], [1, 1]], [0, 1], zero=0),\n"
-        "             lambda: S.power(0, 0)):\n"
-        "    try:\n"
-        "        call()\n"
-        "    except ValueError as e:\n"
-        "        print(e)\n"
+        "S = FiniteSemigroup([[0, 1], [1, 1]], [0, 1])\n"
+        "try:\n"
+        "    S.power(0, 0)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
     )
     src = os.path.dirname(os.path.dirname(soficsemi.__file__))
     out = subprocess.run(
@@ -719,7 +717,4 @@ def test_argument_checks_survive_optimize():
         capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [
-        "declared zero 0 is not a zero, witness 1",
-        "power needs k >= 1, got 0",
-    ]
+    assert out.stdout.splitlines() == ["power needs k >= 1, got 0"]

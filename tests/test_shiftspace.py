@@ -1,11 +1,20 @@
 import itertools
+import random
 
 import pytest
 
-from corpus import even_shift, full_shift, golden_mean, period_shift
-from oracles import out_edges
+from corpus import (
+    corpus_presentations,
+    even_shift,
+    full_shift,
+    golden_mean,
+    period_shift,
+    random_presentation,
+)
+from oracles import minimize_hopcroft, out_edges
 from soficsemi import (
     BiInfinitePoint,
+    Dfa,
     Presentation,
     check_sync_delay,
     conjugate_with_partial_alphabet,
@@ -22,6 +31,7 @@ from soficsemi.shiftspace import (
     least_rotation,
     periodic_factors,
     rotations,
+    subset_construction,
 )
 
 
@@ -185,45 +195,57 @@ def test_presentation_file_round_trip():
     assert Q.n_states == P.n_states and Q.edges == P.edges and Q.alphabet == P.alphabet
 
 
-def test_minimize_agrees_with_distinguishability_oracle():
-    import random
-
-    from soficsemi import Dfa
-
-    rng = random.Random(4)
-    for _ in range(25):
-        n = rng.randint(2, 7)
-        trans = [[rng.randrange(n) for _ in range(2)] for _ in range(n)]
-        accepting = {q for q in range(n) if rng.random() < 0.5}
-        d = Dfa(trans, ("a", "b"), 0, accepting)
-        m = d.minimize()
-        # oracle: refine pairwise distinguishability to a fixed point
-        reach = sorted(d.reachable())
-        dist = {
-            (p, q)
-            for p in reach
-            for q in reach
-            if (p in accepting) != (q in accepting)
-        }
-        changed = True
-        while changed:
-            changed = False
-            for p in reach:
-                for q in reach:
-                    if (p, q) in dist:
-                        continue
-                    for a in ("a", "b"):
-                        if (d.step(p, a), d.step(q, a)) in dist:
-                            dist.add((p, q))
-                            dist.add((q, p))
-                            changed = True
-                            break
-        classes = set()
+def distinguishable_classes(d):
+    """Oracle: the classes of reachable states left by refining pairwise
+    distinguishability to a fixed point."""
+    reach = sorted(d.reachable())
+    dist = {(p, q) for p in reach for q in reach
+            if (p in d.accepting) != (q in d.accepting)}
+    changed = True
+    while changed:
+        changed = False
         for p in reach:
-            classes.add(frozenset(q for q in reach if (p, q) not in dist))
-        assert m.n_states == len(classes)
-        for w in itertools.product("ab", repeat=5):
-            assert d.accepts(w) == m.accepts(w)
+            for q in reach:
+                if (p, q) not in dist and any(
+                        (d.step(p, a), d.step(q, a)) in dist for a in d.alphabet):
+                    dist.update({(p, q), (q, p)})
+                    changed = True
+    return {frozenset(q for q in reach if (p, q) not in dist) for p in reach}
+
+
+def assert_same_minimal_dfa(d):
+    m, h = d.minimize(), minimize_hopcroft(d)
+    assert (m.trans, m.accepting, m.initial, m.alphabet) == \
+        (h.trans, h.accepting, h.initial, h.alphabet)
+    return m
+
+
+def test_minimize_agrees_with_distinguishability_oracle():
+    """Moore refinement gives the Hopcroft oracle's DFA, numbering included,
+    on random DFAs (unreachable states, all or no accepting states), on the
+    factor and loop DFAs of the corpus and the anchors, and on a chain, where
+    Moore needs one round per state."""
+    rng = random.Random(4)
+    for trial in range(200):
+        alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+        n = rng.randint(1, 40)
+        trans = [[rng.randrange(n) for _ in alphabet] for _ in range(n)]
+        share = (0.0, 1.0, 0.5)[trial % 3]
+        accepting = {q for q in range(n) if rng.random() < share}
+        d = Dfa(trans, alphabet, rng.randrange(n), accepting)
+        m = assert_same_minimal_dfa(d)
+        if n <= 12:
+            assert m.n_states == len(distinguishable_classes(d))
+            for w in itertools.product(alphabet, repeat=4):
+                assert d.accepts(w) == m.accepts(w)
+    anchors = [random_presentation(seed, n, "abc") for seed, n in ((47, 10), (22, 10), (159, 18))]
+    for P in [P for _, P in corpus_presentations()] + anchors:
+        assert_same_minimal_dfa(subset_construction(P, range(P.n_states), lambda sub: len(sub) > 0))
+        for v in range(P.n_states):
+            assert_same_minimal_dfa(subset_construction(P, [v], lambda sub: v in sub))
+    n = 1001  # a chain: state q reaches the accepting last state after n - 1 - q letters
+    chain = Dfa([[min(q + 1, n - 1)] for q in range(n)], ("a",), 0, {n - 1})
+    assert assert_same_minimal_dfa(chain).n_states == n
 
 
 def test_conjugate_even_shift():
@@ -234,8 +256,6 @@ def test_conjugate_even_shift():
 
 
 def test_word_enumeration_terminates_on_finite_language():
-    from soficsemi import Dfa
-
     # accepts exactly "a": 0 -a-> 1 (accepting), everything else dead
     d = Dfa([[1, 2], [2, 2], [2, 2]], ("a", "b"), 0, {1})
     assert list(d.iter_words()) == [("a",)]
@@ -251,10 +271,6 @@ def test_word_enumeration_streams_shortlex():
 
 
 def test_words_up_to_matches_brute_force_on_random_dfas():
-    import random
-
-    from soficsemi import Dfa
-
     rng = random.Random(7)
     for trial in range(300):
         alphabet = ("a", "b", "c")[: rng.randint(1, 3)]

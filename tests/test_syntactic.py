@@ -145,7 +145,7 @@ def test_aggm_forward_on_presentations():
 
 def test_aggm_backward_reconstructs_period2():
     S = period2_syntactic_table()
-    dfa, report = aggm_backward_check(S, alphabet=("a", "b"))
+    dfa, report = aggm_backward_check(S)
     assert report["semigroup_size"] == 5
     d2 = factor_dfa(period_shift(2))
     assert d2.equivalent(dfa)
@@ -352,7 +352,7 @@ def test_distinguished_class_check_survives_optimize():
         "S = group_with_zero(2)\n"
         "assert False, 'asserts are on'\n"
         "try:\n"
-        "    SyntacticData(S, {}, None, None, S.zero).distinguished_class()\n"
+        "    SyntacticData(S, {}, None, None, S.zero, ()).distinguished_class()\n"
         "except CheckFailed as e:\n"
         "    print(e)\n"
     )

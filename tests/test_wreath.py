@@ -321,8 +321,6 @@ def test_build_cover_hypothesis_checks():
         build_cover(D, Z2, [0, 0], ("a",), ("a",))  # e-word must contain x_n
     with pytest.raises(HypothesisViolated):
         build_cover(D, Z2, [0, 1], ("a", "b"), ("a",))  # alpha not onto K-range
-    with pytest.raises(HypothesisViolated):
-        build_cover(D, Z2, [0, 0], ("a", "b"), ("a",), sigma=(1,))  # bad section
 
 
 def test_build_cover_larger_groups():

@@ -246,14 +246,16 @@ def test_checks_survive_optimize():
     """Bad arguments raise ValueError and a failed check raises CheckFailed
     under `python -O`, where an assert would not."""
     code = (
-        "from soficsemi import FiniteSemigroup, evaluate_zimin, power_factorial\n"
+        "from soficsemi import FiniteSemigroup, LoopLanguage, evaluate_zimin, power_factorial\n"
         "from soficsemi.errors import CheckFailed\n"
         "from soficsemi.shiftspace import Dfa\n"
         "assert False, 'asserts are on'\n"
         "S = FiniteSemigroup([[0]], [0], check=False)\n"
+        "def loops(accepting):\n"
+        "    return LoopLanguage(Dfa([[0]], ['a'], 0, accepting), 1, 0, ('a',))\n"
         "for call in (lambda: power_factorial(S, 0, 0),\n"
-        "             lambda: evaluate_zimin(Dfa([[0]], ['a'], 0, [0]), S, {}),\n"
-        "             lambda: evaluate_zimin(Dfa([[0]], ['a'], 0, []), S, {'a': 0})):\n"
+        "             lambda: evaluate_zimin(loops([0]), S, {}),\n"
+        "             lambda: evaluate_zimin(loops([]), S, {'a': 0})):\n"
         "    try:\n"
         "        call()\n"
         "    except (ValueError, CheckFailed) as e:\n"
