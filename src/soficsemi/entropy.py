@@ -83,9 +83,13 @@ class EntropyResult:
 def entropy_estimate(P, n_max=24, tol=1e-9):
     """Entropy as log2 of the live-state spectral radius, certified by the
     factor counts q(1..n_max): they must be positive and submultiplicative,
-    and every counting bound (1/n) log2 q(n) must dominate the entropy."""
+    and every counting bound (1/n) log2 q(n) must dominate the entropy.
+    A tolerance of 1 or more would pass the bracket test at once and make
+    the 10*tol slack of the counting check vacuous."""
     if not 1 <= n_max <= 64:
         raise ValueError(f"n_max must lie in 1..64, got {n_max}")
+    if not 0 < tol < 1:  # also rejects nan
+        raise ValueError(f"tol must be a finite number in (0, 1), got {tol}")
     d = factor_dfa(P)
     counts = d.count_words(n_max)
     check(all(c > 0 for c in counts), "factor counts must be positive", counts)

@@ -39,9 +39,10 @@ DEFAULT_CAP = 2_000_000  # element cap of a closure unless the caller passes one
 # is a packed tuple `_b` of points in [0, N), N standing for "no point", and
 # a right table that sends each point q to the point of q*carrier and N to
 # N: `_right_table()` builds it, `_right()` builds it on first use and keeps
-# it.  x*y is then one gather of x's points through y's table, and
-# `_wrap(b)` makes a carrier of x's kind from packed points without
-# validation (products of valid carriers are valid).
+# it.  x*y is then one gather of x's points through y's table, `_square()`
+# gives the packed points of x*x without a right table, and `_wrap(b)`
+# makes a carrier of x's kind from packed points without validation
+# (products of valid carriers are valid).
 
 
 def pack_points(points, sentinel):
@@ -108,6 +109,9 @@ class PartialTransformation:
         if self._pad is None:
             self._pad = self._right_table()
         return self._pad
+
+    def _square(self):
+        return gatherer(self._b)(self._right_table())
 
     @property
     def mapping(self):
@@ -283,12 +287,12 @@ class FiniteSemigroup:
         return self._index[gatherer(names[x]._b)(names[y]._right())]
 
     def is_idempotent(self, x):
-        """Whether x*x = x; on a closure the gather of `mul`, through a right
-        table of x that is not kept."""
+        """Whether x*x = x; on a closure whether the carrier's square, in
+        O(points) and with no right table, has its packed points."""
         if self._table is not None:
             return self._table[x][x] == x
-        b = self.names[x]._b
-        return gatherer(b)(self.names[x]._right_table()) == b
+        carrier = self.names[x]
+        return carrier._square() == carrier._b
 
     def left_row(self, g):
         """Row of left multiplication by element g: [g*x for x in S], one
@@ -552,12 +556,22 @@ def green_structure(S):
     for x, h in enumerate(h_class):
         h_classes[h].append(x)
 
-    # the J-order as bitmasks, folded over the condensation sinks first
+    # the J-order as bitmasks, folded over the condensation sinks first.  L
+    # is a right congruence and R a left one, so the right edges of one
+    # member per L-class and the left edges of one per R-class reach every
+    # class that the edges of all members reach
+    l_reps = [[] for _ in j_classes]
+    r_reps = [[] for _ in j_classes]
+    for reps, classes in ((l_reps, l_classes), (r_reps, r_classes)):
+        for members in classes:
+            reps[j_class[members[0]]].append(members[0])
     to_class = j_class.__getitem__
     j_below = [0] * len(j_classes)
     for c in done:
         below = 1 << c
-        for d in set(map(to_class, chain.from_iterable(map(adj.__getitem__, j_classes[c])))):
+        heads = chain(*(map(col.__getitem__, l_reps[c]) for col in right),
+                      *(map(row.__getitem__, r_reps[c]) for row in left))
+        for d in set(map(to_class, heads)):
             below |= j_below[d]
         j_below[c] = below
 
@@ -652,13 +666,20 @@ class SemigroupMorphism:
 
     @classmethod
     def from_generator_map(cls, source, target, gen_images, check=True):
-        """Extend generator images along witnesses; fails if not a morphism."""
+        """Extend generator images along witnesses; fails if not a morphism.
+        Where an image is a generator of the target, the step reads the
+        target's Cayley column instead of multiplying."""
         if len(gen_images) != len(source.generators):
             raise ValueError(f"{len(gen_images)} images for {len(source.generators)} generators")
+        col_of = dict(zip(target.generators, target._cols))
+        steps = [(g, col_of.get(g)) for g in gen_images]
         mapping = [None] * source.n
         for y in source._order:
-            z, g = source._parent[y], gen_images[source._lastgen[y]]
-            mapping[y] = g if z is None else target.mul(mapping[z], g)
+            z, (g, col) = source._parent[y], steps[source._lastgen[y]]
+            if z is None:
+                mapping[y] = g
+            else:
+                mapping[y] = target.mul(mapping[z], g) if col is None else col[mapping[z]]
         m = cls(source, target, tuple(mapping))
         if check:
             m.validate()

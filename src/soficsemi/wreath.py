@@ -116,6 +116,27 @@ class RowMonomialMatrix:
             self._pad = self._right_table()
         return self._pad
 
+    def _square(self):
+        # row i of x*x: row i's column c picks row c, whose entry multiplies
+        # on the right of row i's entry
+        entries = self.entries
+        n, columns, dead = len(entries.columns), entries.columns, entries.dead
+        b = self._b
+        sentinel = len(b) * n
+        out = []
+        for q in b:
+            if q != sentinel:
+                c, t = divmod(q, n)
+                r = b[c]
+                if r != sentinel:
+                    c2, t2 = divmod(r, n)
+                    s = columns[t2][t]
+                    if s != dead:
+                        out.append(c2 * n + s)
+                        continue
+            out.append(sentinel)
+        return pack_points(out, sentinel)
+
     @property
     def dim(self):
         return len(self._b)
@@ -773,28 +794,7 @@ def build_cover(D, H, alpha, e_word, z_word, cap=DEFAULT_CAP):
     phi_w = SemigroupMorphism.from_generator_map(
         s_prime, S, [phi[a] for a in X], check=False
     ).mapping
-    # the whole-S' checks read each matrix's points through the column and
-    # entry of every point, decoding no rows
-    col_of, entry_of = gens[0].point_tables()
-    rho = []
-    for x in range(s_prime.n):
-        entries = [entry_of[q] for q in s_prime.names[x].points]
-        if x == zero_prime:
-            if phi_w[x] != D.zero:
-                raise CheckFailed("eta(u) = 0 must force phi(u) = 0", s_prime.word_letters(x, X))
-            rho.append(D.zero)
-            continue
-        if phi_w[x] == D.zero:
-            raise CheckFailed("phi(u) = 0 must force eta(u) = 0", s_prime.word_letters(x, X))
-        if None in entries:
-            raise CheckFailed("non-zero elements are total on [p]", s_prime.word_letters(x, X))
-        images = {block_rho[t] for t in entries}
-        if len(images) != 1:
-            raise CheckFailed("block entries must agree under alpha", s_prime.word_letters(x, X))
-        if images != {phi_w[x]}:
-            raise CheckFailed("rho . eta must equal phi", s_prime.word_letters(x, X))
-        rho.append(phi_w[x])
-    rho = tuple(rho)
+    rho = rho_check(s_prime, block_rho, phi_w, D.zero, X)
 
     # eta(e_word) need not be idempotent in S'; the idempotent above e is the
     # omega power of eta(z)^omega * eta(e_word), which is fixed under left
@@ -819,18 +819,7 @@ def build_cover(D, H, alpha, e_word, z_word, cap=DEFAULT_CAP):
     check(gp.j_class[e_prime] == j_prime, "the idempotent above e must lie in J'", e_prime)
     check(gp.regular[j_prime], "J' must be regular", j_prime)
 
-    # single-column support on J'; blocks are among the twist preimages of
-    # one block (the twists form a group, so any block of the row will do)
-    preimages = [{t_index.get(t * blk) for t in twists} for blk in T.names]
-    for x in gp.j_classes[j_prime]:
-        points = s_prime.names[x].points
-        if len({col_of[q] for q in points}) != 1:
-            raise CheckFailed("blocks of J' lie in one column", s_prime.word_letters(x, X))
-        entries = {entry_of[q] for q in points}
-        if not entries <= preimages[entry_of[points[0]]]:
-            raise CheckFailed(
-                "block entries must be preimages of one matrix", s_prime.word_letters(x, X)
-            )
+    j_support_check(s_prime, gp.j_classes[j_prime], twists, t_index, X)
 
     # eta(e): entries in scalar column b0 with values in the kernel, and the
     # corner entries of its blocks sweep the whole kernel (this is what makes
@@ -892,6 +881,72 @@ def build_cover(D, H, alpha, e_word, z_word, cap=DEFAULT_CAP):
         kernel=tuple(kernel),
         report=report,
     )
+
+
+# -- the whole-S' checks of the cover --------------------------------------
+#
+# Each element of S' is checked by one C-level gather of its points; only an
+# element that fails runs the separate tests, in order, to name the failure.
+
+
+def rho_check(s_prime, block_rho, phi_w, zero, letters):
+    """rho . eta = phi on all of S', and rho per element.
+
+    eta(u) = 0 exactly when phi(u) = 0; every other element is total on [p],
+    and its blocks (T-indices, `block_rho[t]` the S element of block t's
+    alpha-image) all give phi(u).  A non-zero element gathers its points
+    through `point_rho`, its block's image per point and None for the
+    sentinel, and passes when that set is {phi(u)}.
+    """
+    _, entry_of = s_prime.names[0].point_tables()
+    point_rho = [None if t is None else block_rho[t] for t in entry_of]
+    for x, mat in enumerate(s_prime.names):
+        want, images = phi_w[x], set(map(point_rho.__getitem__, mat.points))
+        if x == s_prime.zero:
+            if want == zero:
+                continue
+            failed = "eta(u) = 0 must force phi(u) = 0"
+        elif want != zero and images == {want}:
+            continue
+        elif want == zero:
+            failed = "phi(u) = 0 must force eta(u) = 0"
+        elif None in map(entry_of.__getitem__, mat.points):
+            failed = "non-zero elements are total on [p]"
+        elif len(images) != 1:
+            failed = "block entries must agree under alpha"
+        else:
+            failed = "rho . eta must equal phi"
+        raise CheckFailed(failed, s_prime.word_letters(x, letters))
+    return tuple(phi_w)
+
+
+def j_support_check(s_prime, members, twists, t_index, letters):
+    """Each member of J' has its blocks in one column, all of them twist
+    preimages of one block (the twists form a group, so any block of the
+    row will do).
+
+    `allowed[q0]`, kept per first point q0, holds the points of q0's column
+    whose blocks are twist preimages of q0's block; a member passes when it
+    holds all the member's points.  The preimages of a block (`t_index`
+    maps blocks to T-indices) are built when first needed.
+    """
+    col_of, entry_of = s_prime.names[0].point_tables()
+    blocks = s_prime.names[0].entries.names
+    preimages = {None: set()}
+    allowed = {}
+    for x in members:
+        points = s_prime.names[x].points
+        q0, t0 = points[0], entry_of[points[0]]
+        if t0 not in preimages:
+            preimages[t0] = {t_index.get(tw * blocks[t0]) for tw in twists}
+        if q0 not in allowed:
+            # the points of one column differ by their entry indices
+            allowed[q0] = frozenset(q0 - t0 + t for t in preimages[t0] if t is not None)
+        if not allowed[q0].issuperset(points):
+            one_column = len({col_of[q] for q in points}) == 1
+            raise CheckFailed("block entries must be preimages of one matrix" if one_column
+                              else "blocks of J' lie in one column",
+                              s_prime.word_letters(x, letters))
 
 
 def _kernel_tuples(kernel, b, H):

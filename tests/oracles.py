@@ -9,6 +9,7 @@ import math
 
 from soficsemi.errors import (
     CapExceeded,
+    CheckFailed,
     DimensionMismatch,
     HypothesisViolated,
     NotFactorial,
@@ -310,3 +311,45 @@ def preimage_completeness_check(result, w):
     ]
     preimages = {t * some for t in twists}
     return blocks, preimages
+
+
+def rho_loop(s_prime, block_rho, phi_w, zero, letters):
+    """`wreath.rho_check` as five tests per element, in the order the
+    gather's fallback repeats them; reads every point's entry index."""
+    _, entry_of = s_prime.names[0].point_tables()
+    zero_prime = s_prime.zero
+    rho = []
+    for x in range(s_prime.n):
+        entries = [entry_of[q] for q in s_prime.names[x].points]
+        if x == zero_prime:
+            if phi_w[x] != zero:
+                raise CheckFailed("eta(u) = 0 must force phi(u) = 0", s_prime.word_letters(x, letters))
+            rho.append(zero)
+            continue
+        if phi_w[x] == zero:
+            raise CheckFailed("phi(u) = 0 must force eta(u) = 0", s_prime.word_letters(x, letters))
+        if None in entries:
+            raise CheckFailed("non-zero elements are total on [p]", s_prime.word_letters(x, letters))
+        images = {block_rho[t] for t in entries}
+        if len(images) != 1:
+            raise CheckFailed("block entries must agree under alpha", s_prime.word_letters(x, letters))
+        if images != {phi_w[x]}:
+            raise CheckFailed("rho . eta must equal phi", s_prime.word_letters(x, letters))
+        rho.append(phi_w[x])
+    return tuple(rho)
+
+
+def j_support_loop(s_prime, members, twists, t_index, letters):
+    """`wreath.j_support_check` with the twist preimages of every block of T
+    built up front and each member's columns and entries collected as sets."""
+    col_of, entry_of = s_prime.names[0].point_tables()
+    preimages = [{t_index.get(t * blk) for t in twists} for blk in s_prime.names[0].entries.names]
+    for x in members:
+        points = s_prime.names[x].points
+        if len({col_of[q] for q in points}) != 1:
+            raise CheckFailed("blocks of J' lie in one column", s_prime.word_letters(x, letters))
+        entries = {entry_of[q] for q in points}
+        if not entries <= preimages[entry_of[points[0]]]:
+            raise CheckFailed(
+                "block entries must be preimages of one matrix", s_prime.word_letters(x, letters)
+            )

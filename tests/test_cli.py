@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from corpus import full_shift, golden_mean, period_shift
+from corpus import full_shift, golden_mean, period_shift, random_presentation
 from oracles import j_below_set
 from soficsemi import cli, entropy, shiftspace, syntactic
 from soficsemi.cli import _format_bound, _print_eggbox, main
@@ -50,6 +50,30 @@ def test_entropy_json(capsys, gm_path):
     data = json.loads(out)
     assert abs(data["entropy"] - 0.694242) < 1e-4
     assert data["profile"][0][:2] == [1, 2]
+
+
+@pytest.fixture
+def r10_path(tmp_path):
+    p = tmp_path / "r10-6ab.pres"
+    p.write_text(format_presentation(random_presentation(10, 6, "ab")))
+    return str(p)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1"])
+def test_entropy_rejects_tolerance_outside_unit_interval(capsys, r10_path, tol):
+    """A tolerance of 1 or more passes the bracket test at the first step
+    (it printed 0.584963 here at --tol 1), and nan or a negative one never
+    does, which ran every power-iteration step before failing."""
+    code, out = run(capsys, ["entropy", r10_path, "--tol", tol])
+    assert code == 1
+    assert out == f"ERR validation tol must be a finite number in (0, 1), got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("extra, value", [([], "0.755637"), (["--tol", "1e-3"], "0.755786")])
+def test_entropy_tolerance_in_range(capsys, r10_path, extra, value):
+    code, out = run(capsys, ["entropy", r10_path, *extra])
+    assert code == 0
+    assert out.splitlines()[-2:] == [f"entropy {value}", "counting_estimate 0.771170"]
 
 
 def test_aggm_verb(capsys, p2_path):

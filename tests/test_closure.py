@@ -171,6 +171,33 @@ def test_cover_closures_match_oracle(shift, k):
     assert_anchors_match_idempotents(assert_same_closure([S.names[g] for g in S.generators]))
 
 
+def assert_squares_are_products(S):
+    for x in S.names:
+        assert x._square() == (x * x)._b, x
+
+
+def test_square_is_the_product_of_an_element_with_itself():
+    """`_square()`, the packed points of x*x read off x alone, is the
+    product by gather on every element of the corpus closures, of the block
+    semigroups T and of the covers S'. The even-shift Z3 and Z4 S' are on
+    the tuple path and have rows whose entry product is the dead block."""
+    for _, P in corpus_presentations():
+        assert_squares_are_products(syntactic_semigroup(P).semigroup)
+    for P, e_word in ((even_shift(), "abb"), (golden_mean(), "ab")):
+        D = syntactic_semigroup(P, extra_letters=("c",))
+        for k in (2, 3, 4):
+            S = build_cover(D, cyclic_group(k), [0] * k, tuple(e_word), ("a",)).s_prime
+            inner = S.names[0].entries
+            assert_squares_are_products(inner.semigroup)
+            assert_squares_are_products(S)
+            if e_word == "abb" and k > 2:
+                assert S.names[0].dim * len(inner.columns) == {3: 341, 4: 833}[k]
+                assert type(S.names[0]._b) is tuple
+                assert any(row is not None and mat.rows[row[0]] is not None
+                           and inner.columns[mat.rows[row[0]][1]][row[1]] == inner.dead
+                           for mat in S.names for row in mat.rows)
+
+
 def test_mixed_generators_raise_dimension_mismatch():
     Z2, other = EntrySemigroup(cyclic_group(2)), EntrySemigroup(cyclic_group(2))
     mixed = [

@@ -85,6 +85,11 @@ def test_cyclic_permutation_closes_to_cyclic_group():
     # same multiplication up to the witness-defined numbering
     m = SemigroupMorphism.from_generator_map(S, Z3, [1])
     assert m.is_surjective()
+    assert m.mapping == (1, 2, 0)
+    # an image that is not a generator of the target is multiplied, not read
+    # off a Cayley column
+    into_z6 = SemigroupMorphism.from_generator_map(S, cyclic_group(6), [2])
+    assert into_z6.mapping == (2, 4, 0)
 
 
 def test_close_generators_cap():
@@ -200,9 +205,9 @@ def green_structure_oracle(S):
     )
 
 
-def even_z3_cover():
+def even_cover(k):
     D = syntactic_semigroup(even_shift(), extra_letters=("c",))
-    return build_cover(D, cyclic_group(3), [0] * 3, ("a", "b", "b"), ("a",)).s_prime
+    return build_cover(D, cyclic_group(k), [0] * k, ("a", "b", "b"), ("a",)).s_prime
 
 
 GREEN_ORACLE_CASES = {
@@ -225,7 +230,8 @@ GREEN_ORACLE_CASES = {
         renumbered_table(random_transformation_semigroup(7, 4, 2), 3),
         renumbered_table(random_transformation_semigroup(8, 3, 3), 4, generators=False),
     ],
-    "even-z3-cover": lambda: [even_z3_cover()],
+    "even-z3-cover": lambda: [even_cover(3)],
+    "even-z4-cover": lambda: [even_cover(4)],
 }
 
 
@@ -236,8 +242,14 @@ def test_green_matches_exact_oracle(case):
         assert S.green() == green_structure_oracle(S), S
     if case == "random-presentations":
         assert semigroups[-1].n == 2317 > TABLE_LIMIT
-    if case == "even-z3-cover":
+    if case.startswith("even-z"):
         assert type(semigroups[0].names[0]).__name__ == "RowMonomialMatrix"
+    if case == "even-z4-cover":  # a large regular J-class with non-trivial H-classes
+        S = semigroups[0]
+        g = S.green()
+        big = max(range(len(g.j_classes)), key=lambda c: len(g.j_classes[c]))
+        assert S.n == 1316 and g.regular[big]
+        assert len(g.h_classes[g.h_class[g.anchors[big]]]) > 1
 
 
 def zero_and_identity_oracle(S):

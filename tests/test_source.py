@@ -9,7 +9,7 @@ import sys
 import soficsemi
 
 WITNESS_TREE_FIELDS = {"_order", "_parent", "_lastgen", "_cols", "_index"}
-PACKED_FIELDS = {"_b", "_pad", "_right", "_right_table", "_wrap"}  # packed points, right tables
+PACKED_FIELDS = {"_b", "_pad", "_right", "_right_table", "_square", "_wrap"}  # packed points, right tables
 
 
 def package_trees():

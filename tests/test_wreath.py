@@ -1,3 +1,5 @@
+import ast
+import copy
 import itertools
 import os
 import random
@@ -15,6 +17,7 @@ from soficsemi import (
     PartialTransformation,
     Presentation,
     RowMonomialMatrix,
+    SemigroupMorphism,
     build_cover,
     is_aggm,
     rees_coordinates,
@@ -26,6 +29,7 @@ from soficsemi import (
 )
 from soficsemi.errors import (
     CapExceeded,
+    CheckFailed,
     DimensionMismatch,
     HypothesisViolated,
     NotIdempotent,
@@ -33,8 +37,14 @@ from soficsemi.errors import (
     RankTooHigh,
 )
 from soficsemi.finsemi import close_generators, maximal_subgroup
-from soficsemi.wreath import EntrySemigroup
-from oracles import close_by_products, eta, preimage_completeness_check
+from soficsemi.wreath import EntrySemigroup, _kernel_tuples, j_support_check, rho_check
+from oracles import (
+    close_by_products,
+    eta,
+    j_support_loop,
+    preimage_completeness_check,
+    rho_loop,
+)
 
 
 def t3_semigroup():
@@ -657,3 +667,134 @@ def test_cover_check_survives_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("corner entries of eta(e) must sweep the kernel, witness")
+
+
+def cover_check_args(D, res, alpha):
+    """The arguments `build_cover` passes to `rho_check` and to
+    `j_support_check`, rebuilt from its result."""
+    S, emb = res.s_prime, res.embedding
+    T = S.names[0].entries.semigroup
+    block_rho = [emb.lookup.get(blk.map_entries(lambda h: alpha[h], emb.entries))
+                 for blk in T.names]
+    phi_w = SemigroupMorphism.from_generator_map(
+        S, D.semigroup, [D.letter_map[a] for a in D.alphabet], check=False).mapping
+    twists = [RowMonomialMatrix.diagonal(T.names[0].entries, values)
+              for values in _kernel_tuples(res.kernel, len(emb.rees.b_ids), res.group_h)]
+    t_index = {blk: t for t, blk in enumerate(T.names)}
+    members = S.green().j_classes[res.j_prime]
+    return ([S, block_rho, list(phi_w), D.zero, D.alphabet],
+            [S, members, twists, t_index, D.alphabet])
+
+
+def with_rows(S, x, change):
+    """A copy of S' whose element x is the matrix of its rows after
+    `change(rows)`; nothing else changes."""
+    bad = copy.copy(S)
+    bad.names = list(S.names)
+    rows = list(S.names[x].rows)
+    change(rows)
+    bad.names[x] = RowMonomialMatrix(S.names[x].entries, rows)
+    return bad
+
+
+def check_faults():
+    """One corrupted input per case for each whole-S' check of the even-shift
+    Z2 cover: (case, the check's outcome, the reference loop's outcome), an
+    outcome being the CheckFailed message and witness word, or None."""
+    D = even3_data()
+    res = build_cover(D, cyclic_group(2), [0, 0], ("a", "b", "b"), ("a",))
+    rho_args, j_args = cover_check_args(D, res, [0, 0])
+    S, members, twists, t_index, _ = j_args
+    blocks = S.names[0].entries.names
+    x = next(x for x in range(S.n) if x != S.zero)
+    m = members[len(members) // 2]
+    p = S.names[m].dim
+    t0 = S.names[m].rows[0][1]
+    preimages = {t_index.get(tw * blocks[t0]) for tw in twists}
+    t_bad = next(t for t in range(len(blocks)) if t not in preimages
+                 and t != S.names[0].entries.dead)
+
+    def second_column(rows):
+        rows[1] = ((rows[1][0] + 1) % p, rows[1][1])
+
+    def not_a_preimage(rows):
+        rows[1] = (rows[1][0], t_bad)
+
+    def zero_row(rows):
+        rows[-1] = None
+
+    wrong_image = list(rho_args[1])
+    t = S.names[x].rows[0][1]
+    wrong_image[t] = next(s for s in range(D.semigroup.n) if s not in (wrong_image[t], D.zero))
+    phi_zero, eta_zero = list(rho_args[2]), list(rho_args[2])
+    phi_zero[x] = D.zero
+    eta_zero[S.zero] = phi_zero[m]
+    cases = {
+        "clean rho": (rho_check, rho_loop, rho_args),
+        "clean J'": (j_support_check, j_support_loop, j_args),
+        "zero row": (rho_check, rho_loop, [with_rows(S, x, zero_row), *rho_args[1:]]),
+        "wrong alpha-image": (rho_check, rho_loop, [S, wrong_image, *rho_args[2:]]),
+        "phi(u) = 0": (rho_check, rho_loop, [*rho_args[:2], phi_zero, *rho_args[3:]]),
+        "eta(u) = 0": (rho_check, rho_loop, [*rho_args[:2], eta_zero, *rho_args[3:]]),
+        "second column": (j_support_check, j_support_loop,
+                          [with_rows(S, m, second_column), *j_args[1:]]),
+        "not a preimage": (j_support_check, j_support_loop,
+                           [with_rows(S, m, not_a_preimage), *j_args[1:]]),
+    }
+
+    def outcome(func, args):
+        try:
+            func(*args)
+        except CheckFailed as exc:
+            return str(exc), exc.witness
+        return None
+
+    return [(case, outcome(check, args), outcome(oracle, args))
+            for case, (check, oracle, args) in cases.items()]
+
+
+FAULT_MESSAGES = {
+    "clean rho": None,
+    "clean J'": None,
+    "zero row": "non-zero elements are total on [p]",
+    "wrong alpha-image": "rho . eta must equal phi",
+    "phi(u) = 0": "phi(u) = 0 must force eta(u) = 0",
+    "eta(u) = 0": "eta(u) = 0 must force phi(u) = 0",
+    "second column": "blocks of J' lie in one column",
+    "not a preimage": "block entries must be preimages of one matrix",
+}
+
+
+def test_cover_checks_match_reference_loops_on_faults():
+    """Each fault is caught by the gathers with the reference loop's message
+    and witness word, and the clean inputs pass both."""
+    D = even3_data()
+    res = build_cover(D, cyclic_group(2), [0, 0], ("a", "b", "b"), ("a",))
+    rho_args, _ = cover_check_args(D, res, [0, 0])
+    assert rho_check(*rho_args) == rho_loop(*rho_args) == res.rho
+    for case, got, want in check_faults():
+        assert got == want, case
+        message = FAULT_MESSAGES[case]
+        assert (got is None) if message is None else got[0].startswith(message + ", witness ("), \
+            (case, got)
+
+
+def test_cover_checks_catch_faults_under_optimize():
+    code = (
+        "from test_wreath import check_faults\n"
+        "assert False, 'asserts are on'\n"
+        "for case, got, want in check_faults():\n"
+        "    print(repr((case, got == want, got)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(soficsemi.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    seen = [ast.literal_eval(line) for line in out.stdout.splitlines()]
+    assert [case for case, _, _ in seen] == list(FAULT_MESSAGES)
+    for case, same, got in seen:
+        assert same, case
+        message = FAULT_MESSAGES[case]
+        assert (got is None) if message is None else got[0].startswith(message), (case, got)
