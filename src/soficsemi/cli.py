@@ -7,6 +7,7 @@ import json
 import re
 import sys
 import types
+from operator import add
 
 from . import entropy as entropy_mod
 from . import syntactic as syntactic_mod
@@ -78,22 +79,41 @@ def cmd_syntactic(args):
 def _print_eggbox(S):
     """One block per J-class, bottom up: a row per R-class and a column per
     L-class, both in the order of their ids (which is that of their least
-    members), each cell an H-class. No cell is empty, since J = D in a
-    finite semigroup."""
+    members), each cell an H-class. Since J = D in a finite semigroup, no
+    cell is empty and, by Green's lemma, every cell of a block has the same
+    size. So one sort of the elements by (block, row, column) lays each
+    block out as a grid, cut by slices: cells of equal size, rows of equal
+    length."""
     g = S.green()
-    cells = [",".join(map(str, h)) for h in g.h_classes]
-    width = len(g.l_classes)
-    place = [g.r_class[h[0]] * width + g.l_class[h[0]] for h in g.h_classes]  # row-major
     order = sorted(range(len(g.j_classes)),
                    key=lambda c: (g.j_below[c].bit_count(), g.j_classes[c][0]))
+    block = [0] * len(order)
+    for i, c in enumerate(order):
+        block[c] = i
+    width = len(g.l_classes)
+    key = list(map(add, map((len(g.r_classes) * width).__mul__, map(block.__getitem__, g.j_class)),
+                   map(add, map(width.__mul__, g.r_class), g.l_class)))
+    elems = sorted(range(S.n), key=key.__getitem__)
+    rows, cols = [0] * len(order), [0] * len(order)  # R- and L-classes per J-class
+    for counts, classes in ((rows, g.r_classes), (cols, g.l_classes)):
+        for members in classes:
+            counts[g.j_class[members[0]]] += 1
     write = sys.stdout.write
+    start = 0
     for c in order:
-        elems = g.j_classes[c]
-        hs = sorted(set(map(g.h_class.__getitem__, elems)), key=place.__getitem__)
-        grid = [cells[h] for h in hs]
-        cols = len(set(map(g.l_class.__getitem__, elems)))
-        write(f"jclass {c} regular={_bool(g.regular[c])} size={len(elems)}\n" + "".join(
-            f"  row {' | '.join(grid[i:i + cols])}\n" for i in range(0, len(grid), cols)))
+        size, ncols = len(g.j_classes[c]), cols[c]
+        cells = list(map(str, elems[start:start + size]))
+        start += size
+        if len(cells) > rows[c] * ncols:
+            cells = list(map(",".join, _cut(cells, size // (rows[c] * ncols))))
+        text = "\n  row ".join(map(" | ".join, _cut(cells, ncols)))
+        write(f"jclass {c} regular={_bool(g.regular[c])} size={size}\n  row {text}\n")
+
+
+def _cut(items, length):
+    """The consecutive slices of `items` of the given length."""
+    ends = range(length, len(items) + length, length)
+    return map(items.__getitem__, map(slice, range(0, len(items), length), ends))
 
 
 def cmd_green(args):
@@ -293,11 +313,18 @@ def _is_flag(token):
     return token.startswith("-") and token != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", token)
 
 
-def _convert(name, typ, value):
+def _parses(typ, value):
     try:
-        return typ(value)
+        typ(value)
     except ValueError:
-        raise UsageError(f"{name}: invalid {typ.__name__} value {value!r}") from None
+        return False
+    return True
+
+
+def _convert(name, typ, value):
+    if not _parses(typ, value):
+        raise UsageError(f"{name}: invalid {typ.__name__} value {value!r}")
+    return typ(value)
 
 
 def _signature(spec):
@@ -317,8 +344,10 @@ def usage(table):
 def parse_args(table, argv):
     """The `args` the verb's handler reads, or None for `-h`/`--help`.
 
-    A flag takes the next token, or its value after `=`; the verb's own
-    flags may come before or after its positionals. Raises UsageError.
+    A flag takes the next token, or its value after `=`; the next token is
+    its value unless it looks like a flag and does not parse as the flag's
+    type (so `--tol -1e-3` is a value). The verb's own flags may come before
+    or after its positionals. Raises UsageError.
     """
     verb, spec, values, given = None, table[None], {}, []
     tokens = iter(argv)
@@ -332,7 +361,7 @@ def parse_args(table, argv):
                 raise UsageError(f"unknown flag {flag}" + (f" for {verb}" if verb else ""))
             if not eq:
                 value = next(tokens, None)
-                if value is None or _is_flag(value):
+                if value is None or _is_flag(value) and not _parses(typ, value):
                     raise UsageError(f"{flag} needs a value")
             values[flag.lstrip("-")] = _convert(flag, typ, value)
         elif verb is None:

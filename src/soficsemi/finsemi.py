@@ -13,9 +13,11 @@ packed points and keeps no table until `.table` is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import eq, itemgetter
+from bisect import bisect_left
+from dataclasses import dataclass, fields
+from functools import cached_property, partial, reduce
+from itertools import compress, count, repeat
+from operator import add, eq, itemgetter, or_
 
 from .errors import (
     CapExceeded,
@@ -164,6 +166,45 @@ class PartialTransformation:
         return {i for i, v in enumerate(self._b) if v != dim}
 
 
+class Carriers:
+    """The carriers of a closure as a read-only list: each is wrapped from
+    its packed points when it is read, so the closure holds no carrier
+    object per element.  Equal carriers have equal packed points, so
+    `index` is one lookup in the closure's key index."""
+
+    __slots__ = ("_keys", "_wrap", "_index")
+
+    def __init__(self, keys, wrap, index):
+        self._keys = keys
+        self._wrap = wrap
+        self._index = index
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._wrap, self._keys[i]))
+        return self._wrap(self._keys[i])
+
+    def __iter__(self):
+        return map(self._wrap, self._keys)
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def points(self, i):
+        """Carrier i's packed points as a tuple, read without making the
+        carrier (for a matrix, its `points`)."""
+        return tuple(self._keys[i])
+
+    def index(self, carrier):
+        at = self._index.get(getattr(carrier, "_b", None))
+        if at is None or self[at] != carrier:
+            raise ValueError(f"{carrier!r} is not in the closure")
+        return at
+
+
 class FiniteSemigroup:
     """Finite semigroup on indices 0..n-1 with generator-word witnesses.
 
@@ -172,8 +213,10 @@ class FiniteSemigroup:
     semigroup, ...).  The right Cayley graph is kept as one column per
     generator, `_cols[j][x]` being x times generator j, and the witness tree
     as `_parent` and `_lastgen`: x is `_parent[x]` (None for a generator)
-    times generator `_lastgen[x]`.  A closure also keeps `_index`, its
-    elements' packed points to their indices, which its products look up.
+    times generator `_lastgen[x]`.  A closure keeps its elements' packed
+    points as `_keys` and `_index` (packed points to index), its `names`
+    are `Carriers` over them, and its products are gathers of keys looked
+    up in the index.
     """
 
     def __init__(self, table, generators=None, *, names=None, check=True):
@@ -206,10 +249,15 @@ class FiniteSemigroup:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def _from_closure(cls, names, cols, gen_elts, parent, lastgen, index):
+    def _from_closure(cls, keys, wrap, cols, gen_elts, parent, lastgen, index):
+        """A closure from its elements' packed points in BFS order, the
+        carrier wrapper `wrap` of their kind, and its Cayley graph."""
         self = object.__new__(cls)
-        self.n = len(names)
-        self.names = list(names)
+        self.n = len(keys)
+        self.names = Carriers(keys, wrap, index)
+        self._keys = keys
+        self._wrap = wrap
+        self._rights = {}
         self.generators = list(gen_elts)
         self._cols = cols
         self._parent = parent
@@ -280,19 +328,22 @@ class FiniteSemigroup:
 
     def mul(self, x, y):
         """x*y: a table lookup, or on a closure one gather of x's packed
-        points through y's right table, looked up in the key index."""
+        points through y's right table (kept per right factor), looked up
+        in the key index."""
         if self._table is not None:
             return self._table[x][y]
-        names = self.names
-        return self._index[gatherer(names[x]._b)(names[y]._right())]
+        table = self._rights.get(y)
+        if table is None:
+            table = self._rights[y] = self._wrap(self._keys[y])._right_table()
+        return self._index[gatherer(self._keys[x])(table)]
 
     def is_idempotent(self, x):
-        """Whether x*x = x; on a closure whether the carrier's square, in
-        O(points) and with no right table, has its packed points."""
+        """Whether x*x = x; on a closure whether the square of x's packed
+        points, in O(points) and with no right table, is those points."""
         if self._table is not None:
             return self._table[x][x] == x
-        carrier = self.names[x]
-        return carrier._square() == carrier._b
+        b = self._keys[x]
+        return self._wrap(b)._square() == b
 
     def left_row(self, g):
         """Row of left multiplication by element g: [g*x for x in S], one
@@ -318,14 +369,15 @@ class FiniteSemigroup:
 
     def left_action(self, points):
         """Per element s, the positions in points of s*x for x in points,
-        which must be closed under left multiplication; s*x = p*(g*x) is one
-        lookup in the action of p."""
+        which must be closed under left multiplication; s*x = p*(g*x), so
+        the action of s is one gather of the action of p."""
         pos = {x: i for i, x in enumerate(points)}
         gens = [tuple(pos[self.mul(g, x)] for x in points) for g in self.generators]
+        gathers = [gatherer(gen) for gen in gens]
         acts = [None] * self.n
         for s in self._order:
-            p, gen = self._parent[s], gens[self._lastgen[s]]
-            acts[s] = gen if p is None else tuple(acts[p][i] for i in gen)
+            p, j = self._parent[s], self._lastgen[s]
+            acts[s] = gens[j] if p is None else gathers[j](acts[p])
         return acts
 
     def same_table(self, other):
@@ -419,9 +471,9 @@ def close_generators(gens, cap=DEFAULT_CAP):
     packed points: an element's successors are one gather of its points
     through each generator's right table, looked up as `bytes` or tuples in
     the key index and appended to that generator's Cayley column.  Every
-    element, generators included, counts against `cap`, and each is wrapped
-    as a carrier once the closure is done.  Returns a FiniteSemigroup whose
-    `names` are the carriers.
+    element, generators included, counts against `cap`.  Returns a
+    FiniteSemigroup that keeps the packed points and wraps a carrier only
+    when `names` is read.
     """
     gens = list(gens)
     if not gens:
@@ -434,7 +486,6 @@ def close_generators(gens, cap=DEFAULT_CAP):
     tables = [g._right() for g in gens]
     index = {}
     keys = []
-    names = []
     parent = []
     lastgen = []
     gen_elts = []
@@ -446,7 +497,6 @@ def close_generators(gens, cap=DEFAULT_CAP):
                 raise CapExceeded(cap, "element closure")
             index[g._b] = at
             keys.append(g._b)
-            names.append(g)
             parent.append(None)
             lastgen.append(j)
         gen_elts.append(at)
@@ -466,28 +516,55 @@ def close_generators(gens, cap=DEFAULT_CAP):
                 parent.append(head)
                 lastgen.append(j)
             col.append(at)
-    names += map(first._wrap, keys[len(names):])
-    return FiniteSemigroup._from_closure(names, cols, gen_elts, parent, lastgen, index)
+    return FiniteSemigroup._from_closure(keys, first._wrap, cols, gen_elts, parent, lastgen, index)
 
 
 # -- Green's relations --------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class GreenStructure:
-    """R/L/J/H partitions, the J-order, and per-J-class regularity."""
+    """R/L/J/H partitions, the J-order, and per-J-class regularity.  H, which
+    the eggbox and the AGGM check do not read, is derived on first read."""
 
     r_class: tuple
     l_class: tuple
     j_class: tuple
-    h_class: tuple
     r_classes: tuple
     l_classes: tuple
     j_classes: tuple
-    h_classes: tuple
     j_below: tuple  # per J-class id c, the bitmask of the class ids <=_J c (bit c set)
     regular: tuple
     anchors: tuple  # per J-class id, its least idempotent, None when not regular
+
+    @cached_property
+    def h_class(self):
+        """H = R meet L: the (R, L) pairs, as one int each, numbered by
+        least member."""
+        pairs = list(map(add, map(len(self.l_classes).__mul__, self.r_class), self.l_class))
+        ids = dict.fromkeys(pairs)
+        ids.update(zip(ids, count()))
+        return tuple(map(ids.__getitem__, pairs))
+
+    @cached_property
+    def h_classes(self):
+        """Per H-class id its members, ascending: one stable sort of the
+        elements by id, cut into one slice per class where the ids change."""
+        order = tuple(sorted(range(len(self.h_class)), key=self.h_class.__getitem__))
+        ids = list(map(self.h_class.__getitem__, order))
+        bounds = list(map(partial(bisect_left, ids), range(ids[-1] + 2)))
+        return tuple(map(order.__getitem__, map(slice, bounds, bounds[1:])))
+
+    def h_members(self, x):
+        """The H-class of x, ascending: R_x meet L_x, with no H-class built
+        for the other elements."""
+        return tuple(sorted(set(self.r_classes[self.r_class[x]])
+                            .intersection(self.l_classes[self.l_class[x]])))
+
+    def __eq__(self, other):
+        names = [f.name for f in fields(self)] + ["h_class", "h_classes"]
+        return (isinstance(other, GreenStructure)
+                and all(getattr(self, name) == getattr(other, name) for name in names))
 
     def leq_j(self, a, b):
         """a <=_J b on J-class ids."""
@@ -540,55 +617,56 @@ def _classes_within(cols, j_class):
 
 def green_structure(S):
     """Green's relations from one Tarjan pass on the two-sided Cayley graph:
-    J-classes and the J-order from its condensation, R and L by stability."""
+    J-classes and the J-order from its condensation, R and L by stability.
+    The J-order and regularity are then passes over class representatives."""
     n = S.n
     right = S._cols
     left = [S.left_row(g) for g in S.generators]
-    adj = list(zip(*right, *left))
-    j_class, j_classes, done = sccs(n, adj.__getitem__)
+    j_class, j_classes, done = sccs(n, list(zip(*right, *left)).__getitem__)
     r_class, r_classes = _classes_within(right, j_class)
     l_class, l_classes = _classes_within(left, j_class)
-
-    # (R, L) pairs first met in increasing x are numbered by least member
-    pair_ids = {}
-    h_class = tuple(pair_ids.setdefault(p, len(pair_ids)) for p in zip(r_class, l_class))
-    h_classes = [[] for _ in pair_ids]
-    for x, h in enumerate(h_class):
-        h_classes[h].append(x)
 
     # the J-order as bitmasks, folded over the condensation sinks first.  L
     # is a right congruence and R a left one, so the right edges of one
     # member per L-class and the left edges of one per R-class reach every
     # class that the edges of all members reach
-    l_reps = [[] for _ in j_classes]
-    r_reps = [[] for _ in j_classes]
-    for reps, classes in ((l_reps, l_classes), (r_reps, r_classes)):
-        for members in classes:
-            reps[j_class[members[0]]].append(members[0])
     to_class = j_class.__getitem__
+    edges = set()
+    for classes, cols in ((l_classes, right), (r_classes, left)):
+        reps = list(map(itemgetter(0), classes))
+        tails = list(map(to_class, reps))
+        for col in cols:
+            edges.update(zip(tails, map(to_class, map(col.__getitem__, reps))))
+    succ = [[] for _ in j_classes]
+    for c, d in edges:
+        succ[c].append(d)
     j_below = [0] * len(j_classes)
     for c in done:
-        below = 1 << c
-        heads = chain(*(map(col.__getitem__, l_reps[c]) for col in right),
-                      *(map(row.__getitem__, r_reps[c]) for row in left))
-        for d in set(map(to_class, heads)):
-            below |= j_below[d]
-        j_below[c] = below
+        j_below[c] = reduce(or_, map(j_below.__getitem__, succ[c]), 1 << c)
 
-    # the least idempotent of each class: its members scanned in ascending order
-    anchors = tuple(next(filter(S.is_idempotent, members), None) for members in j_classes)
+    # a J-class with least member a is regular iff b*a stays in it for some b,
+    # one per L-class: by Clifford-Miller and stability b*a lies in J iff
+    # L_b n R_a holds an idempotent, and R_a holds one iff J is regular.  Every
+    # probe of a class multiplies by a, so it needs one right table.  A
+    # regular class's anchor is its least idempotent, found by scanning its
+    # members in ascending order
+    l_reps = [[] for _ in j_classes]
+    for members in l_classes:
+        l_reps[j_class[members[0]]].append(members[0])
+    regular = tuple(any(j_class[S.mul(b, members[0])] == c for b in reps)
+                    for c, (members, reps) in enumerate(zip(j_classes, l_reps)))
+    anchors = tuple(next(filter(S.is_idempotent, members)) if reg else None
+                    for members, reg in zip(j_classes, regular))
 
     return GreenStructure(
         r_class=r_class,
         l_class=l_class,
         j_class=j_class,
-        h_class=h_class,
         r_classes=r_classes,
         l_classes=l_classes,
         j_classes=j_classes,
-        h_classes=tuple(map(tuple, h_classes)),
         j_below=tuple(j_below),
-        regular=tuple(a is not None for a in anchors),
+        regular=regular,
         anchors=anchors,
     )
 
@@ -598,7 +676,7 @@ def maximal_subgroup(S, e):
     if not S.is_idempotent(e):
         raise NotIdempotent(f"element {e} is not idempotent")
     g = S.green()
-    members = g.h_classes[g.h_class[e]]
+    members = g.h_members(e)
     pos = {x: i for i, x in enumerate(members)}
     table = [[pos[S.mul(x, y)] for y in members] for x in members]
     group = FiniteSemigroup(table, generators=list(range(len(members))),
@@ -756,8 +834,8 @@ def lift_jclass(phi, j_target):
     # maximal subgroups map onto maximal subgroups
     for s in gs.j_classes[j_prime]:
         if S.is_idempotent(s):
-            hs = {phi(x) for x in gs.h_classes[gs.h_class[s]]}
-            ht = set(gt.h_classes[gt.h_class[phi(s)]])
+            hs = {phi(x) for x in gs.h_members(s)}
+            ht = set(gt.h_members(phi(s)))
             check(hs == ht, "maximal subgroups map onto maximal subgroups", s)
     return j_prime
 

@@ -107,7 +107,7 @@ def _distinguished(S):
         c
         for c in candidates
         if g.regular[c]
-        and all(len(g.h_classes[g.h_class[x]]) == 1 for x in g.j_classes[c])
+        and _h_trivial(g, g.j_classes[c])
         and _faithful_both_sides(S, g.j_classes[c])
     ]
     if not winners:
@@ -115,6 +115,13 @@ def _distinguished(S):
     if len(winners) != 1:
         raise CheckFailed("distinguished ideal is not unique", winners)
     return True, tuple(g.j_classes[winners[0]])
+
+
+def _h_trivial(g, j_elems):
+    """Whether the H-classes of a J-class are trivial: its cells R x L, all
+    of one size, are then as many as its elements."""
+    rows, cols = {g.r_class[x] for x in j_elems}, {g.l_class[x] for x in j_elems}
+    return len(rows) * len(cols) == len(j_elems)
 
 
 def _faithful_both_sides(S, j_elems):

@@ -254,7 +254,7 @@ def rm_representation(S, j_id, r_class_of=None):
     morphism = SemigroupMorphism(S, image, tuple(lut[maps[s]] for s in range(S.n)))
     for e in g.j_classes[j_id]:
         if S.is_idempotent(e):
-            h = g.h_classes[g.h_class[e]]
+            h = g.h_members(e)
             check(len({maps[x] for x in h}) == len(h),
                   "the action is injective on every maximal subgroup of J", e)
     faithful = len(set(maps)) == S.n
@@ -900,8 +900,8 @@ def rho_check(s_prime, block_rho, phi_w, zero, letters):
     """
     _, entry_of = s_prime.names[0].point_tables()
     point_rho = [None if t is None else block_rho[t] for t in entry_of]
-    for x, mat in enumerate(s_prime.names):
-        want, images = phi_w[x], set(map(point_rho.__getitem__, mat.points))
+    for x, points in enumerate(map(s_prime.names.points, range(s_prime.n))):
+        want, images = phi_w[x], set(map(point_rho.__getitem__, points))
         if x == s_prime.zero:
             if want == zero:
                 continue
@@ -910,7 +910,7 @@ def rho_check(s_prime, block_rho, phi_w, zero, letters):
             continue
         elif want == zero:
             failed = "phi(u) = 0 must force eta(u) = 0"
-        elif None in map(entry_of.__getitem__, mat.points):
+        elif None in map(entry_of.__getitem__, points):
             failed = "non-zero elements are total on [p]"
         elif len(images) != 1:
             failed = "block entries must agree under alpha"
@@ -935,10 +935,11 @@ def j_support_check(s_prime, members, twists, t_index, letters):
     preimages = {None: set()}
     allowed = {}
     for x in members:
-        points = s_prime.names[x].points
+        points = s_prime.names.points(x)
         q0, t0 = points[0], entry_of[points[0]]
         if t0 not in preimages:
-            preimages[t0] = {t_index.get(tw * blocks[t0]) for tw in twists}
+            block = blocks[t0]  # read once: its right table serves every twist
+            preimages[t0] = {t_index.get(tw * block) for tw in twists}
         if q0 not in allowed:
             # the points of one column differ by their entry indices
             allowed[q0] = frozenset(q0 - t0 + t for t in preimages[t0] if t is not None)

@@ -73,8 +73,10 @@ def close_by_products(gens, cap=DEFAULT_CAP):
     if not hasattr(gens[0], "_b"):  # no packed points to gather: a table semigroup
         return FiniteSemigroup(table_from_cayley(cols, parent, lastgen), gen_elts,
                                names=elems, check=False)
-    packed = {x._b: i for i, x in enumerate(elems)}
-    return FiniteSemigroup._from_closure(elems, cols, gen_elts, parent, lastgen, packed)
+    keys = [x._b for x in elems]
+    packed = {b: i for i, b in enumerate(keys)}
+    return FiniteSemigroup._from_closure(keys, elems[0]._wrap, cols, gen_elts, parent, lastgen,
+                                         packed)
 
 
 def table_from_cayley(cols, parent, lastgen):
@@ -353,3 +355,25 @@ def j_support_loop(s_prime, members, twists, t_index, letters):
             raise CheckFailed(
                 "block entries must be preimages of one matrix", s_prime.word_letters(x, letters)
             )
+
+
+def eggbox_by_buckets(S):
+    """The text of `cli._print_eggbox` built J-class by J-class: each class's
+    H-classes bucketed and sorted by cell, then cut into rows of one cell per
+    L-class."""
+    g = S.green()
+    cells = [",".join(map(str, h)) for h in g.h_classes]
+    width = len(g.l_classes)
+    place = [g.r_class[h[0]] * width + g.l_class[h[0]] for h in g.h_classes]  # row-major
+    order = sorted(range(len(g.j_classes)),
+                   key=lambda c: (g.j_below[c].bit_count(), g.j_classes[c][0]))
+    out = []
+    for c in order:
+        elems = g.j_classes[c]
+        hs = sorted(set(map(g.h_class.__getitem__, elems)), key=place.__getitem__)
+        grid = [cells[h] for h in hs]
+        cols = len(set(map(g.l_class.__getitem__, elems)))
+        regular = "true" if g.regular[c] else "false"
+        out.append(f"jclass {c} regular={regular} size={len(elems)}\n" + "".join(
+            f"  row {' | '.join(grid[i:i + cols])}\n" for i in range(0, len(grid), cols)))
+    return "".join(out)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from corpus import full_shift, golden_mean, period_shift, random_presentation
-from oracles import j_below_set
+from oracles import eggbox_by_buckets, j_below_set
 from soficsemi import cli, entropy, shiftspace, syntactic
 from soficsemi.cli import _format_bound, _print_eggbox, main
 from soficsemi.finsemi import format_semigroup
@@ -383,6 +383,43 @@ def test_eggbox_matches_cell_scan(capsys):
         S = syntactic.syntactic_semigroup(P).semigroup
         _print_eggbox(S)
         assert capsys.readouterr().out == eggbox_by_cell_scan(S)
+
+
+def test_eggbox_matches_bucketed_oracle(capsys, tmp_path):
+    """`syntactic` and `green` print the eggbox of `oracles.eggbox_by_buckets`
+    byte for byte: on the corpus and the .sg files of its semigroups, on
+    anchor seeds 47, 22 and 159, and on the .sg files of the S' of the Z3
+    and Z4 even-shift covers."""
+    from corpus import corpus_presentations, cyclic_group, even_shift
+    from soficsemi import build_cover, parse_semigroup
+
+    def verb_output(verb, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main([verb, str(path)]) == 0
+        return capsys.readouterr().out
+
+    presentations = corpus_presentations()
+    presentations += [(f"a{seed}", random_presentation(seed, states, "abc"))
+                      for seed, states in ((47, 10), (22, 10), (159, 18))]
+    for name, P in presentations:
+        S = syntactic.syntactic_semigroup(P).semigroup
+        out = verb_output("syntactic", name + ".pres", format_presentation(P))
+        pairs = "".join(line + "\n" for line in out.splitlines()[:5])
+        assert pairs.startswith(f"semigroup_size {S.n}\n") and "regular_j_classes " in pairs
+        assert out == pairs + eggbox_by_buckets(S), name
+        if S.n <= 300:
+            text = format_semigroup(S)
+            assert verb_output("green", name + ".sg", text) == eggbox_by_buckets(
+                parse_semigroup(text)), name
+    D = syntactic.syntactic_semigroup(even_shift(), extra_letters=("c",))
+    for k in (3, 4):
+        s_prime = build_cover(D, cyclic_group(k), [0] * k, ("a", "b", "b"), ("a",)).s_prime
+        text = format_semigroup(s_prime)
+        expected = eggbox_by_buckets(parse_semigroup(text))
+        assert verb_output("green", f"even-z{k}.sg", text) == expected
+        _print_eggbox(s_prime)
+        assert capsys.readouterr().out == expected == eggbox_by_buckets(s_prime)
 
 
 def test_bound_digits_without_str():

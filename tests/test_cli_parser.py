@@ -10,6 +10,7 @@ import argparse
 
 import pytest
 
+from corpus import even_shift
 from soficsemi import cli
 from soficsemi.cli import (
     DEFAULT_CAP,
@@ -24,6 +25,7 @@ from soficsemi.cli import (
     cmd_witness,
     main,
 )
+from soficsemi.shiftspace import format_presentation
 
 
 def oracle_parser():
@@ -136,7 +138,6 @@ MALFORMED = [
     ["--cap"],
     ["entropy", "P", "--nmax"],
     ["entropy", "P", "--tol", "--nmax", "6"],
-    ["entropy", "P", "--tol", "-1e-3"],
 ]
 
 HELP = [["-h"], ["--help"], ["syntactic", "-h"], ["--cap", "5", "entropy", "P", "--help"]]
@@ -148,6 +149,15 @@ DELIBERATE_DIFFERENCES = [
     ["--ca", "5", "syntactic", "P"],
     ["entropy", "P", "--nm", "6"],
     ["syntactic", "--", "P"],
+]
+
+
+# argparse read a negative number with an exponent, or -inf, after a flag as
+# a flag; the table parser takes any token that parses as the flag's type as
+# its value, so the value reaches the verb's range check.
+NEGATIVE_VALUES = [
+    ["entropy", "PRES", "--tol", "-1e-3"],
+    ["entropy", "PRES", "--tol", "-inf"],
 ]
 
 
@@ -189,6 +199,19 @@ def test_deliberate_differences_from_argparse(capsys, argv):
     oracle_parser().parse_args(argv)
     assert main(argv) == 2
     assert capsys.readouterr().out.startswith("ERR usage ")
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUES)
+def test_negative_values_reach_the_range_check(capsys, tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        oracle_parser().parse_args(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    path = tmp_path / "even.pres"
+    path.write_text(format_presentation(even_shift()))
+    assert main([str(path) if arg == "PRES" else arg for arg in argv]) == 1
+    assert capsys.readouterr().out == (
+        f"ERR validation tol must be a finite number in (0, 1), got {float(argv[-1])}\n")
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):

@@ -3,6 +3,7 @@ closure of `oracles.close_by_products`."""
 
 import itertools
 import random
+import types
 
 import pytest
 
@@ -97,7 +98,7 @@ def test_anchor_products_and_anchors_match_walk(seed):
 def test_syntactic_keeps_no_row_or_word_per_element(capsys, monkeypatch, tmp_path):
     """`syntactic` on anchor seed 159 keeps its Cayley graph as columns and
     spells no witness word: no attribute of the semigroup holds a list or
-    tuple per element."""
+    tuple per element, nor a list of its carriers (they are made on read)."""
     made = []
     real = cli.syntactic_mod.syntactic_semigroup
 
@@ -118,6 +119,31 @@ def test_syntactic_keeps_no_row_or_word_per_element(capsys, monkeypatch, tmp_pat
                    if isinstance(v, (list, tuple)) and len(v) == S.n
                    and any(isinstance(item, (list, tuple)) for item in v)]
     assert per_element == []
+    carriers = [name for name, v in vars(S).items()
+                if isinstance(v, list) and len(v) == S.n
+                and any(isinstance(item, PartialTransformation) for item in v)]
+    assert carriers == [] and S.names[S.zero] == S.names[S.zero]
+    assert S.names[S.zero] is not S.names[S.zero]
+
+
+def test_carriers_read_as_a_list():
+    """A closure's `names` read as the list of its carriers: length, index,
+    slice, iteration, `.index` and `==` against a list, either way round."""
+    maps = letter_actions(factor_dfa(even_shift()))
+    S = close_generators(maps)
+    carriers = list(S.names)
+    assert len(S.names) == len(carriers) == S.n
+    assert S.names == carriers and carriers == S.names and S.names == S.names
+    assert S.names != carriers[:-1] and S.names != carriers[::-1]
+    assert S.names[1:3] == carriers[1:3] and S.names[-1] == carriers[-1]
+    assert [S.names.index(c) for c in carriers] == list(range(S.n))
+    assert S.names[S.generators[0]] == maps[0]
+    for stranger in (PartialTransformation([None] * maps[0].dim),
+                     types.SimpleNamespace(_b=carriers[0]._b)):  # same points, not a carrier
+        with pytest.raises(ValueError):
+            S.names.index(stranger)
+    with pytest.raises(TypeError):
+        hash(S.names)
 
 
 def wide_maps(dim):

@@ -189,20 +189,22 @@ def green_structure_oracle(S):
             succ[j_class[x]].add(j_class[right[x][j]])
             succ[j_class[x]].add(j_class[left[j][x]])
     idem = set(walk_idempotents(S))
-    return GreenStructure(
+    g = GreenStructure(
         r_class=tuple(r_class),
         l_class=tuple(l_class),
         j_class=tuple(j_class),
-        h_class=tuple(renum[c] for c in h_class),
         r_classes=r_classes,
         l_classes=l_classes,
         j_classes=j_classes,
-        h_classes=tuple(tuple(sorted(buckets[old])) for old in order),
         j_below=tuple(sum(1 << d for d in reach([c], succ.__getitem__)) for c in range(nc)),
         regular=tuple(any(x in idem for x in j_classes[c]) for c in range(nc)),
         anchors=tuple(min((x for x in j_classes[c] if x in idem), default=None)
                       for c in range(nc)),
     )
+    # the oracle's own H, read (and compared) in place of the derived one
+    g.h_class = tuple(renum[c] for c in h_class)
+    g.h_classes = tuple(tuple(sorted(buckets[old])) for old in order)
+    return g
 
 
 def even_cover(k):
@@ -239,7 +241,9 @@ GREEN_ORACLE_CASES = {
 def test_green_matches_exact_oracle(case):
     semigroups = GREEN_ORACLE_CASES[case]()
     for S in semigroups:
-        assert S.green() == green_structure_oracle(S), S
+        g = S.green()
+        assert g == green_structure_oracle(S), S
+        assert all(g.h_members(x) == g.h_classes[g.h_class[x]] for x in range(S.n)), S
     if case == "random-presentations":
         assert semigroups[-1].n == 2317 > TABLE_LIMIT
     if case.startswith("even-z"):
@@ -250,6 +254,22 @@ def test_green_matches_exact_oracle(case):
         big = max(range(len(g.j_classes)), key=lambda c: len(g.j_classes[c]))
         assert S.n == 1316 and g.regular[big]
         assert len(g.h_classes[g.h_class[g.anchors[big]]]) > 1
+
+
+def test_regularity_rule_meets_its_hard_cases():
+    """`green_structure` decides regularity by one product a*b per R-class of
+    a J-class, a its least member. The transformation case holds both kinds
+    of class that rule must get right, and there it equals the oracle, which
+    calls a class regular when some member is idempotent."""
+    found_non_regular = found_regular = False
+    for S in GREEN_ORACLE_CASES["transformations"]():
+        g = S.green()
+        for c, members in enumerate(g.j_classes):
+            r_ids = {g.r_class[x] for x in members}
+            found_non_regular |= not g.regular[c] and len(r_ids) >= 2
+            found_regular |= g.regular[c] and not S.is_idempotent(members[0])
+        assert g == green_structure_oracle(S), S
+    assert found_non_regular and found_regular
 
 
 def zero_and_identity_oracle(S):

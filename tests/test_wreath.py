@@ -36,7 +36,7 @@ from soficsemi.errors import (
     NotTransitive,
     RankTooHigh,
 )
-from soficsemi.finsemi import close_generators, maximal_subgroup
+from soficsemi.finsemi import Carriers, close_generators, maximal_subgroup
 from soficsemi.wreath import EntrySemigroup, _kernel_tuples, j_support_check, rho_check
 from oracles import (
     close_by_products,
@@ -690,10 +690,11 @@ def with_rows(S, x, change):
     """A copy of S' whose element x is the matrix of its rows after
     `change(rows)`; nothing else changes."""
     bad = copy.copy(S)
-    bad.names = list(S.names)
     rows = list(S.names[x].rows)
     change(rows)
-    bad.names[x] = RowMonomialMatrix(S.names[x].entries, rows)
+    keys = [mat._b for mat in S.names]
+    keys[x] = RowMonomialMatrix(S.names[x].entries, rows)._b
+    bad.names = Carriers(keys, S.names[0]._wrap, {})
     return bad
 
 
