@@ -1,14 +1,14 @@
 """Finite semigroups given by generators or by multiplication tables.
 
-Elements are canonical indices 0..n-1.  Element numbering follows the
-deterministic BFS discovery order of Froidure-Pin's closure (words compared
-by length first, ties broken by generator position as listed in the input),
-and a semigroup keeps the right Cayley graph as one column per generator
-plus the BFS tree, from which an element's shortlex generator-word witness
-is spelled on demand.  Every semigroup keeps that order as `_order` (a
-table's own numbering may differ from it), so each element comes after its
-witness-tree `_parent`.  A closure multiplies by gathers on its carriers'
-packed points and keeps no table until `.table` is read.
+Elements are canonical indices 0..n-1.  Every semigroup is a closure of
+packed carriers under Froidure-Pin's BFS (words compared by length first,
+ties broken by generator position as listed in the input); a table is read
+as its right regular representation and keeps its own numbering.  A
+semigroup keeps the right Cayley graph as one column per generator plus the
+BFS tree, from which an element's shortlex generator-word witness is spelled
+on demand, and the BFS order as `_order` (a table's numbering may differ
+from it), so each element comes after its witness-tree `_parent`.  Products
+are gathers on the carriers' packed points; no |S|^2 table is kept.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .graph import sccs
 
-TABLE_LIMIT = 2000  # above this, `.table` refuses to materialize the n x n table
+TABLE_LIMIT = 2000  # `format_semigroup` writes no larger table; bench/layers.py reads it
 DEFAULT_CAP = 2_000_000  # element cap of a closure unless the caller passes one
 
 
@@ -205,18 +205,34 @@ class Carriers:
         return at
 
 
+def _check_associative(table, generators):
+    """Light's test: (x*a)*y = x*(a*y) for every generator a and all x, y.
+
+    The elements a for which it holds are closed under products, so once
+    the generators are known to generate, it holds for every a.
+    """
+    for a in generators:
+        ta = table[a]
+        for x, tx in enumerate(table):
+            if [tx[v] for v in ta] != table[tx[a]]:
+                y = next(y for y, v in enumerate(ta) if tx[v] != table[tx[a]][y])
+                raise ValueError(f"table not associative at ({x},{a},{y})")
+
+
 class FiniteSemigroup:
     """Finite semigroup on indices 0..n-1 with generator-word witnesses.
 
-    `names` optionally carries a payload per element (the carrier object the
-    index stands for: a transformation, a matrix, an element of a larger
-    semigroup, ...).  The right Cayley graph is kept as one column per
-    generator, `_cols[j][x]` being x times generator j, and the witness tree
-    as `_parent` and `_lastgen`: x is `_parent[x]` (None for a generator)
-    times generator `_lastgen[x]`.  A closure keeps its elements' packed
-    points as `_keys` and `_index` (packed points to index), its `names`
-    are `Carriers` over them, and its products are gathers of keys looked
-    up in the index.
+    One representation: a closure of packed carriers, kept as `_keys` and
+    `_index` (packed points to index), whose products are gathers of keys
+    looked up in the index.  A table given to the constructor is closed as
+    its right regular representation (element s is its right translation)
+    and keeps the table's numbering.  `names` optionally carries a payload
+    per element (the carrier object the index stands for: a transformation,
+    a matrix, an element of a larger semigroup, ...); a closure's `names`
+    are `Carriers` over its keys, a table's are as given.  The right Cayley
+    graph is kept as one column per generator, `_cols[j][x]` being x times
+    generator j, and the witness tree as `_parent` and `_lastgen`: x is
+    `_parent[x]` (None for a generator) times generator `_lastgen[x]`.
     """
 
     def __init__(self, table, generators=None, *, names=None, check=True):
@@ -232,19 +248,25 @@ class FiniteSemigroup:
             generators = list(range(n))
         if not all(0 <= g < n for g in generators):
             raise ValueError("generator out of range")
-        self.n = n
-        self._table = table
-        self._index = None
-        self.generators = list(generators)
-        self.names = list(names) if names is not None else None
-        self._cols = [[row[g] for row in table] for g in self.generators]
-        self._derive_witnesses()
         if check:
-            self._check_associative()
-        self.zero = self._find_zero()
-        self.identity = self._find_identity()
-        self._green = None
-        self._aggm = None
+            _check_associative(table, generators)
+        # element s is its right translation y -> y*s of S^1 on n + 1
+        # points, point n standing for the identity: 1*s = s makes the action
+        # faithful and point n of a packed key the element's own index
+        closure = close_generators(
+            [PartialTransformation([*(row[g] for row in table), g]) for g in generators])
+        if closure.n != n:
+            raise ValueError("generators do not generate the semigroup")
+        # renumber the closure's BFS order to the table's numbering
+        at = [key[n] for key in closure._keys]
+        keys, parent, lastgen = [None] * n, [None] * n, [None] * n
+        for x, key, p, j in zip(at, closure._keys, closure._parent, closure._lastgen):
+            keys[x] = key
+            parent[x] = None if p is None else at[p]
+            lastgen[x] = j
+        cols = [[row[g] for row in table] for g in generators]
+        self._set_fields(keys, closure._wrap, dict(zip(closure._keys, at)), generators, cols,
+                         parent, lastgen, at, list(names) if names is not None else None)
 
     # -- construction ---------------------------------------------------
 
@@ -253,103 +275,49 @@ class FiniteSemigroup:
         """A closure from its elements' packed points in BFS order, the
         carrier wrapper `wrap` of their kind, and its Cayley graph."""
         self = object.__new__(cls)
+        self._set_fields(keys, wrap, index, gen_elts, cols, parent, lastgen,
+                         range(len(keys)), Carriers(keys, wrap, index))
+        return self
+
+    def _set_fields(self, keys, wrap, index, generators, cols, parent, lastgen, order, names):
         self.n = len(keys)
-        self.names = Carriers(keys, wrap, index)
+        self.names = names
         self._keys = keys
         self._wrap = wrap
+        self._index = index
         self._rights = {}
-        self.generators = list(gen_elts)
+        self.generators = list(generators)
         self._cols = cols
         self._parent = parent
         self._lastgen = lastgen
-        self._order = range(self.n)
-        self._index = index
-        self._table = None
+        self._order = order
         self.zero = self._find_zero()
         self.identity = self._find_identity()
         self._green = None
         self._aggm = None
-        return self
-
-    def _check_associative(self):
-        """Light's test: (x*a)*y = x*(a*y) for every generator a and all x, y.
-
-        The elements a for which it holds are closed under products, so once
-        the generators are known to generate, it holds for every a.
-        """
-        t = self._table
-        for a in self.generators:
-            ta = t[a]
-            for x, tx in enumerate(t):
-                if [tx[v] for v in ta] != t[tx[a]]:
-                    y = next(y for y, v in enumerate(ta) if tx[v] != t[tx[a]][y])
-                    raise ValueError(f"table not associative at ({x},{a},{y})")
-
-    def _derive_witnesses(self):
-        # BFS over right multiplication by generators: the shortlex witness
-        # tree, an element being unseen while its `lastgen` is None
-        n = self.n
-        parent = [None] * n
-        lastgen = [None] * n
-        order = []
-        for j, g in enumerate(self.generators):
-            if lastgen[g] is None:
-                lastgen[g] = j
-                order.append(g)
-        for x in order:  # grows while it is walked
-            for j, col in enumerate(self._cols):
-                y = col[x]
-                if lastgen[y] is None:
-                    parent[y] = x
-                    lastgen[y] = j
-                    order.append(y)
-        if len(order) != n:
-            raise ValueError("generators do not generate the semigroup")
-        self._parent = parent
-        self._lastgen = lastgen
-        self._order = order
-
-    def _materialize_table(self):
-        # column y of the table is the right action of y on all of S
-        self._table = [list(row) for row in zip(*self.right_action(range(self.n)))]
 
     # -- basic operations -------------------------------------------------
 
     def __len__(self):
         return self.n
 
-    @property
-    def table(self):
-        if self._table is None:
-            if self.n > TABLE_LIMIT:
-                raise MemoryError(f"refusing to materialize {self.n}x{self.n} table")
-            self._materialize_table()
-        return self._table
-
     def mul(self, x, y):
-        """x*y: a table lookup, or on a closure one gather of x's packed
-        points through y's right table (kept per right factor), looked up
-        in the key index."""
-        if self._table is not None:
-            return self._table[x][y]
+        """x*y: one gather of x's packed points through y's right table
+        (kept per right factor), looked up in the key index."""
         table = self._rights.get(y)
         if table is None:
             table = self._rights[y] = self._wrap(self._keys[y])._right_table()
         return self._index[gatherer(self._keys[x])(table)]
 
     def is_idempotent(self, x):
-        """Whether x*x = x; on a closure whether the square of x's packed
-        points, in O(points) and with no right table, is those points."""
-        if self._table is not None:
-            return self._table[x][x] == x
+        """Whether x*x = x: whether the square of x's packed points, in
+        O(points) and with no right table, is those points."""
         b = self._keys[x]
         return self._wrap(b)._square() == b
 
     def left_row(self, g):
         """Row of left multiplication by element g: [g*x for x in S], one
         Cayley lookup per element along the witness tree."""
-        if self._table is not None:
-            return self._table[g]
         cols, parent, lastgen = self._cols, self._parent, self._lastgen
         row = [None] * self.n
         for y in self._order:
@@ -383,7 +351,7 @@ class FiniteSemigroup:
     def same_table(self, other):
         """Whether other has this multiplication table, read off the
         generators and the right Cayley graph (they determine every product)
-        in O(|S| * k), so no table is materialized."""
+        in O(|S| * k)."""
         return self is other or (
             self.generators == other.generators and self._cols == other._cols
         )
@@ -861,6 +829,8 @@ def parse_semigroup(text):
     if not lines or lines[0][0] != "semigroup" or len(lines[0]) < 3:
         raise ValueError("expected 'semigroup n k' header")
     n, k = int(lines[0][1]), int(lines[0][2])
+    if n < 1 or k < 1:
+        raise ValueError(f"header '{' '.join(lines[0])}' needs n >= 1 and k >= 1")
     if len(lines) < n + 2:
         raise ValueError("truncated semigroup file")
     table = []
@@ -896,8 +866,11 @@ def parse_semigroup(text):
 
 
 def format_semigroup(S):
+    if S.n > TABLE_LIMIT:
+        raise MemoryError(f"refusing to write the {S.n}x{S.n} table")
     out = [f"semigroup {S.n} {len(S.generators)}"]
-    for row in S.table:
+    # column y of the table is the right action of y on all of S
+    for row in zip(*S.right_action(range(S.n))):
         out.append(" ".join(str(v) for v in row))
     out.append("generators " + " ".join(str(g) for g in S.generators))
     if S.zero is not None:

@@ -27,7 +27,8 @@ def close_by_products(gens, cap=DEFAULT_CAP):
     The same BFS by shortlex generator words as `close_generators`, with a
     carrier dict in place of the packed points: each product makes its
     carrier and looks it up through its `__hash__` and `__eq__`. Carriers
-    without packed points (`_b`) give a semigroup with a table.
+    without packed points (`_b`) give the semigroup of their multiplication
+    table.
     """
     gens = list(gens)
     if not gens:

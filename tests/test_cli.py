@@ -196,6 +196,13 @@ def test_error_codes(capsys, tmp_path):
 
 GM_TEXT = "presentation 2 a b\nedge 0 a 0\nedge 0 b 1\nedge 1 a 0\n"
 Z2_TEXT = "semigroup 2 1\n0 1\n1 0\ngenerators 1\nidentity 0\n"
+# `.sg` texts whose header is rejected by name: once an empty semigroup
+# passed and once a later line was blamed
+HEADER_ERRORS = {
+    "semigroup 0 0\ngenerators\n":
+        "ERR validation header 'semigroup 0 0' needs n >= 1 and k >= 1\n",
+    "semigroup -1 0\n": "ERR validation header 'semigroup -1 0' needs n >= 1 and k >= 1\n",
+}
 
 
 @pytest.mark.parametrize("argv, files", [
@@ -223,6 +230,7 @@ Z2_TEXT = "semigroup 2 1\n0 1\n1 0\ngenerators 1\nidentity 0\n"
     (["--format", "xml", "green", "H"], {}),
     (["aggm", "P", "--verbose"], {}),
     (["entropy", "P", "--tol"], {}),
+    *((["green", "H"], {"H": text}) for text in HEADER_ERRORS),
 ])
 def test_malformed_input_prints_err(capsys, tmp_path, argv, files):
     texts = {"P": GM_TEXT, "H": Z2_TEXT, **files}
@@ -231,6 +239,7 @@ def test_malformed_input_prints_err(capsys, tmp_path, argv, files):
     code, out = run(capsys, [str(tmp_path / a) if a in texts else a for a in argv])
     assert code in (1, 2)
     assert out.startswith("ERR ")
+    assert out == HEADER_ERRORS.get(files.get("H"), out)
 
 
 def test_more_states_than_edges_is_not_strongly_connected(tmp_path):

@@ -12,7 +12,6 @@ from oracles import close_by_products, walk_idempotents, walk_mul
 from soficsemi import build_cover, cli, factor_dfa, syntactic_semigroup
 from soficsemi.errors import CapExceeded, DimensionMismatch
 from soficsemi.finsemi import (
-    TABLE_LIMIT,
     FiniteSemigroup,
     PartialTransformation,
     close_generators,
@@ -50,14 +49,12 @@ def some_pairs(S, limit=500, samples=20000):
 
 def assert_products_match_walk(S, pairs):
     """`S.mul` on the given pairs and `S.is_idempotent` on their left
-    factors, on a closure with no table, agree with the witness walk."""
-    assert S._table is None
+    factors agree with the witness walk."""
     pairs = list(pairs)
     for x, y in pairs:
         assert S.mul(x, y) == walk_mul(S, x, y), (x, y)
     for x in sorted({x for x, _ in pairs}):
         assert S.is_idempotent(x) == (walk_mul(S, x, x) == x), x
-    assert S._table is None
 
 
 def assert_anchors_match_idempotents(S):
@@ -90,7 +87,6 @@ ANCHORS = {22: 10, 159: 18}  # anchor seed: states, over abc
 @pytest.mark.parametrize("seed", list(ANCHORS))
 def test_anchor_products_and_anchors_match_walk(seed):
     S = syntactic_semigroup(random_presentation(seed, ANCHORS[seed], "abc")).semigroup
-    assert S.n > TABLE_LIMIT
     assert_products_match_walk(S, some_pairs(S, limit=0, samples=2000))
     assert_anchors_match_idempotents(S)
 
@@ -114,7 +110,7 @@ def test_syntactic_keeps_no_row_or_word_per_element(capsys, monkeypatch, tmp_pat
     assert cli.main(["syntactic", str(path)]) == 0
     assert capsys.readouterr().out.startswith("semigroup_size 12258\n")
     (S,) = made
-    assert S._table is None and len(S._cols) == 3
+    assert len(S._cols) == 3
     per_element = [name for name, v in vars(S).items()
                    if isinstance(v, (list, tuple)) and len(v) == S.n
                    and any(isinstance(item, (list, tuple)) for item in v)]

@@ -55,6 +55,20 @@ def test_packed_carriers_stay_in_their_classes():
     assert not found, found
 
 
+def test_one_semigroup_representation():
+    """A semigroup is always a closure of packed carriers: no package module
+    reads a `table` or `_table` attribute (a carrier's `right_table` and
+    `_right_table` are not tables of the semigroup) or defines a second
+    witness BFS beside `close_generators`."""
+    found = []
+    for name, tree in package_trees():
+        found += [f"{name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("table", "_table")]
+        found += [f"{name}:{node.lineno} {node.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_derive_witnesses"]
+    assert not found, found
+
+
 def test_cli_import_leaves_argparse_out():
     """The CLI parses argv from its own verb table; importing it (as every
     CLI call does) loads no `argparse`."""
