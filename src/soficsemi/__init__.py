@@ -52,8 +52,6 @@ from .wreath import (
     RowMonomialMatrix,
     build_cover,
     rees_coordinates,
-    rlm_representation,
-    rm_representation,
     wreath_embed,
     wreath_product_0simple_check,
 )
@@ -63,7 +61,6 @@ from .zimin import (
     evaluate_zimin,
     loop_language,
     power_factorial,
-    rational_bound_check,
 )
 
 __version__ = "0.1.0"

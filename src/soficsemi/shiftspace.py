@@ -56,15 +56,12 @@ class Presentation:
         edges = [(int(s), str(a), int(t)) for (s, a, t) in edges]
         if not edges:
             raise ValueError("presentation needs at least one edge")
-        used = []
-        seen = set()
-        for _, a, _ in edges:
-            if a not in seen:
-                seen.add(a)
-                used.append(a)
+        seen = {a for _, a, _ in edges}
         if alphabet is None:
             alphabet = sorted(seen)
         alphabet = tuple(alphabet)
+        if len(set(alphabet)) != len(alphabet):
+            raise ValueError("alphabet repeats a letter")
         if set(alphabet) != seen:
             raise ValueError("alphabet must be exactly the set of edge labels")
         for s, _, t in edges:

@@ -37,12 +37,9 @@ class SyntacticData:
     alphabet: tuple
 
     def image(self, w):
-        """The syntactic morphism on a non-empty word."""
-        w = tuple(w)
-        cur = self.letter_map[w[0]]
-        for a in w[1:]:
-            cur = self.semigroup.mul(cur, self.letter_map[a])
-        return cur
+        """The syntactic morphism on a non-empty word; letter j of the
+        alphabet is generator j."""
+        return self.semigroup.eval_word(self.dfa.letter_pos[a] for a in w)
 
     def distinguished_class(self):
         ok, j = is_aggm(self.semigroup)

@@ -1,5 +1,9 @@
-"""Schutzenberger and RLM representations, Rees coordinates, row-monomial
+"""Rees coordinates, the embedding of S in K wr (B, RLM_J(S)), row-monomial
 wreath products, and the group-cover construction with full verification.
+
+The embedding carries both Schutzenberger representations of the J-class:
+each matrix is the right action on the anchor's R-class in coordinates, and
+its support is the RLM action on the L-classes.
 
 Wreath products are carried by one row-monomial matrix type whose entries
 index a tabled entry semigroup: a group for a single wreath product, and for
@@ -224,110 +228,6 @@ class RowMonomialMatrix:
         return RowMonomialMatrix(self.entries, rows)
 
 
-# -- representations on a regular J-class --------------------------------
-
-
-@dataclass
-class SchutzenbergerAction:
-    """Right action of S on a fixed R-class of a regular J-class."""
-
-    domain: tuple  # R-class elements, sorted
-    maps: list  # per S element, a PartialTransformation of the domain
-    image: FiniteSemigroup
-    morphism: SemigroupMorphism
-    faithful: bool
-
-
-def rm_representation(S, j_id, r_class_of=None):
-    g = S.green()
-    anchor = g.anchor(j_id)
-    if r_class_of is not None:
-        anchor = r_class_of
-        if g.j_class[anchor] != j_id:
-            raise ValueError(f"element {anchor} is not in J-class {j_id}")
-    members = g.r_classes[g.r_class[anchor]]
-    pos = {x: i for i, x in enumerate(members)}
-    maps = [PartialTransformation(tuple(map(pos.get, act)), len(members))
-            for act in S.right_action(members)]
-    image = close_generators([maps[s] for s in S.generators])
-    lut = {m: i for i, m in enumerate(image.names)}
-    morphism = SemigroupMorphism(S, image, tuple(lut[maps[s]] for s in range(S.n)))
-    for e in g.j_classes[j_id]:
-        if S.is_idempotent(e):
-            h = g.h_members(e)
-            check(len({maps[x] for x in h}) == len(h),
-                  "the action is injective on every maximal subgroup of J", e)
-    faithful = len(set(maps)) == S.n
-    _check_image_faithful(image, morphism, g, j_id)
-    return SchutzenbergerAction(members, maps, image, morphism, faithful)
-
-
-def _check_image_faithful(image, morphism, g, j_id):
-    """rho_J(J) is a regular J-class of the image and the action of the image
-    on one of its R-classes is again faithful."""
-    gi = image.green()
-    img_elems = {morphism(x) for x in g.j_classes[j_id]}
-    classes = {gi.j_class[y] for y in img_elems}
-    check(len(classes) == 1, "rho_J(J) lies in one J-class of the image", sorted(classes))
-    jbar = classes.pop()
-    check(gi.regular[jbar], "rho_J(J) is a regular J-class of the image", jbar)
-    members = gi.r_classes[gi.r_class[gi.anchor(jbar)]]
-    pos = {y: i for i, y in enumerate(members)}
-    first = {}
-    for s, act in enumerate(image.right_action(members)):
-        check(first.setdefault(tuple(map(pos.get, act)), s) == s,
-              "Schutzenberger representation of the image not faithful", s)
-
-
-@dataclass
-class RlmAction:
-    """Action of S on the L-classes of a regular J-class."""
-
-    b_order: tuple  # L-class ids of S.green(), anchor class first
-    l_elements: tuple  # per B index, the elements of that L-class
-    maps: list
-    image: FiniteSemigroup
-    morphism: SemigroupMorphism
-
-
-def rlm_representation(S, j_id, first_of=None):
-    g = S.green()
-    anchor = g.anchor(j_id)
-    if first_of is not None:
-        anchor = first_of
-    l_ids = sorted(
-        {g.l_class[x] for x in g.j_classes[j_id]},
-        key=lambda c: (c != g.l_class[anchor], min(g.l_classes[c])),
-    )
-    # the action on J's elements, grouped by L-class; an L-class outside J
-    # has no B index, so a product that leaves J gets None
-    b_pos = {c: i for i, c in enumerate(l_ids)}
-    points = [x for c in l_ids for x in g.l_classes[c]]
-    ends = list(itertools.accumulate(len(g.l_classes[c]) for c in l_ids))
-    spans = list(zip(l_ids, [0] + ends, ends))
-    maps = []
-    for s, act in enumerate(S.right_action(points)):
-        b = [b_pos.get(g.l_class[y]) for y in act]
-        row = []
-        for c, lo, hi in spans:
-            targets = set(b[lo:hi])
-            check(len(targets) == 1, "RLM action not well defined", (c, s))
-            row.append(targets.pop())
-        maps.append(PartialTransformation(tuple(row), len(l_ids)))
-    image = close_generators([maps[s] for s in S.generators])
-    lut = {m: i for i, m in enumerate(image.names)}
-    morphism = SemigroupMorphism(S, image, tuple(lut[maps[s]] for s in range(S.n)))
-    for x in g.j_classes[j_id]:
-        check(maps[x].rank <= 1, "elements of J must act with rank at most 1", x)
-    return RlmAction(
-        tuple(l_ids),
-        tuple(tuple(g.l_classes[c]) for c in l_ids),
-        maps,
-        image,
-        morphism,
-    )
-
-
 # -- Rees coordinates -----------------------------------------------------
 
 
@@ -339,12 +239,8 @@ class ReesCoordinates:
     a_ids: tuple  # R-class ids, e0's first
     b_ids: tuple  # L-class ids, e0's first
     sandwich: tuple  # C[b][a]: group element index or None
-    a0: int
-    b0: int
     e0: int
-    coord: dict  # S-element -> (a, g, b)
-    decoord: dict  # (a, g, b) -> S-element
-    u: tuple  # row representatives, u[a] in R_a meet L_{e0}
+    coord: dict  # S-element -> (a, g, b); e0 has a = b = 0
     v: tuple  # column representatives, v[b] in L_b meet R_{e0}
 
 
@@ -451,12 +347,8 @@ def rees_coordinates(S, j_id, idempotent=None):
         a_ids=tuple(a_ids),
         b_ids=tuple(b_ids),
         sandwich=sandwich,
-        a0=0,
-        b0=0,
         e0=e0,
         coord=coord,
-        decoord=decoord,
-        u=tuple(u),
         v=tuple(v),
     )
 
@@ -489,7 +381,7 @@ def wreath_embed(S, j_id, idempotent=None):
         for bi, y in enumerate(act):
             if y in coord:
                 a, k, b2 = coord[y]
-                check(a == rees.a0, "v[b] * s stays in the R-class of e0", (bi, s))
+                check(a == 0, "v[b] * s stays in the R-class of e0", (bi, s))
                 rows.append((b2, k))
             else:
                 rows.append(None)
@@ -511,7 +403,7 @@ def wreath_embed(S, j_id, idempotent=None):
             _, gx, bx = coord[x]
             row = rows[bx]
             if y in coord:
-                ok = row is not None and coord[y] == (rees.a0, K.mul(gx, row[1]), row[0])
+                ok = row is not None and coord[y] == (0, K.mul(gx, row[1]), row[0])
             else:
                 ok = row is None
             if not ok:
@@ -519,8 +411,8 @@ def wreath_embed(S, j_id, idempotent=None):
     # maximal-subgroup normal form: column b0 carries the group element
     for ki, k_elt in enumerate(K.names):
         m = mats[k_elt]
-        check(all(row is None or row == (rees.b0, ki) for row in m.rows)
-              and m.entry(rees.b0, rees.b0) == ki,
+        check(all(row is None or row == (0, ki) for row in m.rows)
+              and m.entry(0, 0) == ki,
               "a maximal-subgroup element sits in column b0 as its own entry", k_elt)
     return WreathEmbedding(rees, entries, mats, lookup)
 
@@ -605,7 +497,6 @@ class CoverResult:
     """Verified output of the cover construction."""
 
     s_prime: FiniteSemigroup  # names are RowMonomialMatrix over the blocks of T
-    base: FiniteSemigroup  # the covered semigroup S
     group_h: FiniteSemigroup
     rho: tuple  # S' element -> S element
     theta: dict  # element of the subgroup at eta(e) -> H element
@@ -866,7 +757,6 @@ def build_cover(D, H, alpha, e_word, z_word, cap=DEFAULT_CAP):
     }
     return CoverResult(
         s_prime=s_prime,
-        base=S,
         group_h=H,
         rho=rho,
         theta=theta,

@@ -94,35 +94,21 @@ def power_factorial(S, s, n):
     return S.power(s, exponent)
 
 
-def _first_depths(dfa, S, gens_map):
-    """BFS over the product of the DFA and S: each element of the image of
-    the language, mapped to the length of the shortest word reaching it."""
-    ident = object()
-    start = (dfa.initial, ident)
-    seen = {start}
-    frontier = [start]
-    depths = {}
-    depth = 0
+def phi_image_of_language(dfa, S, gens_map):
+    """Exact image of a rational language in S: a BFS over the pairs
+    (DFA state, S element) reached by nonempty words, level by level."""
+    frontier = list({(dfa.step(dfa.initial, a), gens_map[a]) for a in dfa.alphabet})
+    seen = set(frontier)
     while frontier:
-        depth += 1
         nxt = []
         for q, s in frontier:
             for a in dfa.alphabet:
-                q2 = dfa.step(q, a)
-                s2 = gens_map[a] if s is ident else S.mul(s, gens_map[a])
-                state = (q2, s2)
-                if state not in seen:
-                    seen.add(state)
-                    nxt.append(state)
-                if q2 in dfa.accepting:
-                    depths.setdefault(s2, depth)
+                pair = (dfa.step(q, a), S.mul(s, gens_map[a]))
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
         frontier = nxt
-    return depths
-
-
-def phi_image_of_language(dfa, S, gens_map):
-    """Exact image of a rational language in S via product-automaton BFS."""
-    return frozenset(_first_depths(dfa, S, gens_map))
+    return frozenset(s for q, s in seen if q in dfa.accepting)
 
 
 def in_minimal_ideal(S, subset, x):
@@ -226,10 +212,3 @@ def evaluate_zimin(T, S, gens_map):
           value)
     return ZiminResult(value, n, bound, term, image)
 
-
-def rational_bound_check(dfa, S, gens_map):
-    """Every element of the image of the language is reached by a word of
-    length at most m(|S|+1)-1, found by BFS over the product automaton."""
-    d = dfa.minimize()
-    depths = _first_depths(d, S, gens_map)
-    return max(depths.values(), default=0) <= d.n_states * (S.n + 1) - 1

@@ -5,6 +5,7 @@ cover's closure; the versions here work element by element, pair by pair or
 path by path, so the tests can compare the two.
 """
 
+import functools
 import math
 
 from soficsemi.errors import (
@@ -229,6 +230,12 @@ def out_edges(P, state, letter=None):
     for s, a, t in P.edges:
         if s == state and (letter is None or a == letter):
             yield (s, a, t)
+
+
+def image_by_products(D, w):
+    """The syntactic image of a non-empty word as a fold of `S.mul` over its
+    letters."""
+    return functools.reduce(D.semigroup.mul, (D.letter_map[a] for a in w))
 
 
 def in_language(D, w):

@@ -1,8 +1,7 @@
-"""The right and left actions along the witness tree, and the J-class
-representations read from them, against brute-force `S.mul` oracles.
+"""The right and left actions along the witness tree, and the wreath
+embedding read from them, against brute-force `S.mul` oracles.
 
-The oracles are the per-(point, element) loops the representations used
-before they read `FiniteSemigroup.right_action`."""
+The oracles are per-(point, element) loops over `S.mul`."""
 
 import random
 
@@ -20,8 +19,6 @@ from corpus import (
 from soficsemi import (
     PartialTransformation,
     rees_coordinates,
-    rlm_representation,
-    rm_representation,
     syntactic_semigroup,
     wreath_embed,
 )
@@ -55,16 +52,6 @@ def right_action_oracle(S, points):
 def left_action_oracle(S, points):
     pos = {x: i for i, x in enumerate(points)}
     return [tuple(pos[S.mul(s, x)] for x in points) for s in range(S.n)]
-
-
-def rm_maps_oracle(S, j_id, anchor):
-    g = S.green()
-    members = sorted(x for x in g.j_classes[j_id] if g.r_class[x] == g.r_class[anchor])
-    pos = {x: i for i, x in enumerate(members)}
-    return tuple(members), [
-        PartialTransformation(tuple(pos.get(S.mul(x, s)) for x in members), len(members))
-        for s in range(S.n)
-    ]
 
 
 def rlm_maps_oracle(S, j_id, l_ids):
@@ -123,43 +110,31 @@ def test_actions_match_mul(case):
 
 @pytest.mark.parametrize("case", sorted(ACTION_CASES))
 def test_representations_match_mul_oracle(case):
+    """The wreath embedding on each regular J-class: its rows are the action
+    on the column representatives and its supports the RLM action on the
+    L-classes; a J-class that is not regular is refused."""
     for S in ACTION_CASES[case]():
         g = S.green()
         for c in range(len(g.j_classes)):
             if not g.regular[c]:
-                for rep in (rm_representation, rlm_representation, wreath_embed):
-                    with pytest.raises(NotRegular):
-                        rep(S, c)
+                with pytest.raises(NotRegular):
+                    wreath_embed(S, c)
                 continue
             e0 = min(x for x in g.j_classes[c] if S.is_idempotent(x))
             assert g.anchor(c) == e0
 
-            act = rm_representation(S, c)
-            assert (act.domain, act.maps) == rm_maps_oracle(S, c, e0)
-            other = max(g.j_classes[c])
-            assert rm_representation(S, c, r_class_of=other).maps == \
-                rm_maps_oracle(S, c, other)[1]
-
             l_ids = sorted({g.l_class[x] for x in g.j_classes[c]},
                            key=lambda l: (l != g.l_class[e0], min(g.l_classes[l])))
-            rlm = rlm_representation(S, c)
-            assert rlm.b_order == tuple(l_ids) and rlm.maps == rlm_maps_oracle(S, c, l_ids)
-
-            rows = wreath_rows_oracle(S, c, rees_coordinates(S, c))
+            rees = rees_coordinates(S, c)
+            assert rees.b_ids == tuple(l_ids)
+            rows = wreath_rows_oracle(S, c, rees)
             if len(set(rows)) != S.n:
                 with pytest.raises(NotFaithful):
                     wreath_embed(S, c)
             else:
-                assert [m.rows for m in wreath_embed(S, c).matrices] == rows
-
-
-def test_representation_anchor_outside_the_class_is_rejected():
-    S = syntactic_semigroup(random_presentation(1, 5, "ab")).semigroup
-    g = S.green()
-    c = next(c for c in range(len(g.j_classes)) if g.regular[c] and len(g.j_classes) > 1)
-    outside = next(x for x in range(S.n) if g.j_class[x] != c)
-    with pytest.raises(ValueError, match="is not in J-class"):
-        rm_representation(S, c, r_class_of=outside)
+                mats = wreath_embed(S, c).matrices
+                assert [m.rows for m in mats] == rows
+                assert [m.support() for m in mats] == rlm_maps_oracle(S, c, l_ids)
 
 
 def test_zero_minimal_j_classes_match_definition():

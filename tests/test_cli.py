@@ -231,6 +231,7 @@ HEADER_ERRORS = {
     (["aggm", "P", "--verbose"], {}),
     (["entropy", "P", "--tol"], {}),
     *((["green", "H"], {"H": text}) for text in HEADER_ERRORS),
+    (["fischer", "P"], {"P": "presentation 1 a a\nedge 0 a 0\n"}),
 ])
 def test_malformed_input_prints_err(capsys, tmp_path, argv, files):
     texts = {"P": GM_TEXT, "H": Z2_TEXT, **files}

@@ -112,3 +112,44 @@ def test_every_definition_is_used_in_the_package():
     unused = [f"{name} {qual}" for name, node, qual, method in defs
               if not used(name, node, method)]
     assert not unused, unused
+
+
+def identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
+def test_every_export_serves_a_verb_or_a_theorem():
+    """Each name `__init__.py` exports is reached from a `cmd_*` handler or
+    from a name in `tests/test_acceptance.py` through package references: a
+    definition reaches every function, class or method whose name it
+    mentions. An export neither a verb nor a theorem-level test needs is
+    deleted, not kept for its own tests."""
+    trees = dict(package_trees())
+    exported = {alias.asname or alias.name for node in trees.pop("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defs = {}
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef):
+                        defs.setdefault(m.name, []).append(m)
+    acceptance = pathlib.Path(__file__).with_name("test_acceptance.py")
+    named = set(identifiers(ast.parse(acceptance.read_text())))
+    todo = [k for k in defs if k.startswith("cmd_") or k in named]
+    reached = set()
+    while todo:
+        k = todo.pop()
+        if k not in reached:
+            reached.add(k)
+            todo += [i for node in defs[k] for i in identifiers(node) if i in defs]
+    unreached = sorted(exported - reached)
+    assert not unreached, unreached

@@ -34,7 +34,7 @@ from soficsemi import (
     syntactic_semigroup,
 )
 from soficsemi.errors import NoCompatibleTriangle, NotAGGM
-from oracles import context_profile_classes, in_language, j_below_set
+from oracles import context_profile_classes, image_by_products, in_language, j_below_set
 from soficsemi.finsemi import parse_semigroup
 from soficsemi.syntactic import (
     _faithful_both_sides,
@@ -81,13 +81,19 @@ def test_syntactic_congruence_oracle(P):
     assert image_classes == profile_classes
 
 
-@pytest.mark.parametrize("P", [golden_mean(), period_shift(2), even_shift(), full_shift(2)])
+@pytest.mark.parametrize("P", [golden_mean(), period_shift(2), even_shift(), full_shift(2),
+                               random_presentation(22, 10, "abc")])
 def test_lambda_zero_iff_not_factor(P):
+    """A word maps to zero exactly when it is not a factor, and its image is
+    the fold of `mul` over its letters."""
     D = syntactic_semigroup(P)
     d = factor_dfa(P)
     for n in range(1, 7):
         for w in itertools.product(P.alphabet, repeat=n):
             assert in_language(D, w) == d.accepts(w)
+            assert D.image(w) == image_by_products(D, w)
+    with pytest.raises(KeyError):
+        D.image(("a", "q"))
 
 
 def test_is_aggm_on_examples():

@@ -21,8 +21,6 @@ from soficsemi import (
     build_cover,
     is_aggm,
     rees_coordinates,
-    rlm_representation,
-    rm_representation,
     syntactic_semigroup,
     wreath_embed,
     wreath_product_0simple_check,
@@ -45,16 +43,7 @@ from oracles import (
     preimage_completeness_check,
     rho_loop,
 )
-
-
-def t3_semigroup():
-    return close_generators(
-        [
-            PartialTransformation((1, 0, 2)),
-            PartialTransformation((1, 2, 0)),
-            PartialTransformation((0, 0, 2)),
-        ]
-    )
+from test_actions import rlm_maps_oracle
 
 
 def distinguished_jclass_id(D):
@@ -69,51 +58,6 @@ def rank1_partials(b):
         for target in range(b):
             out.add(PartialTransformation(tuple(target if d else None for d in dom), b))
     return sorted(out, key=lambda t: tuple(-1 if v is None else v for v in t.mapping))
-
-
-def test_rm_representation_on_group_is_regular_representation():
-    Z3 = cyclic_group(3)
-    act = rm_representation(Z3, Z3.green().j_class[0])
-    assert act.faithful
-    assert act.image.n == 3
-
-
-def test_rm_representation_period2():
-    D = syntactic_semigroup(period_shift(2))
-    act = rm_representation(D.semigroup, distinguished_jclass_id(D))
-    assert len(act.domain) == 2
-    assert act.faithful  # syntactic semigroups act faithfully here
-
-
-def test_rm_and_rlm_on_t3_rank2_class():
-    S = t3_semigroup()
-    g = S.green()
-    rank2 = next(c for c in range(len(g.j_classes)) if S.names[g.j_classes[c][0]].rank == 2)
-    act = rm_representation(S, rank2)
-    # brute-force the defining action on the chosen R-class
-    for s in range(S.n):
-        for i, x in enumerate(act.domain):
-            y = S.mul(x, s)
-            expect = act.domain.index(y) if y in act.domain else None
-            assert act.maps[s](i) == expect
-    rlm = rlm_representation(S, rank2)
-    for x in g.j_classes[rank2]:
-        assert rlm.maps[x].rank <= 1
-
-
-def test_rm_representation_anchor_choice_gives_isomorphic_actions():
-    D = syntactic_semigroup(period_shift(2))
-    jid = distinguished_jclass_id(D)
-    g = D.semigroup.green()
-    anchors = sorted(
-        {min(x for x in g.j_classes[jid] if g.r_class[x] == r)
-         for r in {g.r_class[x] for x in g.j_classes[jid]}}
-    )
-    sizes = set()
-    for anchor in anchors:
-        act = rm_representation(D.semigroup, jid, r_class_of=anchor)
-        sizes.add((len(act.domain), act.image.n))
-    assert len(sizes) == 1  # independent of the chosen R-class
 
 
 def test_rees_coordinates_group_case():
@@ -147,13 +91,10 @@ def test_rees_coordinates_t3_rank1():
 
 def test_wreath_embed_trivial_group_is_rlm_action():
     D = syntactic_semigroup(period_shift(2))
-    emb = wreath_embed(D.semigroup, distinguished_jclass_id(D))
+    S, j = D.semigroup, distinguished_jclass_id(D)
+    emb = wreath_embed(S, j)
     assert emb.group.n == 1
-    rlm = rlm_representation(
-        D.semigroup, distinguished_jclass_id(D), first_of=emb.rees.e0
-    )
-    for s in range(D.semigroup.n):
-        assert emb.matrices[s].support() == rlm.maps[s]
+    assert [m.support() for m in emb.matrices] == rlm_maps_oracle(S, j, emb.rees.b_ids)
 
 
 def test_wreath_embed_zero_simple_with_z2_subgroup():
@@ -185,7 +126,7 @@ def test_wreath_embed_zero_simple_with_z2_subgroup():
     # every maximal-subgroup element shows up as its own corner entry
     for k_elt in emb.group.names:
         m = emb.matrices[k_elt]
-        assert m.entry(emb.rees.b0, emb.rees.b0) == emb.group.names.index(k_elt)
+        assert m.entry(0, 0) == emb.group.names.index(k_elt)
 
 
 def test_structure_lemma_rank1_partials():

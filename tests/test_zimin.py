@@ -21,7 +21,6 @@ from soficsemi import (
     is_aggm,
     loop_language,
     power_factorial,
-    rational_bound_check,
     syntactic_semigroup,
 )
 from soficsemi.errors import InvalidState
@@ -146,15 +145,23 @@ def test_zimin_term_structure():
     assert t.pretty() == "w1=a; w2=(w1 b w1)^(2!); w3=(w2 ab w2)^(3!)"
 
 
+def assert_within_rational_bound(dfa, S, gens_map):
+    """The rational bound: every element of the image of the language is
+    reached by an accepted word of length at most m(|S|+1)-1, m the state
+    count of the minimal DFA."""
+    d = dfa.minimize()
+    bound = d.n_states * (S.n + 1) - 1
+    assert phi_image_of_language(dfa, S, gens_map) == bounded_image_oracle(d, S, gens_map, bound)
+
+
 def test_rational_bound_check():
     S1 = trivial_semigroup()
     T = loop_language(full_shift(2), 0)
-    assert rational_bound_check(T.dfa, S1, {"a": 0, "b": 0})
+    assert_within_rational_bound(T.dfa, S1, {"a": 0, "b": 0})
     D = syntactic_semigroup(period_shift(2))
-    d = syntactic_semigroup(period_shift(2)).dfa
-    assert rational_bound_check(d, D.semigroup, D.letter_map)
+    assert_within_rational_bound(D.dfa, D.semigroup, D.letter_map)
     S4 = period2_syntactic_table()
-    assert rational_bound_check(factor_dfa_full(), S4, {"a": 0, "b": 1})
+    assert_within_rational_bound(factor_dfa_full(), S4, {"a": 0, "b": 1})
 
 
 def factor_dfa_full():
@@ -164,9 +171,8 @@ def factor_dfa_full():
 
 
 def bounded_image_oracle(d, S, gens_map, bound):
-    """Elements reached by an accepted word of length at most `bound`: the
-    depth-bounded product BFS that rational_bound_check once ran after the
-    full one."""
+    """Elements reached by an accepted word of length at most `bound`, by a
+    depth-bounded product BFS."""
     ident = object()
     seen = {(d.initial, ident)}
     frontier = [(d.initial, ident)]
@@ -189,16 +195,11 @@ def bounded_image_oracle(d, S, gens_map, bound):
     return found
 
 
-def rational_bound_check_oracle(dfa, S, gens_map):
-    """The former two-BFS body of rational_bound_check."""
-    d = dfa.minimize()
-    bound = d.n_states * (S.n + 1) - 1
-    return bounded_image_oracle(d, S, gens_map, bound) == phi_image_of_language(d, S, gens_map)
-
-
 def test_first_depths_match_bounded_bfs_oracle():
+    """The first depth at which each element of phi(T) is reached is within
+    the rational bound, for loop and factor languages in the syntactic
+    semigroup and in a random transformation semigroup."""
     from corpus import corpus_presentations, random_presentation, random_transformation_semigroup
-    from soficsemi.zimin import _first_depths
 
     cases = []
     for P in [P for _, P in corpus_presentations()] + [
@@ -207,19 +208,10 @@ def test_first_depths_match_bounded_bfs_oracle():
         D = syntactic_semigroup(P)
         cases.append((loop_language(P, 0).dfa, D.semigroup, D.letter_map))
         cases.append((D.dfa, D.semigroup, D.letter_map))
-        # a semigroup other than the syntactic one gives other depths
         R = random_transformation_semigroup(len(cases), 3, len(P.alphabet))
         cases.append((loop_language(P, 0).dfa, R, dict(zip(P.alphabet, R.generators))))
     for dfa, S, gens_map in cases:
-        assert rational_bound_check(dfa, S, gens_map) == rational_bound_check_oracle(
-            dfa, S, gens_map
-        )
-        d = dfa.minimize()
-        depths = _first_depths(d, S, gens_map)
-        assert frozenset(depths) == phi_image_of_language(d, S, gens_map)
-        for bound in range(max(depths.values()) + 2):
-            reached = {s for s, k in depths.items() if k <= bound}
-            assert reached == bounded_image_oracle(d, S, gens_map, bound)
+        assert_within_rational_bound(dfa, S, gens_map)
 
 
 def test_minimal_ideal_matches_subsemigroup_oracle():
