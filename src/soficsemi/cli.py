@@ -151,14 +151,14 @@ def cmd_fischer(args):
 
 def cmd_block(args):
     P = _load_presentation(args.presentation)
-    _emit_text("presentation", format_presentation(higher_block(P, args.n)), args.format)
+    _emit_text("presentation", format_presentation(higher_block(P, args.n, args.cap)), args.format)
     return 0
 
 
 def cmd_witness(args):
     P = _load_presentation(args.presentation)
     w, v = non_minimal_witness(P)
-    P2, z = conjugate_with_partial_alphabet(P)
+    P2, z = conjugate_with_partial_alphabet(P, args.cap)
     pairs = [
         ("w", join_word(w)),
         ("v", join_word(v)),
@@ -284,7 +284,14 @@ def tsv_or_json(value):
     return value
 
 
-METAVARS = {int: "N", float: "X", tsv_or_json: "tsv|json"}
+def positive_int(value):
+    """The type of `--cap`: an int of at least 1."""
+    if int(value) < 1:
+        raise ValueError(value)
+    return int(value)
+
+
+METAVARS = {int: "N", float: "X", tsv_or_json: "tsv|json", positive_int: "N"}
 
 
 def make_parser():
@@ -295,7 +302,7 @@ def make_parser():
     handler rebound in this module (as `bench/layers.py` does) is called."""
     pres = ("presentation", str)
     return {
-        None: [("--format", tsv_or_json, "tsv"), ("--cap", int, DEFAULT_CAP)],
+        None: [("--format", tsv_or_json, "tsv"), ("--cap", positive_int, DEFAULT_CAP)],
         "syntactic": [pres],
         "green": [("semigroup", str)],
         "aggm": [pres],

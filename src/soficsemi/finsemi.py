@@ -124,10 +124,6 @@ class PartialTransformation:
     def identity(cls, dim):
         return cls(range(dim))
 
-    @classmethod
-    def constant(cls, dim, target):
-        return cls([target] * dim)
-
     def __call__(self, i):
         v = self._b[i]
         return None if v == self.dim else v

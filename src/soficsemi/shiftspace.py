@@ -11,11 +11,13 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    CapExceeded,
     NotPrimitive,
     NotStronglyConnected,
     ShiftIsMinimal,
     check,
 )
+from .finsemi import DEFAULT_CAP
 from .graph import reach
 
 
@@ -401,35 +403,36 @@ def is_periodic(P):
     return point
 
 
-def higher_block(P, N):
+def higher_block(P, N, cap=DEFAULT_CAP):
     """Presentation of the N-th higher block shift (conjugate recoding).
 
     States are paths of N-1 edges; each length-N path contributes one edge
     labeled by the block it reads, so consecutive blocks overlap in N-1
-    letters.
+    letters.  The states are counted before any is built, and more than
+    `cap` of them raise CapExceeded.
     """
     P.require_irreducible()
     if N < 1:
         raise ValueError(f"block length must be at least 1, got {N}")
+    out = [[] for _ in range(P.n_states)]  # per state, the ids of the edges leaving it
+    for e, (s, _, _) in enumerate(P.edges):
+        out[s].append(e)
+    counts = [1] * P.n_states  # per state, the paths of k edges leaving it
+    for _ in range(N - 1):
+        if sum(counts) > cap:  # the total never falls, so it stays above the cap
+            break
+        counts = [sum(counts[P.edges[e][2]] for e in es) for es in out]
+    if sum(counts) > cap:
+        raise CapExceeded(cap, "higher-block states")
     if N == 1:
         return Presentation(P.n_states, P.edges, P.alphabet)
     paths = [(e,) for e in range(len(P.edges))]
     for _ in range(N - 2):
-        paths = [
-            p + (f,)
-            for p in paths
-            for f in range(len(P.edges))
-            if P.edges[p[-1]][2] == P.edges[f][0]
-        ]
+        paths = [p + (f,) for p in paths for f in out[P.edges[p[-1]][2]]]
     paths.sort()
     state_of = {p: i for i, p in enumerate(paths)}
-    edges = []
-    for p in paths:
-        for f in range(len(P.edges)):
-            if P.edges[p[-1]][2] == P.edges[f][0]:
-                q = p[1:] + (f,)
-                letters = tuple(P.edges[e][1] for e in p + (f,))
-                edges.append((state_of[p], block_label(letters), state_of[q]))
+    edges = [(state_of[p], block_label(tuple(P.edges[e][1] for e in p + (f,))),
+              state_of[p[1:] + (f,)]) for p in paths for f in out[P.edges[p[-1]][2]]]
     pos = {a: i for i, a in enumerate(P.alphabet)}
     labels = sorted(
         {lab for _, lab, _ in edges},
@@ -484,12 +487,12 @@ def _witness_pair(P):
     return w, v
 
 
-def conjugate_with_partial_alphabet(P):
+def conjugate_with_partial_alphabet(P, cap=DEFAULT_CAP):
     """Recode to X^[N] so some block word z has z^+ in the language but
     alph(z) is a proper subset of the recoded alphabet."""
     w, v = non_minimal_witness(P)
     n = len(w)
-    P2 = higher_block(P, n)
+    P2 = higher_block(P, n, cap)
     z = tuple(block_label(w[i:] + w[:i]) for i in range(n))
     check(set(z) <= set(P2.alphabet), "the rotations of w are letters of the recoding", z)
     d2 = factor_dfa(P2)

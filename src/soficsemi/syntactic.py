@@ -1,14 +1,15 @@
 """Syntactic semigroups of sofic factor languages and the AGGM machinery.
 
-The syntactic semigroup is computed as the transition semigroup of the
-minimal complete DFA of the factor language.
+The syntactic semigroup is closed on the Fischer cover, the terminal strongly
+connected component of the live states of the minimal DFA of L(X) (Lind and
+Marcus, section 3.3), on which the letters act as partial maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CheckFailed, NoCompatibleTriangle, NotAGGM, NotStronglyConnected, check
+from .errors import CheckFailed, NoCompatibleTriangle, NotAGGM, check
 from .finsemi import (
     DEFAULT_CAP,
     FiniteSemigroup,
@@ -18,6 +19,7 @@ from .finsemi import (
     close_generators,
     lift_jclass,
 )
+from .graph import sccs
 from .shiftspace import Dfa, Presentation, factor_dfa
 
 
@@ -35,6 +37,7 @@ class SyntacticData:
     source: Presentation
     zero: int  # element all non-factors map to; None when L(X) = X^+
     alphabet: tuple
+    states: tuple  # DFA states of the Fischer cover; point i of a carrier is states[i]
 
     def image(self, w):
         """The syntactic morphism on a non-empty word; letter j of the
@@ -48,30 +51,38 @@ class SyntacticData:
         return j
 
 
+def close_on_component(d, cap=DEFAULT_CAP):
+    """The closure of the letters of the DFA d as partial maps on the
+    terminal strongly connected component of its live states (undefined where
+    they leave it, for the dead state), and that component's states, point i
+    standing for states[i]."""
+    dead = d.dead_state()
+    comp, classes, _ = sccs(d.n_states, d.trans.__getitem__)
+    terminal = [c for c, members in enumerate(classes) if dead not in members
+                and all(comp[t] == c for q in members for t in d.trans[q] if t != dead)]
+    check(len(terminal) == 1, "the live states have one terminal component", terminal)
+    states = classes[terminal[0]]
+    point = {q: i for i, q in enumerate(states)}
+    rows = map(d.trans.__getitem__, states)
+    maps = [PartialTransformation(map(point.get, col)) for col in zip(*rows)]
+    return close_generators(maps, cap=cap), states
+
+
 def syntactic_semigroup(P, extra_letters=(), cap=DEFAULT_CAP):
-    """Transition semigroup of the minimal complete DFA of L(X).
+    """The syntactic semigroup of L(X), closed on the Fischer cover's states.
 
     `extra_letters` adjoins ambient letters that never occur in the shift;
     they map to the zero of the syntactic semigroup."""
-    if not P.irreducible:
-        raise NotStronglyConnected("presentation graph is not strongly connected")
-    d = factor_dfa(P)
+    d = factor_dfa(P)  # raises NotStronglyConnected unless P is irreducible
     if extra_letters:
         d = d.extend_alphabet(tuple(extra_letters))
-    maps = [
-        PartialTransformation([d.trans[q][j] for q in range(d.n_states)])
-        for j in range(len(d.alphabet))
-    ]
-    S = close_generators(maps, cap=cap)
+    S, states = close_on_component(d, cap)
     letter_map = {a: S.generators[j] for j, a in enumerate(d.alphabet)}
     sink = d.dead_state()
-    zero = None
-    if sink is not None:
-        zero = S.zero
-        dead = PartialTransformation.constant(d.n_states, sink)
-        check(zero is not None and S.names[zero] == dead,
-              "the zero is the constant map to the dead state", sink)
-    return SyntacticData(S, letter_map, d, P, zero, tuple(d.alphabet))
+    zero = None if sink is None else S.zero
+    check(sink is None or zero is not None and S.names[zero].rank == 0,
+          "the zero is the empty map", sink)
+    return SyntacticData(S, letter_map, d, P, zero, tuple(d.alphabet), states)
 
 
 def is_aggm(S):
@@ -198,21 +209,14 @@ def aggm_backward_check(S):
     top = apex(S, nonzero)
     check(S.green().j_classes[top] == j, "the apex of S minus zero is the distinguished class",
           top)
-    # syntactic minimality: contexts over S^1 separate distinct elements
-    for m in nonzero + [zero]:
-        for n_ in range(m + 1, S.n):
-            if not _separated(S, zero, m, n_):
-                raise CheckFailed("elements not separated by contexts", (m, n_))
-    # language-level reconstruction: minimal DFA over S^1 states
+    # language-level reconstruction: the minimal DFA of the words with
+    # non-zero image, its letters closed on its terminal live component
     dfa = _language_dfa(S, alphabet).minimize()
-    maps = [
-        PartialTransformation([dfa.trans[q][j] for q in range(dfa.n_states)])
-        for j in range(len(alphabet))
-    ]
-    T = close_generators(maps)
-    iso = generator_isomorphic(S, T)
-    if not iso:
-        raise CheckFailed("reconstructed syntactic semigroup differs from input")
+    T, _ = close_on_component(dfa)
+    # syntactic minimality: contexts over S^1 separate distinct elements
+    pair = first_unseparated(S, T)
+    check(pair is None, "elements not separated by contexts", pair)
+    check(generator_isomorphic(S, T), "reconstructed syntactic semigroup differs from input")
     return dfa, {
         "semigroup_size": S.n,
         "is_aggm": True,
@@ -220,29 +224,25 @@ def aggm_backward_check(S):
     }
 
 
-def _separated(S, zero, m, n_):
-    ids = list(range(S.n)) + [None]  # None stands for the adjoined identity
-    for r in ids:
-        rm = m if r is None else S.mul(r, m)
-        rn = n_ if r is None else S.mul(r, n_)
-        for s in ids:
-            rms = rm if s is None else S.mul(rm, s)
-            rns = rn if s is None else S.mul(rn, s)
-            if (rms == zero) != (rns == zero):
-                return True
-    return False
+def first_unseparated(S, T):
+    """The first pair (m, n), m < n, that no context (r, s) in S^1 separates
+    (r*m*s is zero exactly when r*n*s is), m ascending and the zero last, or
+    None.  T is the syntactic semigroup of the words with non-zero image, so
+    the generator map S -> T is the quotient by that context congruence: m
+    and n are unseparated exactly when they have one image."""
+    image = SemigroupMorphism.from_generator_map(S, T, list(T.generators), check=False).mapping
+    later, last = [None] * S.n, {}
+    for x in reversed(range(S.n)):  # per element, the next one with its image
+        later[x], last[image[x]] = last.get(image[x]), x
+    return next(((m, later[m]) for m in sorted(range(S.n), key=lambda x: x == S.zero)
+                 if later[m] is not None), None)
 
 
 def _language_dfa(S, alphabet):
-    """DFA over states S^1 accepting words with non-zero image."""
-    n = S.n
-    ident = n  # adjoined identity state
-    trans = []
-    for q in range(n):
-        trans.append([S.mul(q, S.generators[j]) for j in range(len(alphabet))])
-    trans.append([S.generators[j] for j in range(len(alphabet))])
-    accepting = {q for q in range(n) if q != S.zero}
-    return Dfa(trans, alphabet, ident, accepting)
+    """DFA over states S^1, the adjoined identity last, accepting words with
+    non-zero image."""
+    trans = [[S.mul(q, g) for g in S.generators] for q in range(S.n)] + [list(S.generators)]
+    return Dfa(trans, alphabet, S.n, set(range(S.n)) - {S.zero})
 
 
 def generator_isomorphic(S, T):
@@ -258,43 +258,35 @@ def generator_isomorphic(S, T):
 
 
 def fischer_cover(D):
-    """Minimal right-resolving presentation, as the right-action graph on an
-    R-class of the distinguished J-class."""
-    S = D.semigroup
+    """Minimal right-resolving presentation: the letter action on the
+    terminal live component of the factor DFA.  Point q is numbered by the
+    index of its member of the R-class of e0, the least idempotent of rank 1:
+    the map with e0's domain and image {q}.  Edges follow the letter maps,
+    letters sorted."""
+    S, k = D.semigroup, len(D.states)
     if S.n == 1:
         cover = Presentation(1, [(0, a, 0) for a in D.alphabet], D.alphabet)
     else:
-        ok, j = is_aggm(S)
-        if not ok:
-            raise NotAGGM("Fischer cover needs an AGGM syntactic semigroup")
-        cover = _schutzenberger_graph(S, j, D.letter_map)
+        e0 = next((x for x in range(S.n) if S.names[x].rank == 1 and S.is_idempotent(x)), None)
+        check(e0 is not None, "S has an idempotent of rank 1", D.states)
+        domain = S.names[e0].domain()
+        member = []
+        for q in range(k):
+            try:
+                member.append(S.names.index(
+                    PartialTransformation([q if i in domain else None for i in range(k)])))
+            except ValueError:
+                raise CheckFailed("every component state has its R-class member",
+                                  D.states[q]) from None
+        number = {q: i for i, q in enumerate(sorted(range(k), key=member.__getitem__))}
+        acts = sorted((a, S.names[s].mapping) for a, s in D.letter_map.items())
+        cover = Presentation(k, [(number[q], a, number[act[q]]) for q in number
+                                 for a, act in acts if act[q] is not None])
+        check(cover.irreducible, "the Fischer cover is strongly connected", e0)
     d = factor_dfa(cover)
     if not d.equivalent(D.dfa):
         witness = (d.difference_witness(D.dfa), D.dfa.difference_witness(d))
         raise CheckFailed("cover language differs from the source", witness)
-    return cover
-
-
-def _schutzenberger_graph(S, j_elems, letter_map):
-    g = S.green()
-    e0 = g.anchor(g.j_class[j_elems[0]])
-    members = g.r_classes[g.r_class[e0]]
-    pos = {x: i for i, x in enumerate(members)}
-    edges = []
-    for x in members:
-        for a, s in sorted(letter_map.items()):
-            y = S.mul(x, s)
-            if y in pos:
-                edges.append((pos[x], a, pos[y]))
-    # right-resolving by construction: the action is a partial function
-    seen = set()
-    for s, a, _ in edges:
-        if (s, a) in seen:
-            raise CheckFailed("Schutzenberger graph is not right-resolving", (s, a))
-        seen.add((s, a))
-    cover = Presentation(len(members), edges)
-    if not cover.irreducible:
-        raise CheckFailed("Schutzenberger graph is not strongly connected", e0)
     return cover
 
 

@@ -17,8 +17,9 @@ from soficsemi.errors import (
     NotIrreducible,
     check,
 )
-from soficsemi.finsemi import DEFAULT_CAP, FiniteSemigroup
-from soficsemi.shiftspace import Dfa
+from soficsemi.finsemi import DEFAULT_CAP, FiniteSemigroup, PartialTransformation, close_generators
+from soficsemi.shiftspace import Dfa, Presentation, factor_dfa
+from soficsemi.syntactic import is_aggm
 from soficsemi.wreath import RowMonomialMatrix, _kernel_tuples
 
 
@@ -385,3 +386,65 @@ def eggbox_by_buckets(S):
         out.append(f"jclass {c} regular={regular} size={len(elems)}\n" + "".join(
             f"  row {' | '.join(grid[i:i + cols])}\n" for i in range(0, len(grid), cols)))
     return "".join(out)
+
+
+def dfa_state_closure(P, extra_letters=(), cap=DEFAULT_CAP):
+    """The syntactic semigroup as the letters' total maps on every state of
+    the minimal complete DFA of L(X), and its zero: the constant map to the
+    dead state, None when there is none."""
+    d = factor_dfa(P)
+    if extra_letters:
+        d = d.extend_alphabet(tuple(extra_letters))
+    maps = [PartialTransformation([d.trans[q][j] for q in range(d.n_states)])
+            for j in range(len(d.alphabet))]
+    S = close_generators(maps, cap=cap)
+    sink = d.dead_state()
+    if sink is None:
+        return S, None
+    check(S.zero is not None and S.names[S.zero] == PartialTransformation([sink] * d.n_states),
+          "the zero is the constant map to the dead state", sink)
+    return S, S.zero
+
+
+def schutzenberger_cover(D):
+    """The Fischer cover as the right-action graph of the letters on the
+    R-class of the least idempotent of the distinguished J-class, states
+    numbered by element index, from Green's structure and the AGGM test."""
+    S = D.semigroup
+    if S.n == 1:
+        return Presentation(1, [(0, a, 0) for a in D.alphabet], D.alphabet)
+    ok, j = is_aggm(S)
+    check(ok, "syntactic semigroup is AGGM")
+    g = S.green()
+    e0 = g.anchor(g.j_class[j[0]])
+    members = g.r_classes[g.r_class[e0]]
+    pos = {x: i for i, x in enumerate(members)}
+    edges = [(pos[x], a, pos[S.mul(x, s)]) for x in members
+             for a, s in sorted(D.letter_map.items()) if S.mul(x, s) in pos]
+    check(len({(s, a) for s, a, _ in edges}) == len(edges), "the graph is right-resolving")
+    cover = Presentation(len(members), edges)
+    check(cover.irreducible, "the graph is strongly connected", e0)
+    return cover
+
+
+def separated(S, m, n):
+    """Whether some context (r, s) in S^1 has exactly one of r*m*s, r*n*s
+    zero: |S|^2 products per pair."""
+    ids = list(range(S.n)) + [None]  # None stands for the adjoined identity
+    for r in ids:
+        rm = m if r is None else S.mul(r, m)
+        rn = n if r is None else S.mul(r, n)
+        for s in ids:
+            rms = rm if s is None else S.mul(rm, s)
+            rns = rn if s is None else S.mul(rn, s)
+            if (rms == S.zero) != (rns == S.zero):
+                return True
+    return False
+
+
+def first_unseparated_by_scan(S):
+    """The first pair (m, n), m < n, that `separated` rejects, m running
+    over the non-zero elements ascending and then the zero."""
+    order = [x for x in range(S.n) if x != S.zero] + [S.zero]
+    return next(((m, n) for m in order for n in range(m + 1, S.n) if not separated(S, m, n)),
+                None)

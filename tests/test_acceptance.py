@@ -250,7 +250,7 @@ def test_criterion_7_green_oracle_and_wreath_structure():
             )
             ws = wreath_product_0simple_check(G, partials)
             assert ws.kind == ("simple" if b == 1 and all(t.is_total() for t in partials) else "0-simple")
-            totals = [PartialTransformation.constant(b, t) for t in range(b)]
+            totals = [PartialTransformation([t] * b) for t in range(b)]
             ws2 = wreath_product_0simple_check(G, totals)
             assert ws2.kind == "simple"
     elapsed = time.time() - start

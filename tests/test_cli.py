@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
-from corpus import full_shift, golden_mean, period_shift, random_presentation
+from corpus import even_shift, full_shift, golden_mean, period_shift, random_presentation
 from oracles import eggbox_by_buckets, j_below_set
 from soficsemi import cli, entropy, shiftspace, syntactic
 from soficsemi.cli import _format_bound, _print_eggbox, main
+from soficsemi.errors import CapExceeded
 from soficsemi.finsemi import format_semigroup
 from soficsemi.shiftspace import format_presentation, parse_presentation
 from soficsemi import FiniteSemigroup, factor_dfa
@@ -309,15 +310,57 @@ def test_cap_binds_on_every_closure(capsys, gm_path, verb):
 
 def test_cap_counts_generators(capsys, tmp_path):
     """The full shift's syntactic semigroup is its one distinct generator,
-    which counts against the cap like every other element."""
+    which counts against the cap like every other element. The CLI takes no
+    cap below 1, so cap 0 is passed to the closure directly."""
     p = tmp_path / "full2.pres"
     p.write_text(format_presentation(full_shift(2)))
-    code, out = run(capsys, ["--cap", "0", "syntactic", str(p)])
-    assert code == 2
-    assert out.startswith("ERR cap")
+    with pytest.raises(CapExceeded):
+        syntactic.syntactic_semigroup(full_shift(2), cap=0)
     code, out = run(capsys, ["--cap", "1", "syntactic", str(p)])
     assert code == 0
     assert out.startswith("semigroup_size 1\n")
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_is_a_usage_error(capsys, gm_path, cap):
+    code, out = run(capsys, ["--cap", cap, "syntactic", gm_path])
+    assert code == 2
+    assert out == f"ERR usage --cap: invalid positive_int value '{cap}'\n"
+
+
+def test_block_and_witness_honour_the_cap(capsys, tmp_path):
+    """The even shift's 3-block recoding has 5 states, one for each path of
+    2 edges, so --cap 4 stops it before it is built; its witness recodes to
+    blocks of length 1, on its 2 states."""
+    p = tmp_path / "even.pres"
+    p.write_text(format_presentation(even_shift()))
+    code, out = run(capsys, ["--cap", "4", "block", str(p), "3"])
+    assert (code, out) == (2, "ERR cap closure exceeded cap 4 (higher-block states)\n")
+    code, out = run(capsys, ["--cap", "5", "block", str(p), "3"])
+    assert code == 0 and out.startswith("presentation 5 ")
+    code, out = run(capsys, ["--cap", "1", "witness", str(p)])
+    assert (code, out) == (2, "ERR cap closure exceeded cap 1 (higher-block states)\n")
+    code, out = run(capsys, ["--cap", "2", "witness", str(p)])
+    assert code == 0 and "block_length 1\n" in out
+
+
+def test_long_block_ends_in_err_cap(tmp_path):
+    """The 40-block recoding of the even shift has about 10^8 states; run
+    under a 400 MB address-space limit, it ends in ERR cap before building
+    any of them, not in a MemoryError."""
+    path = tmp_path / "even.pres"
+    path.write_text(format_presentation(even_shift()))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys; from soficsemi.cli import main; sys.exit(main(sys.argv[1:]))"
+    limit = (400 << 20, 400 << 20)
+    out = subprocess.run(
+        [sys.executable, "-c", code, "block", str(path), "40"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == "ERR cap closure exceeded cap 2000000 (higher-block states)\n"
+    assert out.stderr == ""
 
 
 def test_every_verb_emits_json(capsys, tmp_path, gm_path):

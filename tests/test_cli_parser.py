@@ -28,10 +28,16 @@ from soficsemi.cli import (
 from soficsemi.shiftspace import format_presentation
 
 
+def at_least_one(value):
+    if int(value) < 1:
+        raise ValueError(value)
+    return int(value)
+
+
 def oracle_parser():
     ap = argparse.ArgumentParser(prog="soficsemi")
     ap.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    ap.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    ap.add_argument("--cap", type=at_least_one, default=DEFAULT_CAP)
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("syntactic")
@@ -105,7 +111,7 @@ WELL_FORMED = [
     ["--cap=7", "aggm", "P"],
     ["--format=json", "idempotent", "P", "0", "S"],
     ["--format", "json", "--format", "tsv", "fischer", "P"],
-    ["--cap", "-3", "cover", "P", "H", "spec"],
+    ["--cap", "3", "cover", "P", "H", "spec"],
     ["entropy", "P", "--nmax=6"],
     ["entropy", "--tol", "1e-3", "P"],
     ["--format", "json", "entropy", "--nmax", "-2", "P", "--tol=0.5"],
@@ -138,6 +144,8 @@ MALFORMED = [
     ["--cap"],
     ["entropy", "P", "--nmax"],
     ["entropy", "P", "--tol", "--nmax", "6"],
+    ["--cap", "-3", "cover", "P", "H", "spec"],
+    ["--cap", "0", "syntactic", "P"],
 ]
 
 HELP = [["-h"], ["--help"], ["syntactic", "-h"], ["--cap", "5", "entropy", "P", "--help"]]

@@ -60,7 +60,7 @@ def brute_closure(maps):
 
 
 def test_constant_map_closes_to_singleton():
-    c = PartialTransformation.constant(2, 0)
+    c = PartialTransformation([0, 0])
     S = close_generators([c])
     assert S.n == 1
     assert S.is_idempotent(0)

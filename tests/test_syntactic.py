@@ -356,7 +356,7 @@ def test_distinguished_class_check_survives_optimize():
         "S = group_with_zero(2)\n"
         "assert False, 'asserts are on'\n"
         "try:\n"
-        "    SyntacticData(S, {}, None, None, S.zero, ()).distinguished_class()\n"
+        "    SyntacticData(S, {}, None, None, S.zero, (), ()).distinguished_class()\n"
         "except CheckFailed as e:\n"
         "    print(e)\n"
     )

@@ -142,7 +142,7 @@ def test_structure_lemma_rank1_partials():
 def test_structure_lemma_total_constants_simple():
     for G in (cyclic_group(2), cyclic_group(3)):
         for b in (1, 2, 3):
-            T = [PartialTransformation.constant(b, t) for t in range(b)]
+            T = [PartialTransformation([t] * b) for t in range(b)]
             ws = wreath_product_0simple_check(G, T)
             assert ws.kind == "simple"
             assert ws.semigroup.n == G.n ** b * b
@@ -152,13 +152,13 @@ def test_structure_lemma_rejects_bad_inputs():
     Z2 = cyclic_group(2)
     with pytest.raises(RankTooHigh):
         wreath_product_0simple_check(Z2, [PartialTransformation((0, 1))])
-    T = [PartialTransformation.constant(2, 0), PartialTransformation([None, None])]
+    T = [PartialTransformation([0, 0]), PartialTransformation([None, None])]
     with pytest.raises(NotTransitive):
         wreath_product_0simple_check(Z2, T)
     with pytest.raises(HypothesisViolated):
         wreath_product_0simple_check(Z2, [])
     with pytest.raises(HypothesisViolated):  # constant 0 then (0 -> 1) is constant 1
-        wreath_product_0simple_check(Z2, [PartialTransformation.constant(2, 0),
+        wreath_product_0simple_check(Z2, [PartialTransformation([0, 0]),
                                           PartialTransformation((1, None))])
 
 
@@ -170,7 +170,7 @@ def test_structure_lemma_input_check_survives_optimize():
         "from corpus import cyclic_group\n"
         "from soficsemi.errors import HypothesisViolated\n"
         "assert False, 'asserts are on'\n"
-        "T = [PartialTransformation.constant(2, 0), PartialTransformation((1, None))]\n"
+        "T = [PartialTransformation([0, 0]), PartialTransformation((1, None))]\n"
         "try:\n"
         "    wreath_product_0simple_check(cyclic_group(2), T)\n"
         "except HypothesisViolated as e:\n"
