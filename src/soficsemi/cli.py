@@ -235,10 +235,15 @@ def cmd_cover(args):
     H = _load_semigroup(args.group)
     with open(args.spec) as fh:
         spec = {}
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             parts = line.split()
-            if parts:
-                spec[parts[0]] = parts[1:]
+            if not parts:
+                continue
+            if parts[0] not in ("e", "z", "extra", "alpha"):
+                raise ValueError(f"cover spec line {number}: unknown key '{parts[0]}'")
+            if parts[0] in spec:
+                raise ValueError(f"cover spec line {number}: repeated key '{parts[0]}'")
+            spec[parts[0]] = parts[1:]
     for key in ("e", "z"):
         if not spec.get(key):
             raise ValueError(f"cover spec needs an '{key} <word>' line")

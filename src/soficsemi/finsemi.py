@@ -435,9 +435,12 @@ def close_generators(gens, cap=DEFAULT_CAP):
     packed points: an element's successors are one gather of its points
     through each generator's right table, looked up as `bytes` or tuples in
     the key index and appended to that generator's Cayley column.  Every
-    element, generators included, counts against `cap`.  Returns a
-    FiniteSemigroup that keeps the packed points and wraps a carrier only
-    when `names` is read.
+    element, generators included, counts against `cap`.  A zero generator
+    (its right table sends every point to the sentinel, and so does its own
+    key: the empty map, the zero matrix) sends every element to itself, so
+    its column is filled after the BFS with no gather and no lookup.
+    Returns a FiniteSemigroup that keeps the packed points and wraps a
+    carrier only when `names` is read.
     """
     gens = list(gens)
     if not gens:
@@ -465,7 +468,9 @@ def close_generators(gens, cap=DEFAULT_CAP):
             lastgen.append(j)
         gen_elts.append(at)
     cols = [[] for _ in gens]
-    steps = list(enumerate(zip(tables, cols)))
+    zeros = [j for j, (g, table) in enumerate(zip(gens, tables))
+             if set(table) == {table[-1]} == set(g._b)]  # the last entry is the sentinel's
+    steps = [(j, step) for j, step in enumerate(zip(tables, cols)) if j not in zeros]
     for head, x in enumerate(keys):  # keys grows while it is walked
         gather = gatherer(x)
         for j, (table, col) in steps:
@@ -480,6 +485,8 @@ def close_generators(gens, cap=DEFAULT_CAP):
                 parent.append(head)
                 lastgen.append(j)
             col.append(at)
+    for j in zeros:
+        cols[j] = [gen_elts[j]] * len(keys)
     return FiniteSemigroup._from_closure(keys, first._wrap, cols, gen_elts, parent, lastgen, index)
 
 

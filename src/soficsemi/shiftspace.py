@@ -426,19 +426,43 @@ def higher_block(P, N, cap=DEFAULT_CAP):
         raise CapExceeded(cap, "higher-block states")
     if N == 1:
         return Presentation(P.n_states, P.edges, P.alphabet)
-    paths = [(e,) for e in range(len(P.edges))]
-    for _ in range(N - 2):
-        paths = [p + (f,) for p in paths for f in out[P.edges[p[-1]][2]]]
-    paths.sort()
+    paths = _paths(P, out, N - 1)
     state_of = {p: i for i, p in enumerate(paths)}
-    edges = [(state_of[p], block_label(tuple(P.edges[e][1] for e in p + (f,))),
-              state_of[p[1:] + (f,)]) for p in paths for f in out[P.edges[p[-1]][2]]]
+    edges = []
+    for p in paths:
+        word = tuple(P.edges[e][1] for e in p)
+        edges += [(state_of[p], block_label(word + (P.edges[f][1],)), state_of[p[1:] + (f,)])
+                  for f in out[P.edges[p[-1]][2]]]
     pos = {a: i for i, a in enumerate(P.alphabet)}
     labels = sorted(
         {lab for _, lab, _ in edges},
         key=lambda lab: tuple(pos[a] for a in _split_block(lab, P.alphabet)),
     )
     return Presentation(len(paths), edges, labels)
+
+
+def _paths(P, out, length):
+    """Every path of `length` edges, in lexicographic order of edge ids.
+
+    A depth-first walk grows one shared prefix, so each path tuple is built
+    once and the work is linear in the output; every prefix extends to a
+    path (each state of an irreducible presentation has an edge out), so no
+    walk is wasted.
+    """
+    paths, prefix = [], []
+    stack = [iter(range(len(P.edges)))]  # per prefix length, the edges still to try
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+        elif len(prefix) == length - 1:
+            paths.append((*prefix, e))
+        else:
+            prefix.append(e)
+            stack.append(iter(out[P.edges[e][2]]))
+    return paths
 
 
 def _split_block(label, alphabet):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     CheckFailed,
@@ -103,16 +104,22 @@ class RowMonomialMatrix:
         return new
 
     def _right_table(self):
+        # a row r in column c with entry t sends (r, s) to point[c*n + s*t]:
+        # the point (c, s*t), or the sentinel where s*t is the dead index
         entries = self.entries
         n, dead = len(entries.columns), entries.dead
         sentinel = len(self._b) * n
+        point = range(sentinel)
+        if dead is not None:
+            point = list(point)
+            point[dead::n] = [sentinel] * len(self._b)
         images = []
         for q in self._b:
             if q == sentinel:
                 images += [sentinel] * n
             else:
                 c, t = divmod(q, n)
-                images += [sentinel if s == dead else c * n + s for s in entries.columns[t]]
+                images += map(point[c * n:c * n + n].__getitem__, entries.columns[t])
         return right_table(images, sentinel)
 
     def _right(self):
@@ -533,8 +540,7 @@ class CoverResult:
                 out.append(f"block {r} {row[0]}")
                 for rr in mat.block(r, row[0]).rows:
                     out.append("-" if rr is None else f"{rr[0]} {rr[1]}")
-        for x in range(self.s_prime.n):
-            out.append(f"rho {x} {self.rho[x]}")
+        out += [f"rho {x} {v}" for x, v in enumerate(self.rho)]
         for x in sorted(self.theta):
             out.append(f"theta {x} {self.theta[x]}")
         return "\n".join(out) + "\n"
@@ -775,8 +781,9 @@ def build_cover(D, H, alpha, e_word, z_word, cap=DEFAULT_CAP):
 
 # -- the whole-S' checks of the cover --------------------------------------
 #
-# Each element of S' is checked by one C-level gather of its points; only an
-# element that fails runs the separate tests, in order, to name the failure.
+# Each element is checked by one C-level set test on its points, in one pass
+# over all of S' (or J'); only when one fails do the separate tests name the
+# first failure.
 
 
 def rho_check(s_prime, block_rho, phi_w, zero, letters):
@@ -784,15 +791,31 @@ def rho_check(s_prime, block_rho, phi_w, zero, letters):
 
     eta(u) = 0 exactly when phi(u) = 0; every other element is total on [p],
     and its blocks (T-indices, `block_rho[t]` the S element of block t's
-    alpha-image) all give phi(u).  A non-zero element gathers its points
-    through `point_rho`, its block's image per point and None for the
-    sentinel, and passes when that set is {phi(u)}.
+    alpha-image) all give phi(u).  `gives[v]` holds the points of [p] x T
+    whose block gives the S element v, and the sentinel alone for the zero.
+    When phi sends the zero of S' and nothing else to the zero, every
+    element passes that holds all its points in `gives[phi(u)]`: one pass of
+    C-level set tests over all of S'.  Otherwise the loop below repeats the
+    tests element by element, with `point_rho` (a point's block image, None
+    for the sentinel) for the points, and names the first failure.
     """
     _, entry_of = s_prime.names[0].point_tables()
     point_rho = [None if t is None else block_rho[t] for t in entry_of]
-    for x, points in enumerate(map(s_prime.names.points, range(s_prime.n))):
+    zero_prime, n = s_prime.zero, s_prime.n
+    if (zero_prime is not None and phi_w[zero_prime] == zero and phi_w.count(zero) == 1
+            and s_prime.names[0].dim):  # an element with no points would pass vacuously
+        gives = [set() for _ in range(max(phi_w) + 1)]
+        for q, v in enumerate(point_rho[:-1]):
+            if v is not None and v < len(gives):
+                gives[v].add(q)
+        gives[zero] = {len(point_rho) - 1}  # the sentinel
+        gives = list(map(frozenset, gives))
+        if all(map(frozenset.issuperset, map(gives.__getitem__, phi_w),
+                   map(s_prime.names.points, range(n)))):
+            return tuple(phi_w)
+    for x, points in enumerate(map(s_prime.names.points, range(n))):
         want, images = phi_w[x], set(map(point_rho.__getitem__, points))
-        if x == s_prime.zero:
+        if x == zero_prime:
             if want == zero:
                 continue
             failed = "eta(u) = 0 must force phi(u) = 0"
@@ -815,29 +838,31 @@ def j_support_check(s_prime, members, twists, t_index, letters):
     preimages of one block (the twists form a group, so any block of the
     row will do).
 
-    `allowed[q0]`, kept per first point q0, holds the points of q0's column
-    whose blocks are twist preimages of q0's block; a member passes when it
-    holds all the member's points.  The preimages of a block (`t_index`
-    maps blocks to T-indices) are built when first needed.
+    `allowed[q0]`, built once per first point q0, holds the points of q0's
+    column whose blocks are twist preimages of q0's block (`t_index` maps
+    blocks to T-indices); a member passes when it holds all the member's
+    points, which one pass of C-level set tests checks over all of J'.
     """
     col_of, entry_of = s_prime.names[0].point_tables()
     blocks = s_prime.names[0].entries.names
+    point_lists = list(map(s_prime.names.points, members))
+    firsts = list(map(itemgetter(0), point_lists))
     preimages = {None: set()}
     allowed = {}
-    for x in members:
-        points = s_prime.names.points(x)
-        q0, t0 = points[0], entry_of[points[0]]
+    for q0 in set(firsts):
+        t0 = entry_of[q0]
         if t0 not in preimages:
             block = blocks[t0]  # read once: its right table serves every twist
             preimages[t0] = {t_index.get(tw * block) for tw in twists}
-        if q0 not in allowed:
-            # the points of one column differ by their entry indices
-            allowed[q0] = frozenset(q0 - t0 + t for t in preimages[t0] if t is not None)
-        if not allowed[q0].issuperset(points):
-            one_column = len({col_of[q] for q in points}) == 1
-            raise CheckFailed("block entries must be preimages of one matrix" if one_column
-                              else "blocks of J' lie in one column",
-                              s_prime.word_letters(x, letters))
+        # the points of one column differ by their entry indices
+        allowed[q0] = frozenset(q0 - t0 + t for t in preimages[t0] if t is not None)
+    passed = list(map(frozenset.issuperset, map(allowed.__getitem__, firsts), point_lists))
+    if False in passed:
+        at = passed.index(False)
+        one_column = len({col_of[q] for q in point_lists[at]}) == 1
+        raise CheckFailed("block entries must be preimages of one matrix" if one_column
+                          else "blocks of J' lie in one column",
+                          s_prime.word_letters(members[at], letters))
 
 
 def _kernel_tuples(kernel, b, H):

@@ -18,7 +18,7 @@ from soficsemi.errors import (
     check,
 )
 from soficsemi.finsemi import DEFAULT_CAP, FiniteSemigroup, PartialTransformation, close_generators
-from soficsemi.shiftspace import Dfa, Presentation, factor_dfa
+from soficsemi.shiftspace import Dfa, Presentation, _split_block, block_label, factor_dfa
 from soficsemi.syntactic import is_aggm
 from soficsemi.wreath import RowMonomialMatrix, _kernel_tuples
 
@@ -231,6 +231,25 @@ def out_edges(P, state, letter=None):
     for s, a, t in P.edges:
         if s == state and (letter is None or a == letter):
             yield (s, a, t)
+
+
+def higher_block_by_copies(P, N):
+    """`shiftspace.higher_block` with its states grown one edge per round,
+    each round copying every path, and sorted afterwards (quadratic in N)."""
+    if N == 1:
+        return Presentation(P.n_states, P.edges, P.alphabet)
+    out = [[e for e, (s, _, _) in enumerate(P.edges) if s == q] for q in range(P.n_states)]
+    paths = [(e,) for e in range(len(P.edges))]
+    for _ in range(N - 2):
+        paths = [p + (f,) for p in paths for f in out[P.edges[p[-1]][2]]]
+    paths.sort()
+    state_of = {p: i for i, p in enumerate(paths)}
+    edges = [(state_of[p], block_label(tuple(P.edges[e][1] for e in p + (f,))),
+              state_of[p[1:] + (f,)]) for p in paths for f in out[P.edges[p[-1]][2]]]
+    pos = {a: i for i, a in enumerate(P.alphabet)}
+    labels = sorted({lab for _, lab, _ in edges},
+                    key=lambda lab: tuple(pos[a] for a in _split_block(lab, P.alphabet)))
+    return Presentation(len(paths), edges, labels)
 
 
 def image_by_products(D, w):

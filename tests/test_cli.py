@@ -289,6 +289,19 @@ def test_cover_alpha_outside_the_maximal_subgroup(capsys, tmp_path):
                    "the maximal subgroup K at e\n")
 
 
+@pytest.mark.parametrize("spec, line", [
+    ("e ab\nz a\nextra c\nalhpa a\n", "line 4: unknown key 'alhpa'"),  # was ignored
+    ("e ab\nz a\ne b\nextra c\n", "line 3: repeated key 'e'"),  # the second e won
+    ("e ab\nz a\nextr c\n", "line 3: unknown key 'extr'"),  # failed on the alphabet
+])
+def test_cover_spec_rejects_unknown_and_repeated_keys(capsys, tmp_path, spec, line):
+    for name, text in {"gm.pres": GM_TEXT, "Z2.sg": Z2_TEXT, "spec": spec}.items():
+        (tmp_path / name).write_text(text)
+    code, out = run(capsys, ["cover", *(str(tmp_path / n) for n in ("gm.pres", "Z2.sg", "spec"))])
+    assert code == 1
+    assert out == f"ERR validation cover spec {line}\n"
+
+
 def test_cap_exit_code(capsys, tmp_path, gm_path):
     h = tmp_path / "z2.sg"
     h.write_text("semigroup 2 1\n0 1\n1 0\ngenerators 1\nidentity 0\n")

@@ -81,6 +81,32 @@ def test_corpus_syntactic_closures_match_oracle():
         assert_anchors_match_idempotents(S)
 
 
+def test_zero_letter_gets_a_constant_column():
+    """An empty-map letter is a zero generator, whose column is filled with
+    its own index after the BFS; the closure matches the product oracle
+    with that letter first, last and twice."""
+    for name, P in corpus_presentations():
+        maps = letter_actions(factor_dfa(P))
+        empty = PartialTransformation([None] * maps[0].dim)
+        for gens in ([empty, *maps], [*maps, empty], [empty, *maps, empty]):
+            S = assert_same_closure(gens)
+            zero = S.generators[gens.index(empty)]
+            assert S.zero == zero, name
+            assert all(S._cols[j] == [zero] * S.n
+                       for j, g in enumerate(gens) if g is empty), name
+
+
+def test_nilpotent_letter_is_not_a_zero():
+    """A matrix whose entry t has s*t dead for every s sends every point to
+    the sentinel, but its own key is not the sentinel's: its column is the
+    product's, not a constant of its own index."""
+    T = close_generators([PartialTransformation([None, 0])])  # a, with a*a = 0
+    assert T.n == 2 and T.zero == 1
+    E = EntrySemigroup(T, dead=T.zero)
+    S = assert_same_closure([RowMonomialMatrix(E, ((0, 0),))])
+    assert S.n == 2 and S._cols == [[1, 1]]
+
+
 ANCHORS = {22: 10, 159: 18}  # anchor seed: states, over abc
 
 

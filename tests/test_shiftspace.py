@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from corpus import (
     period_shift,
     random_presentation,
 )
-from oracles import minimize_hopcroft, out_edges
+from oracles import higher_block_by_copies, minimize_hopcroft, out_edges
 from soficsemi import (
     BiInfinitePoint,
     Dfa,
@@ -140,6 +141,25 @@ def test_higher_block_period2_is_two_cycle():
     assert P2.n_states == 2
     u = is_periodic(P2)
     assert u is not None and len(u.period) == 2
+
+
+def test_higher_block_matches_copying_oracle():
+    """The paths grown along one shared prefix give the presentation that
+    copying every path at every round gives, in the same order."""
+    for name, P in corpus_presentations():
+        for N in (1, 2, 3, 5):
+            assert (format_presentation(higher_block(P, N))
+                    == format_presentation(higher_block_by_copies(P, N))), (name, N)
+
+
+def test_higher_block_is_linear_in_its_output():
+    """At N = 80000 on the period-2 shift each state is a path of 79999
+    edges; copying every path at every round took about 30 s there."""
+    start = time.perf_counter()
+    P = higher_block(period_shift(2), 80000)
+    assert time.perf_counter() - start < 2
+    assert P.n_states == 2
+    assert sorted(P.alphabet) == ["ab" * 40000, "ba" * 40000]
 
 
 def test_higher_block_golden_mean_alphabet():

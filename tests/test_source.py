@@ -9,7 +9,8 @@ import sys
 import soficsemi
 
 WITNESS_TREE_FIELDS = {"_order", "_parent", "_lastgen", "_cols", "_index"}
-PACKED_FIELDS = {"_b", "_pad", "_right", "_right_table", "_square", "_wrap"}  # packed points, right tables
+# packed points (a carrier's, a closure's keys) and right tables
+PACKED_FIELDS = {"_b", "_keys", "_pad", "_right", "_right_table", "_square", "_wrap"}
 
 
 def package_trees():
@@ -40,8 +41,9 @@ def test_witness_tree_stays_in_finsemi():
 
 def test_packed_carriers_stay_in_their_classes():
     """Only `finsemi` and `RowMonomialMatrix`'s own methods read a carrier's
-    packed points or its right table; every other line goes through
-    products, `mapping`, `rows` or a matrix's `points`."""
+    packed points, a closure's keys or a right table; every other line goes
+    through products, `mapping`, `rows`, a matrix's `points` or
+    `names.points`."""
     found = []
     for name, tree in package_trees():
         if name == "finsemi.py":

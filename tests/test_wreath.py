@@ -639,13 +639,13 @@ def with_rows(S, x, change):
     return bad
 
 
-def check_faults():
+def check_faults(k=2):
     """One corrupted input per case for each whole-S' check of the even-shift
-    Z2 cover: (case, the check's outcome, the reference loop's outcome), an
+    Zk cover: (case, the check's outcome, the reference loop's outcome), an
     outcome being the CheckFailed message and witness word, or None."""
     D = even3_data()
-    res = build_cover(D, cyclic_group(2), [0, 0], ("a", "b", "b"), ("a",))
-    rho_args, j_args = cover_check_args(D, res, [0, 0])
+    res = build_cover(D, cyclic_group(k), [0] * k, ("a", "b", "b"), ("a",))
+    rho_args, j_args = cover_check_args(D, res, [0] * k)
     S, members, twists, t_index, _ = j_args
     blocks = S.names[0].entries.names
     x = next(x for x in range(S.n) if x != S.zero)
@@ -665,6 +665,9 @@ def check_faults():
     def zero_row(rows):
         rows[-1] = None
 
+    def zero_matrix(rows):
+        rows[:] = [None] * len(rows)
+
     wrong_image = list(rho_args[1])
     t = S.names[x].rows[0][1]
     wrong_image[t] = next(s for s in range(D.semigroup.n) if s not in (wrong_image[t], D.zero))
@@ -678,6 +681,9 @@ def check_faults():
         "wrong alpha-image": (rho_check, rho_loop, [S, wrong_image, *rho_args[2:]]),
         "phi(u) = 0": (rho_check, rho_loop, [*rho_args[:2], phi_zero, *rho_args[3:]]),
         "eta(u) = 0": (rho_check, rho_loop, [*rho_args[:2], eta_zero, *rho_args[3:]]),
+        "zero matrix off the zero": (rho_check, rho_loop,
+                                     [with_rows(S, x, zero_matrix), rho_args[1], phi_zero,
+                                      *rho_args[3:]]),
         "second column": (j_support_check, j_support_loop,
                           [with_rows(S, m, second_column), *j_args[1:]]),
         "not a preimage": (j_support_check, j_support_loop,
@@ -702,19 +708,31 @@ FAULT_MESSAGES = {
     "wrong alpha-image": "rho . eta must equal phi",
     "phi(u) = 0": "phi(u) = 0 must force eta(u) = 0",
     "eta(u) = 0": "eta(u) = 0 must force phi(u) = 0",
+    "zero matrix off the zero": "phi(u) = 0 must force eta(u) = 0",
     "second column": "blocks of J' lie in one column",
     "not a preimage": "block entries must be preimages of one matrix",
 }
 
 
 def test_cover_checks_match_reference_loops_on_faults():
-    """Each fault is caught by the gathers with the reference loop's message
-    and witness word, and the clean inputs pass both."""
+    """Each fault is caught by the set tests with the reference loop's
+    message and witness word, and the clean inputs pass both."""
+    assert_faults_match_reference_loops(2, bytes)
+
+
+def test_cover_checks_match_reference_loops_on_tuple_keys():
+    """The same on the even-shift Z4 cover, whose 833 points of [p] x T put
+    the keys of S' on the tuple path."""
+    assert_faults_match_reference_loops(4, tuple)
+
+
+def assert_faults_match_reference_loops(k, packed):
     D = even3_data()
-    res = build_cover(D, cyclic_group(2), [0, 0], ("a", "b", "b"), ("a",))
-    rho_args, _ = cover_check_args(D, res, [0, 0])
+    res = build_cover(D, cyclic_group(k), [0] * k, ("a", "b", "b"), ("a",))
+    assert type(res.s_prime.names[0]._b) is packed
+    rho_args, _ = cover_check_args(D, res, [0] * k)
     assert rho_check(*rho_args) == rho_loop(*rho_args) == res.rho
-    for case, got, want in check_faults():
+    for case, got, want in check_faults(k):
         assert got == want, case
         message = FAULT_MESSAGES[case]
         assert (got is None) if message is None else got[0].startswith(message + ", witness ("), \
@@ -725,8 +743,9 @@ def test_cover_checks_catch_faults_under_optimize():
     code = (
         "from test_wreath import check_faults\n"
         "assert False, 'asserts are on'\n"
-        "for case, got, want in check_faults():\n"
-        "    print(repr((case, got == want, got)))\n"
+        "for k in (2, 4):\n"
+        "    for case, got, want in check_faults(k):\n"
+        "        print(repr((case, got == want, got)))\n"
     )
     src = os.path.dirname(os.path.dirname(soficsemi.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
@@ -735,7 +754,7 @@ def test_cover_checks_catch_faults_under_optimize():
     )
     assert out.returncode == 0, out.stderr
     seen = [ast.literal_eval(line) for line in out.stdout.splitlines()]
-    assert [case for case, _, _ in seen] == list(FAULT_MESSAGES)
+    assert [case for case, _, _ in seen] == list(FAULT_MESSAGES) * 2
     for case, same, got in seen:
         assert same, case
         message = FAULT_MESSAGES[case]
