@@ -3,7 +3,6 @@ output, deterministic byte-for-byte for fixed inputs and flags."""
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 import types
@@ -38,6 +37,8 @@ def _load_semigroup(path):
 
 def _emit(pairs, fmt):
     if fmt == "json":
+        import json  # here, so that a tsv call does not load it
+
         print(json.dumps(dict(pairs), sort_keys=True))
     else:
         for k, v in pairs:
@@ -175,16 +176,8 @@ def cmd_entropy(args):
     P = _load_presentation(args.presentation)
     res = entropy_mod.entropy_estimate(P, n_max=args.nmax, tol=args.tol)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "entropy": res.value,
-                    "counting": res.counting,
-                    "profile": [[n, q, ub] for n, q, ub in res.certificate],
-                },
-                sort_keys=True,
-            )
-        )
+        _emit([("entropy", res.value), ("counting", res.counting),
+               ("profile", [[n, q, ub] for n, q, ub in res.certificate])], "json")
         return 0
     for n, q, ub in res.certificate:
         print(f"{n}\t{q}\t{ub:.6f}")

@@ -9,7 +9,6 @@ the live-state adjacency matrix, cross-checked against the counting bounds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NotASubshift, ToleranceNotReached, check
 from .graph import sccs
@@ -70,11 +69,13 @@ def _primitive_radius(sub, tol, max_iter):
     raise ToleranceNotReached((min(ratios) - 1.0, max(ratios) - 1.0))
 
 
-@dataclass
 class EntropyResult:
-    value: float
-    certificate: tuple  # (n, q(n), upper bound) rows
-    counting: float
+    __slots__ = ("value", "certificate", "counting")
+
+    def __init__(self, value, certificate, counting):
+        self.value = value
+        self.certificate = certificate  # (n, q(n), upper bound) rows
+        self.counting = counting
 
     def __float__(self):
         return self.value

@@ -14,7 +14,6 @@ are gathers on the carriers' packed points; no |S|^2 table is kept.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields
 from functools import cached_property, partial, reduce
 from itertools import compress, count, repeat
 from operator import add, eq, itemgetter, or_
@@ -493,20 +492,24 @@ def close_generators(gens, cap=DEFAULT_CAP):
 # -- Green's relations --------------------------------------------------
 
 
-@dataclass(eq=False)
 class GreenStructure:
     """R/L/J/H partitions, the J-order, and per-J-class regularity.  H, which
     the eggbox and the AGGM check do not read, is derived on first read."""
 
-    r_class: tuple
-    l_class: tuple
-    j_class: tuple
-    r_classes: tuple
-    l_classes: tuple
-    j_classes: tuple
-    j_below: tuple  # per J-class id c, the bitmask of the class ids <=_J c (bit c set)
-    regular: tuple
-    anchors: tuple  # per J-class id, its least idempotent, None when not regular
+    _FIELDS = ("r_class", "l_class", "j_class", "r_classes", "l_classes", "j_classes",
+               "j_below", "regular", "anchors", "h_class", "h_classes")  # compared by __eq__
+
+    def __init__(self, r_class, l_class, j_class, r_classes, l_classes, j_classes,
+                 j_below, regular, anchors):
+        self.r_class = r_class
+        self.l_class = l_class
+        self.j_class = j_class
+        self.r_classes = r_classes
+        self.l_classes = l_classes
+        self.j_classes = j_classes
+        self.j_below = j_below  # per J-class id c, the bitmask of the class ids <=_J c (bit c set)
+        self.regular = regular
+        self.anchors = anchors  # per J-class id, its least idempotent, None when not regular
 
     @cached_property
     def h_class(self):
@@ -533,9 +536,8 @@ class GreenStructure:
                             .intersection(self.l_classes[self.l_class[x]])))
 
     def __eq__(self, other):
-        names = [f.name for f in fields(self)] + ["h_class", "h_classes"]
         return (isinstance(other, GreenStructure)
-                and all(getattr(self, name) == getattr(other, name) for name in names))
+                and all(getattr(self, name) == getattr(other, name) for name in self._FIELDS))
 
     def leq_j(self, a, b):
         """a <=_J b on J-class ids."""
@@ -702,16 +704,15 @@ def apex(S, A):
     return top
 
 
-@dataclass
 class SemigroupMorphism:
-    source: FiniteSemigroup
-    target: FiniteSemigroup
-    mapping: tuple
+    __slots__ = ("source", "target", "mapping")
 
-    def __post_init__(self):
-        self.mapping = tuple(self.mapping)
-        if len(self.mapping) != self.source.n:
-            raise ValueError(f"{len(self.mapping)} images for {self.source.n} elements")
+    def __init__(self, source, target, mapping):
+        self.source = source
+        self.target = target
+        self.mapping = tuple(mapping)
+        if len(self.mapping) != source.n:
+            raise ValueError(f"{len(self.mapping)} images for {source.n} elements")
 
     @classmethod
     def from_generator_map(cls, source, target, gen_images, check=True):
@@ -735,11 +736,14 @@ class SemigroupMorphism:
         return m
 
     def validate(self):
+        """m is a morphism iff m(x*g) = m(x)*m(g) for every x and generator g,
+        by induction on y's witness word (x*(p*g) = (x*p)*g), so the Cayley
+        columns decide it in O(|S| * k).  A failure names its pair (x, g)."""
         s, t, m = self.source, self.target, self.mapping
-        for x in range(s.n):
-            for y in range(s.n):
-                if m[s.mul(x, y)] != t.mul(m[x], m[y]):
-                    raise ValueError(f"not a morphism at ({x},{y})")
+        for g, col in zip(s.generators, s._cols):
+            for x, xg in enumerate(col):
+                if m[xg] != t.mul(m[x], m[g]):
+                    raise ValueError(f"not a morphism at ({x},{g})")
 
     def is_surjective(self):
         return len(set(self.mapping)) == self.target.n

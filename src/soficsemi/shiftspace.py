@@ -8,7 +8,6 @@ arbitrary strings, so higher-block alphabets fit the same machinery).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     CapExceeded,
@@ -326,19 +325,24 @@ def factor_dfa(P):
     return P._factor_dfa
 
 
-@dataclass(frozen=True)
 class BiInfinitePoint:
-    """Periodic bi-infinite point given by its primitive period word."""
+    """Periodic bi-infinite point given by its primitive period word, kept
+    as its least rotation; equal and hashed by that word."""
 
-    period: tuple
+    __slots__ = ("period",)
 
-    def __post_init__(self):
-        w = self.period
-        if not w:
+    def __init__(self, period):
+        if not period:
             raise ValueError("a period word must be non-empty")
-        if not is_primitive(w):
-            raise NotPrimitive(f"{join_word(w)} is a proper power")
-        object.__setattr__(self, "period", least_rotation(w))
+        if not is_primitive(period):
+            raise NotPrimitive(f"{join_word(period)} is a proper power")
+        self.period = least_rotation(period)
+
+    def __eq__(self, other):
+        return isinstance(other, BiInfinitePoint) and self.period == other.period
+
+    def __hash__(self):
+        return hash(self.period)
 
     def __repr__(self):
         return f"BiInfinitePoint({join_word(self.period)})"

@@ -7,12 +7,9 @@ Marcus, section 3.3), on which the letters act as partial maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CheckFailed, NoCompatibleTriangle, NotAGGM, check
 from .finsemi import (
     DEFAULT_CAP,
-    FiniteSemigroup,
     PartialTransformation,
     SemigroupMorphism,
     apex,
@@ -23,7 +20,6 @@ from .graph import sccs
 from .shiftspace import Dfa, Presentation, factor_dfa
 
 
-@dataclass
 class SyntacticData:
     """Syntactic semigroup of L(X) together with the letter morphism.
 
@@ -31,13 +27,16 @@ class SyntacticData:
     letters occurring in the presentation (letters outside the shift map to
     zero)."""
 
-    semigroup: FiniteSemigroup
-    letter_map: dict
-    dfa: Dfa
-    source: Presentation
-    zero: int  # element all non-factors map to; None when L(X) = X^+
-    alphabet: tuple
-    states: tuple  # DFA states of the Fischer cover; point i of a carrier is states[i]
+    __slots__ = ("semigroup", "letter_map", "dfa", "source", "zero", "alphabet", "states")
+
+    def __init__(self, semigroup, letter_map, dfa, source, zero, alphabet, states):
+        self.semigroup = semigroup
+        self.letter_map = letter_map
+        self.dfa = dfa
+        self.source = source
+        self.zero = zero  # element all non-factors map to; None when L(X) = X^+
+        self.alphabet = alphabet
+        self.states = states  # DFA states of the Fischer cover; point i of a carrier is states[i]
 
     def image(self, w):
         """The syntactic morphism on a non-empty word; letter j of the

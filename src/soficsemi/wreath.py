@@ -14,7 +14,6 @@ whose zero block kills a row.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import (
@@ -30,7 +29,6 @@ from .errors import (
 )
 from .finsemi import (
     DEFAULT_CAP,
-    FiniteSemigroup,
     PartialTransformation,
     SemigroupMorphism,
     close_generators,
@@ -238,17 +236,19 @@ class RowMonomialMatrix:
 # -- Rees coordinates -----------------------------------------------------
 
 
-@dataclass
 class ReesCoordinates:
     """Normalized coordinates J^0 ~ M^0(G, A, B, C)."""
 
-    group: FiniteSemigroup  # maximal subgroup at e0; names are S-elements
-    a_ids: tuple  # R-class ids, e0's first
-    b_ids: tuple  # L-class ids, e0's first
-    sandwich: tuple  # C[b][a]: group element index or None
-    e0: int
-    coord: dict  # S-element -> (a, g, b); e0 has a = b = 0
-    v: tuple  # column representatives, v[b] in L_b meet R_{e0}
+    __slots__ = ("group", "a_ids", "b_ids", "sandwich", "e0", "coord", "v")
+
+    def __init__(self, group, a_ids, b_ids, sandwich, e0, coord, v):
+        self.group = group  # maximal subgroup at e0; names are S-elements
+        self.a_ids = a_ids  # R-class ids, e0's first
+        self.b_ids = b_ids  # L-class ids, e0's first
+        self.sandwich = sandwich  # C[b][a]: group element index or None
+        self.e0 = e0
+        self.coord = coord  # S-element -> (a, g, b); e0 has a = b = 0
+        self.v = v  # column representatives, v[b] in L_b meet R_{e0}
 
 
 def rees_coordinates(S, j_id, idempotent=None):
@@ -363,14 +363,16 @@ def rees_coordinates(S, j_id, idempotent=None):
 # -- wreath embedding -----------------------------------------------------
 
 
-@dataclass
 class WreathEmbedding:
     """S embedded in K wr (B, RLM_J(S)) as row-monomial matrices over K^0."""
 
-    rees: ReesCoordinates
-    entries: EntrySemigroup  # K, the entries of every matrix
-    matrices: list  # per S element
-    lookup: dict  # matrix -> S element
+    __slots__ = ("rees", "entries", "matrices", "lookup")
+
+    def __init__(self, rees, entries, matrices, lookup):
+        self.rees = rees
+        self.entries = entries  # K, the entries of every matrix
+        self.matrices = matrices  # per S element
+        self.lookup = lookup  # matrix -> S element
 
     @property
     def group(self):
@@ -427,14 +429,16 @@ def wreath_embed(S, j_id, idempotent=None):
 # -- wreath products with a fixed transformation part ---------------------
 
 
-@dataclass
 class WreathStructure:
-    kind: str  # "simple" or "0-simple"
-    semigroup: FiniteSemigroup  # names are RowMonomialMatrix
-    idempotent: int
-    column: int
-    psi: dict  # subgroup element -> group element index
-    subgroup: FiniteSemigroup
+    __slots__ = ("kind", "semigroup", "idempotent", "column", "psi", "subgroup")
+
+    def __init__(self, kind, semigroup, idempotent, column, psi, subgroup):
+        self.kind = kind  # "simple" or "0-simple"
+        self.semigroup = semigroup  # names are RowMonomialMatrix
+        self.idempotent = idempotent
+        self.column = column
+        self.psi = psi  # subgroup element -> group element index
+        self.subgroup = subgroup
 
 
 def wreath_product_0simple_check(G, transformations):
@@ -499,24 +503,28 @@ def wreath_product_0simple_check(G, transformations):
 # -- the cover construction ----------------------------------------------
 
 
-@dataclass
 class CoverResult:
     """Verified output of the cover construction."""
 
-    s_prime: FiniteSemigroup  # names are RowMonomialMatrix over the blocks of T
-    group_h: FiniteSemigroup
-    rho: tuple  # S' element -> S element
-    theta: dict  # element of the subgroup at eta(e) -> H element
-    e_prime: int
-    j_prime: int
-    p: int
-    m: int
-    ell: int
-    column: int  # block column carrying eta(e); 0 after cyclic renaming
-    alphabet: tuple
-    embedding: WreathEmbedding
-    kernel: tuple  # H elements mapping to the identity of K
-    report: dict
+    __slots__ = ("s_prime", "group_h", "rho", "theta", "e_prime", "j_prime", "p", "m", "ell",
+                 "column", "alphabet", "embedding", "kernel", "report")
+
+    def __init__(self, s_prime, group_h, rho, theta, e_prime, j_prime, p, m, ell, column,
+                 alphabet, embedding, kernel, report):
+        self.s_prime = s_prime  # names are RowMonomialMatrix over the blocks of T
+        self.group_h = group_h
+        self.rho = rho  # S' element -> S element
+        self.theta = theta  # element of the subgroup at eta(e) -> H element
+        self.e_prime = e_prime
+        self.j_prime = j_prime
+        self.p = p
+        self.m = m
+        self.ell = ell
+        self.column = column  # block column carrying eta(e); 0 after cyclic renaming
+        self.alphabet = alphabet
+        self.embedding = embedding
+        self.kernel = kernel  # H elements mapping to the identity of K
+        self.report = report
 
     def generator_matrices(self):
         """Generator block matrices after the cyclic renaming of [p]."""

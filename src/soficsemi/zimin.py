@@ -9,19 +9,28 @@ the minimal ideal; the theoretical stopping bound N is reported as well.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InvalidState, check
-from .shiftspace import Dfa, join_word, subset_construction
+from .shiftspace import join_word, subset_construction
 
 
-@dataclass(frozen=True)
 class ZiminTerm:
-    """Expression tree for w_n; the exponent (n)! is kept symbolic."""
+    """Expression tree for w_n; the exponent (n)! is kept symbolic.  Equal
+    and hashed by value."""
 
-    prev: object  # ZiminTerm or None for the leaf
-    v: tuple
-    exponent: int  # the integer whose factorial is the exponent; 0 for leaf
+    __slots__ = ("prev", "v", "exponent")
+
+    def __init__(self, prev, v, exponent):
+        self.prev = prev  # ZiminTerm or None for the leaf
+        self.v = v
+        self.exponent = exponent  # the integer whose factorial is the exponent; 0 for leaf
+
+    def __eq__(self, other):
+        return isinstance(other, ZiminTerm) and (
+            (self.prev, self.v, self.exponent) == (other.prev, other.v, other.exponent))
+
+    def __hash__(self):
+        return hash((self.prev, self.v, self.exponent))
 
     @classmethod
     def leaf(cls, v1):
@@ -49,14 +58,16 @@ class ZiminTerm:
         return "; ".join(defs)
 
 
-@dataclass
 class LoopLanguage:
     """Words reading a loop at a fixed vertex of a presentation."""
 
-    dfa: Dfa
-    m: int  # state count of the minimal automaton
-    vertex: int
-    alphabet: tuple
+    __slots__ = ("dfa", "m", "vertex", "alphabet")
+
+    def __init__(self, dfa, m, vertex, alphabet):
+        self.dfa = dfa
+        self.m = m  # state count of the minimal automaton
+        self.vertex = vertex
+        self.alphabet = alphabet
 
 
 def loop_language(P, v):
@@ -144,13 +155,15 @@ def minimal_ideal(S, subset):
     return frozenset(s for s in subset if g.j_class[s] == bottoms[0])
 
 
-@dataclass
 class ZiminResult:
-    value: int  # the idempotent rho = phi(w_{n*})
-    stop_index: int  # n*
-    bound: int  # guaranteed stopping bound N = |X| + ... + |X|^r (exact integer)
-    term: ZiminTerm
-    image: frozenset  # phi(T)
+    __slots__ = ("value", "stop_index", "bound", "term", "image")
+
+    def __init__(self, value, stop_index, bound, term, image):
+        self.value = value  # the idempotent rho = phi(w_{n*})
+        self.stop_index = stop_index  # n*
+        self.bound = bound  # guaranteed stopping bound N = |X| + ... + |X|^r (exact integer)
+        self.term = term
+        self.image = image  # phi(T)
 
 
 def evaluate_zimin(T, S, gens_map):

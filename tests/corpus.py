@@ -58,6 +58,12 @@ def corpus_presentations():
     ]
 
 
+def letter_actions(dfa):
+    """The letters of a DFA as partial maps on its states."""
+    return [PartialTransformation([dfa.trans[q][j] for q in range(dfa.n_states)])
+            for j in range(len(dfa.alphabet))]
+
+
 def cyclic_group(k):
     return FiniteSemigroup(
         [[(i + j) % k for j in range(k)] for i in range(k)], [1 % k], check=False

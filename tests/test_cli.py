@@ -51,6 +51,9 @@ def test_entropy_json(capsys, gm_path):
     data = json.loads(out)
     assert abs(data["entropy"] - 0.694242) < 1e-4
     assert data["profile"][0][:2] == [1, 2]
+    # one line, keys sorted, json's default separators: the bytes `_emit` writes
+    assert list(data) == ["counting", "entropy", "profile"]
+    assert out == json.dumps(data, sort_keys=True) + "\n"
 
 
 @pytest.fixture

@@ -7,7 +7,14 @@ import types
 
 import pytest
 
-from corpus import corpus_presentations, cyclic_group, even_shift, golden_mean, random_presentation
+from corpus import (
+    corpus_presentations,
+    cyclic_group,
+    even_shift,
+    golden_mean,
+    letter_actions,
+    random_presentation,
+)
 from oracles import close_by_products, walk_idempotents, walk_mul
 from soficsemi import build_cover, cli, factor_dfa, syntactic_semigroup
 from soficsemi.errors import CapExceeded, DimensionMismatch
@@ -67,11 +74,6 @@ def assert_anchors_match_idempotents(S):
     classes = range(len(g.j_classes))
     assert g.anchors == tuple(least.get(c) for c in classes)
     assert g.regular == tuple(c in least for c in classes)
-
-
-def letter_actions(dfa):
-    return [PartialTransformation([dfa.trans[q][j] for q in range(dfa.n_states)])
-            for j in range(len(dfa.alphabet))]
 
 
 def test_corpus_syntactic_closures_match_oracle():

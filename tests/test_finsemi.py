@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from corpus import (
     golden_mean,
     golden_mean_syntactic_table,
     group_with_zero,
+    letter_actions,
     period2_syntactic_table,
     random_presentation,
     random_transformation_semigroup,
@@ -214,6 +216,18 @@ def even_cover(k):
     return build_cover(D, cyclic_group(k), [0] * k, ("a", "b", "b"), ("a",)).s_prime
 
 
+def zero_letter_closures():
+    """The corpus letter actions with the empty map, a zero generator, listed
+    first and twice, and the empty map alone, a one-element semigroup
+    generated by its zero."""
+    closures = []
+    for _, P in corpus_presentations():
+        maps = letter_actions(factor_dfa(P))
+        empty = PartialTransformation([None] * maps[0].dim)
+        closures.append(close_generators([empty, *maps, empty]))
+    return closures + [close_generators([PartialTransformation([None])])]
+
+
 GREEN_ORACLE_CASES = {
     "corpus": lambda: [syntactic_semigroup(P).semigroup for _, P in corpus_presentations()],
     "random-presentations": lambda: [
@@ -236,6 +250,7 @@ GREEN_ORACLE_CASES = {
     ],
     "even-z3-cover": lambda: [even_cover(3)],
     "even-z4-cover": lambda: [even_cover(4)],
+    "zero-letter-first-and-twice": zero_letter_closures,
 }
 
 
@@ -250,6 +265,9 @@ def test_green_matches_exact_oracle(case):
         assert semigroups[-1].n == 2317 > TABLE_LIMIT
     if case.startswith("even-z"):
         assert type(semigroups[0].names[0]).__name__ == "RowMonomialMatrix"
+    if case == "zero-letter-first-and-twice":
+        assert all(S.zero == S.generators[0] == S.generators[-1] for S in semigroups)
+        assert semigroups[-1].n == 1 and semigroups[-1].green().j_below == (1,)
     if case == "even-z4-cover":  # a large regular J-class with non-trivial H-classes
         S = semigroups[0]
         g = S.green()
@@ -259,10 +277,11 @@ def test_green_matches_exact_oracle(case):
 
 
 def test_regularity_rule_meets_its_hard_cases():
-    """`green_structure` decides regularity by one product a*b per R-class of
-    a J-class, a its least member. The transformation case holds both kinds
-    of class that rule must get right, and there it equals the oracle, which
-    calls a class regular when some member is idempotent."""
+    """`green_structure` decides regularity by one product b*a per L-class of
+    a J-class, b one member of that L-class and a the J-class's least member.
+    The transformation case holds both kinds of class that rule must get
+    right, and there it equals the oracle, which calls a class regular when
+    some member is idempotent."""
     found_non_regular = found_regular = False
     for S in GREEN_ORACLE_CASES["transformations"]():
         g = S.green()
@@ -558,6 +577,50 @@ def action_quotient(S, rng):
     phi.validate()
     assert phi.is_surjective()
     return phi, T
+
+
+def first_non_morphism_pair(phi):
+    """The all-pairs oracle: the first (x, y) in row order with
+    m(x*y) != m(x)*m(y), or None."""
+    s, t, m = phi.source, phi.target, phi.mapping
+    return next(((x, y) for x in range(s.n) for y in range(s.n)
+                 if m[s.mul(x, y)] != t.mul(m[x], m[y])), None)
+
+
+def test_validate_matches_all_pairs_oracle():
+    """`validate` reads only the Cayley columns; with one image corrupted at
+    a time it rejects exactly the maps the all-pairs scan rejects, and the
+    pair (x, g) it names really fails."""
+    rng = random.Random(5)
+    morphisms = [SemigroupMorphism(S, S, range(S.n)) for S in (
+        period2_syntactic_table(), group_with_zero(3), chain_semilattice(), cyclic_group(4))]
+    seed = 0
+    while len(morphisms) < 8:
+        seed += 1
+        S = random_transformation_semigroup(seed, 4, 2, cap=40)
+        phi = action_quotient(S, rng)[0] if S.n <= 40 else None
+        if phi is not None and phi.target.n > 1:
+            morphisms.append(phi)
+    rejected = 0
+    for phi in morphisms:
+        assert first_non_morphism_pair(phi) is None
+        phi.validate()
+        for x in range(phi.source.n):
+            m = list(phi.mapping)
+            m[x] = (m[x] + 1) % phi.target.n
+            bad = SemigroupMorphism(phi.source, phi.target, m)
+            pair = first_non_morphism_pair(bad)
+            if pair is None:
+                bad.validate()
+                continue
+            with pytest.raises(ValueError) as err:
+                bad.validate()
+            x, g = map(int, re.fullmatch(r"not a morphism at \((\d+),(\d+)\)",
+                                         str(err.value)).groups())
+            assert g in phi.source.generators
+            assert m[phi.source.mul(x, g)] != phi.target.mul(m[x], m[g])
+            rejected += 1
+    assert rejected == 62  # of the 65 corrupted maps
 
 
 def test_omega_power():

@@ -71,15 +71,42 @@ def test_one_semigroup_representation():
     assert not found, found
 
 
-def test_cli_import_leaves_argparse_out():
-    """The CLI parses argv from its own verb table; importing it (as every
-    CLI call does) loads no `argparse`."""
+# standard modules whose import costs a CLI call more than it uses them:
+# `argparse` (argv is parsed from the verb table), `dataclasses` and what it
+# pulls in (the records are plain classes), `json` (loaded by --format json)
+HEAVY_MODULES = {"argparse", "dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    """Importing the CLI, as every CLI call does, in a fresh interpreter adds
+    none of `HEAVY_MODULES` to `sys.modules`."""
     src = os.path.dirname(os.path.dirname(soficsemi.__file__))
-    code = "import sys, soficsemi.cli; print('argparse' in sys.modules)"
+    code = ("import sys; before = set(sys.modules); import soficsemi.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    added = set(out.stdout.split())
+    assert "soficsemi.cli" in added
+    assert not added & HEAVY_MODULES, sorted(added & HEAVY_MODULES)
+
+
+def test_no_package_module_imports_dataclasses():
+    """The records are plain classes: no package module imports
+    `dataclasses`, whose import and per-class code generation every CLI
+    call would pay for."""
+    found = []
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}" for mod in mods
+                      if mod.split(".")[0] == "dataclasses"]
+    assert not found, found
 
 
 def test_every_definition_is_used_in_the_package():

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from collections import namedtuple
-from dataclasses import replace
 
 import pytest
 
@@ -35,7 +34,13 @@ from soficsemi.errors import (
     RankTooHigh,
 )
 from soficsemi.finsemi import Carriers, close_generators, maximal_subgroup
-from soficsemi.wreath import EntrySemigroup, _kernel_tuples, j_support_check, rho_check
+from soficsemi.wreath import (
+    CoverResult,
+    EntrySemigroup,
+    _kernel_tuples,
+    j_support_check,
+    rho_check,
+)
 from oracles import (
     close_by_products,
     eta,
@@ -557,7 +562,9 @@ def assert_matches_object_closure(D, res, alpha):
     }
     assert all(oracle.names[x].block(res.column, res.column).rows[0][0] == 0 for x in theta)
     assert theta == res.theta
-    assert replace(res, s_prime=oracle, rho=rho, theta=theta).serialize() == res.serialize()
+    fields = {name: getattr(res, name) for name in CoverResult.__slots__}
+    rebuilt = CoverResult(**{**fields, "s_prime": oracle, "rho": rho, "theta": theta})
+    assert rebuilt.serialize() == res.serialize()
 
 
 def test_integer_blocks_match_object_closure():
