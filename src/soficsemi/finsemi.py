@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, partial, reduce
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, eq, itemgetter, or_
 
 from .errors import (
@@ -310,15 +310,21 @@ class FiniteSemigroup:
         b = self._keys[x]
         return self._wrap(b)._square() == b
 
+    def _fold(self, starts, steps):
+        """Per element x, a value folded along the witness tree: starts[j]
+        for generator j, and steps[j][v] for x = p * generator j, v being
+        p's value."""
+        parent, lastgen = self._parent, self._lastgen
+        out = [None] * self.n
+        for x in self._order:
+            p = parent[x]
+            out[x] = starts[lastgen[x]] if p is None else steps[lastgen[x]][out[p]]
+        return out
+
     def left_row(self, g):
         """Row of left multiplication by element g: [g*x for x in S], one
         Cayley lookup per element along the witness tree."""
-        cols, parent, lastgen = self._cols, self._parent, self._lastgen
-        row = [None] * self.n
-        for y in self._order:
-            p = parent[y]
-            row[y] = cols[lastgen[y]][g if p is None else row[p]]
-        return row
+        return self._fold([col[g] for col in self._cols], self._cols)
 
     def right_action(self, points):
         """Per element s, the tuple (x*s for x in points): one fold along the
@@ -560,27 +566,26 @@ class GreenStructure:
         return self.anchors[c]
 
 
-def _classes_within(cols, j_class):
-    """R-classes (cols = right Cayley columns) or L-classes (left rows).
-
-    By stability, the R-class of x is what x reaches along right Cayley
-    edges inside its J-class (dually for L). Walking from each unlabelled
-    node in increasing order starts every class at its least member, so the
-    numbering is the one `sccs` gives.
+def _classes_within(cols, labels):
+    """The classes of the walk along `cols` that never leaves a label; it
+    walks any labelling: image components on the right Cayley columns give
+    the R-classes, J-classes on the left rows the L-classes (by stability).
+    Walking from each unlabelled node in increasing order starts every class
+    at its least member, so the numbering is the one `sccs` gives.
     """
-    n = len(j_class)
+    n = len(labels)
     cls = [None] * n
     classes = []
     for x in range(n):
         if cls[x] is not None:
             continue
-        c, jx = len(classes), j_class[x]
+        c, label = len(classes), labels[x]
         cls[x] = c
         members = [x]
         for v in members:  # grows while it is walked
             for col in cols:
                 w = col[v]
-                if cls[w] is None and j_class[w] == jx:
+                if cls[w] is None and labels[w] == label:
                     cls[w] = c
                     members.append(w)
         members.sort()
@@ -589,32 +594,57 @@ def _classes_within(cols, j_class):
 
 
 def green_structure(S):
-    """Green's relations from one Tarjan pass on the two-sided Cayley graph:
-    J-classes and the J-order from its condensation, R and L by stability.
-    The J-order and regularity are then passes over class representatives."""
-    n = S.n
+    """Green's relations with no search over all elements.  R: with im(x)
+    the set of x's packed points without the sentinel, x R x*g exactly when
+    im(x)*g lies in the strongly connected component of im(x) in the orbit
+    of images under the generators' right tables (if im(x)*g*t = im(x),
+    then g*t permutes im(x) and a power of it fixes x).  J = D: R is a left
+    congruence, so J-classes are the components of the R-quotient under the
+    left edges of one member per R-class.  L by stability inside J; the
+    J-order and regularity are passes over class representatives."""
     right = S._cols
     left = [S.left_row(g) for g in S.generators]
-    j_class, j_classes, done = sccs(n, list(zip(*right, *left)).__getitem__)
-    r_class, r_classes = _classes_within(right, j_class)
+
+    tables = [S._wrap(S._keys[g])._right_table() for g in S.generators]
+    sentinel = (tables[0][-1],)
+    starts = [frozenset(S._keys[g]).difference(sentinel) for g in S.generators]
+    orbit = list(dict.fromkeys(starts))
+    at = {im: i for i, im in enumerate(orbit)}
+    moves = [[] for _ in tables]
+    for im in orbit:  # grows while it is walked
+        for table, move in zip(tables, moves):
+            im_g = frozenset(map(table.__getitem__, im)).difference(sentinel)
+            if im_g not in at:
+                at[im_g] = len(orbit)
+                orbit.append(im_g)
+            move.append(at[im_g])
+    comp = sccs(len(orbit), list(zip(*moves)).__getitem__)[0]
+    image = S._fold(list(map(at.__getitem__, starts)), moves)
+    r_class, r_classes = _classes_within(right, list(map(comp.__getitem__, image)))
+
+    r_reps = list(map(itemgetter(0), r_classes))
+    heads = [list(map(r_class.__getitem__, map(row.__getitem__, r_reps))) for row in left]
+    j_of_r, j_r_classes, _ = sccs(len(r_reps), list(zip(*heads)).__getitem__)
+    j_class = tuple(map(j_of_r.__getitem__, r_class))
+    j_classes = tuple(tuple(sorted(chain.from_iterable(map(r_classes.__getitem__, ids))))
+                      for ids in j_r_classes)
     l_class, l_classes = _classes_within(left, j_class)
 
-    # the J-order as bitmasks, folded over the condensation sinks first.  L
-    # is a right congruence and R a left one, so the right edges of one
-    # member per L-class and the left edges of one per R-class reach every
-    # class that the edges of all members reach
+    # the J-order as bitmasks, folded over the J-quotient sinks first.  L is
+    # a right congruence, so the right edges of one member per L-class and
+    # the left edges of the R-quotient reach every class that the edges of
+    # all members reach
     to_class = j_class.__getitem__
-    edges = set()
-    for classes, cols in ((l_classes, right), (r_classes, left)):
-        reps = list(map(itemgetter(0), classes))
-        tails = list(map(to_class, reps))
-        for col in cols:
-            edges.update(zip(tails, map(to_class, map(col.__getitem__, reps))))
+    edges = set(chain.from_iterable(zip(j_of_r, map(j_of_r.__getitem__, head)) for head in heads))
+    reps = list(map(itemgetter(0), l_classes))
+    tails = list(map(to_class, reps))
+    for col in right:
+        edges.update(zip(tails, map(to_class, map(col.__getitem__, reps))))
     succ = [[] for _ in j_classes]
     for c, d in edges:
         succ[c].append(d)
     j_below = [0] * len(j_classes)
-    for c in done:
+    for c in sccs(len(j_classes), succ.__getitem__)[2]:
         j_below[c] = reduce(or_, map(j_below.__getitem__, succ[c]), 1 << c)
 
     # a J-class with least member a is regular iff b*a stays in it for some b,
@@ -624,10 +654,10 @@ def green_structure(S):
     # regular class's anchor is its least idempotent, found by scanning its
     # members in ascending order
     l_reps = [[] for _ in j_classes]
-    for members in l_classes:
-        l_reps[j_class[members[0]]].append(members[0])
-    regular = tuple(any(j_class[S.mul(b, members[0])] == c for b in reps)
-                    for c, (members, reps) in enumerate(zip(j_classes, l_reps)))
+    for b, c in zip(reps, tails):
+        l_reps[c].append(b)
+    regular = tuple(any(j_class[S.mul(b, members[0])] == c for b in bs)
+                    for c, (members, bs) in enumerate(zip(j_classes, l_reps)))
     anchors = tuple(next(filter(S.is_idempotent, members)) if reg else None
                     for members, reg in zip(j_classes, regular))
 

@@ -1,9 +1,10 @@
 """Graph search shared by the toolkit: reachability and strongly connected
 components of a digraph given by a successor function.
 
-Green's relations and the J-order (Cayley graphs), the Perron root of the
-entropy (live-state graph) and irreducibility of a presentation all reduce
-to these two searches.
+Green's relations (the orbit of images and the R- and J-quotients, never
+the Cayley graph of all elements), the Perron root of the entropy
+(live-state graph) and irreducibility of a presentation all reduce to
+these two searches.
 """
 
 from __future__ import annotations

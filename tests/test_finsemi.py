@@ -39,6 +39,7 @@ from soficsemi import (
     parse_semigroup,
     syntactic_semigroup,
 )
+from soficsemi import finsemi
 from soficsemi.finsemi import TABLE_LIMIT, GreenStructure
 from oracles import apex_pairwise, walk_idempotents
 from soficsemi.graph import reach, sccs
@@ -228,6 +229,24 @@ def zero_letter_closures():
     return closures + [close_generators([PartialTransformation([None])])]
 
 
+def random_partial_semigroups(count=40, cap=1500):
+    """Closures of 1-3 random partial maps of degree 2-6 with undefined
+    points, one per seed 0, 1, ...; a closure above `cap` is skipped."""
+    found, seed = [], 0
+    while len(found) < count:
+        rng = random.Random(seed)
+        seed += 1
+        dim, holes = rng.randint(2, 6), rng.choice((0.1, 0.2, 0.3))
+        gens = [PartialTransformation([None if rng.random() < holes else rng.randrange(dim)
+                                       for _ in range(dim)])
+                for _ in range(rng.randint(1, 3))]
+        try:
+            found.append(close_generators(gens, cap=cap))
+        except CapExceeded:
+            pass
+    return found
+
+
 GREEN_ORACLE_CASES = {
     "corpus": lambda: [syntactic_semigroup(P).semigroup for _, P in corpus_presentations()],
     "random-presentations": lambda: [
@@ -237,6 +256,7 @@ GREEN_ORACLE_CASES = {
     "transformations": lambda: [
         random_transformation_semigroup(seed, 5, 2, cap=TABLE_LIMIT) for seed in range(10)
     ],
+    "partial-transformations": random_partial_semigroups,
     "tables": lambda: [
         period2_syntactic_table(), cyclic_group(1), cyclic_group(5), chain_semilattice(),
         group_with_zero(1), group_with_zero(4), trivial_semigroup(),
@@ -268,12 +288,69 @@ def test_green_matches_exact_oracle(case):
     if case == "zero-letter-first-and-twice":
         assert all(S.zero == S.generators[0] == S.generators[-1] for S in semigroups)
         assert semigroups[-1].n == 1 and semigroups[-1].green().j_below == (1,)
+    if case == "partial-transformations":  # non-regular classes, non-trivial groups
+        greens = [S.green() for S in semigroups]
+        assert any(not all(g.regular) for g in greens)
+        assert any(len(h) > 1 for g in greens for h in g.h_classes)
+        assert max(S.n for S in semigroups) > 500
     if case == "even-z4-cover":  # a large regular J-class with non-trivial H-classes
         S = semigroups[0]
         g = S.green()
         big = max(range(len(g.j_classes)), key=lambda c: len(g.j_classes[c]))
         assert S.n == 1316 and g.regular[big]
         assert len(g.h_classes[g.h_class[g.anchors[big]]]) > 1
+
+
+def image_components(S):
+    """Per element x, the strongly connected component of im(x), its packed
+    points without the sentinel, in the graph of the elements' images with
+    an edge from im(x) to im(x*g) for every x and generator g."""
+    sentinel = S._wrap(S._keys[S.generators[0]])._right_table()[-1]
+    images = [frozenset(S._keys[x]) - {sentinel} for x in range(S.n)]
+    ids = {im: i for i, im in enumerate(dict.fromkeys(images))}
+    succ = [set() for _ in ids]
+    for col in S._cols:
+        for x, y in enumerate(col):
+            succ[ids[images[x]]].add(ids[images[y]])
+    comp = sccs(len(ids), lambda v: sorted(succ[v]))[0]
+    return [comp[ids[im]] for im in images]
+
+
+@pytest.mark.parametrize("case", ["transformations", "partial-transformations", "tables",
+                                  "renumbered-sg", "even-z3-cover", "even-z4-cover"])
+def test_r_steps_are_the_image_component_steps(case):
+    """The rule `green_structure` takes R from: x R x*g exactly when the
+    images of x and x*g lie in one component of the image graph, checked
+    on every Cayley edge against the three-Tarjan oracle's R-classes."""
+    seen = set()
+    for S in GREEN_ORACLE_CASES[case]():
+        r_class = green_structure_oracle(S).r_class
+        comp = image_components(S)
+        for col in S._cols:
+            for x, y in enumerate(col):
+                same_r = r_class[x] == r_class[y]
+                assert same_r == (comp[x] == comp[y]), (S, x, y)
+                seen.add(same_r)
+    assert seen == {True, False}
+
+
+def test_green_runs_no_search_over_all_elements(monkeypatch):
+    """`green_structure` calls `sccs` only on the orbit of images and on the
+    R- and J-quotients, never on all elements: on anchor 159 and on the
+    even-shift Z4 cover no call gets |S| nodes."""
+    semigroups = [syntactic_semigroup(random_presentation(159, 18, "abc")).semigroup,
+                  even_cover(4)]
+    sizes = []
+
+    def recording(n, succ):
+        sizes.append(n)
+        return sccs(n, succ)
+
+    monkeypatch.setattr(finsemi, "sccs", recording)
+    for S, j_classes in zip(semigroups, (930, 4)):
+        sizes.clear()
+        assert len(finsemi.green_structure(S).j_classes) == j_classes
+        assert len(sizes) == 3 and max(sizes) < S.n, (S, sizes)
 
 
 def test_regularity_rule_meets_its_hard_cases():
