@@ -119,10 +119,6 @@ class PartialTransformation:
         dim = self.dim
         return tuple(None if v == dim else v for v in self._b)
 
-    @classmethod
-    def identity(cls, dim):
-        return cls(range(dim))
-
     def __call__(self, i):
         v = self._b[i]
         return None if v == self.dim else v
@@ -312,42 +308,42 @@ class FiniteSemigroup:
 
     def _fold(self, starts, steps):
         """Per element x, a value folded along the witness tree: starts[j]
-        for generator j, and steps[j][v] for x = p * generator j, v being
-        p's value."""
+        for generator j, and steps[j](v) for x = p * generator j, v being
+        p's value.  The one walk over `_order`."""
         parent, lastgen = self._parent, self._lastgen
         out = [None] * self.n
         for x in self._order:
             p = parent[x]
-            out[x] = starts[lastgen[x]] if p is None else steps[lastgen[x]][out[p]]
+            out[x] = starts[lastgen[x]] if p is None else steps[lastgen[x]](out[p])
         return out
 
     def left_row(self, g):
         """Row of left multiplication by element g: [g*x for x in S], one
         Cayley lookup per element along the witness tree."""
-        return self._fold([col[g] for col in self._cols], self._cols)
+        return self._fold([col[g] for col in self._cols], [col.__getitem__ for col in self._cols])
+
+    # The actions on a point set: per element s, the packed positions
+    # (`pack_points`) in points of x*s or s*x for x in points, the sentinel
+    # len(points) standing for a product outside points.  A product that
+    # leaves points must never come back: so it is for all of S, for an
+    # R-class on the right and for an L-class on the left (by stability).
 
     def right_action(self, points):
-        """Per element s, the tuple (x*s for x in points): one fold along the
-        witness tree, where x*(p*g) = (x*p)*g is one Cayley lookup."""
-        cols, parent, lastgen = self._cols, self._parent, self._lastgen
-        acts = [None] * self.n
-        for s in self._order:
-            p = parent[s]
-            acts[s] = tuple(map(cols[lastgen[s]].__getitem__, points if p is None else acts[p]))
-        return acts
+        """The right action on points: x*(p*g) = (x*p)*g, so the positions
+        of s are one gather of p's through g's fixed position table."""
+        m, pos = len(points), {x: i for i, x in enumerate(points)}
+        images = [[pos.get(col[x], m) for x in points] for col in self._cols]
+        return self._fold([pack_points(im, m) for im in images],
+                          [lambda b, t=right_table(im, m): gatherer(b)(t) for im in images])
 
     def left_action(self, points):
-        """Per element s, the positions in points of s*x for x in points,
-        which must be closed under left multiplication; s*x = p*(g*x), so
-        the action of s is one gather of the action of p."""
-        pos = {x: i for i, x in enumerate(points)}
-        gens = [tuple(pos[self.mul(g, x)] for x in points) for g in self.generators]
-        gathers = [gatherer(gen) for gen in gens]
-        acts = [None] * self.n
-        for s in self._order:
-            p, j = self._parent[s], self._lastgen[s]
-            acts[s] = gens[j] if p is None else gathers[j](acts[p])
-        return acts
+        """The left action on points: (p*g)*x = p*(g*x), so the positions of
+        s are g's positions gathered through p's."""
+        m, pos = len(points), {x: i for i, x in enumerate(points)}
+        images = [pack_points([pos.get(self.mul(g, x), m) for x in points], m)
+                  for g in self.generators]
+        return self._fold(images, [lambda b, gather=gatherer(im): gather(right_table(b, m))
+                                   for im in images])
 
     def same_table(self, other):
         """Whether other has this multiplication table, read off the
@@ -619,7 +615,7 @@ def green_structure(S):
                 orbit.append(im_g)
             move.append(at[im_g])
     comp = sccs(len(orbit), list(zip(*moves)).__getitem__)[0]
-    image = S._fold(list(map(at.__getitem__, starts)), moves)
+    image = S._fold(list(map(at.__getitem__, starts)), [move.__getitem__ for move in moves])
     r_class, r_classes = _classes_within(right, list(map(comp.__getitem__, image)))
 
     r_reps = list(map(itemgetter(0), r_classes))
@@ -752,15 +748,9 @@ class SemigroupMorphism:
         if len(gen_images) != len(source.generators):
             raise ValueError(f"{len(gen_images)} images for {len(source.generators)} generators")
         col_of = dict(zip(target.generators, target._cols))
-        steps = [(g, col_of.get(g)) for g in gen_images]
-        mapping = [None] * source.n
-        for y in source._order:
-            z, (g, col) = source._parent[y], steps[source._lastgen[y]]
-            if z is None:
-                mapping[y] = g
-            else:
-                mapping[y] = target.mul(mapping[z], g) if col is None else col[mapping[z]]
-        m = cls(source, target, tuple(mapping))
+        steps = [col_of[g].__getitem__ if g in col_of else partial(target.mul, y=g)
+                 for g in gen_images]
+        m = cls(source, target, source._fold(list(gen_images), steps))
         if check:
             m.validate()
         return m

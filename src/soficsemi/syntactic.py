@@ -14,7 +14,9 @@ from .finsemi import (
     SemigroupMorphism,
     apex,
     close_generators,
+    gatherer,
     lift_jclass,
+    right_table,
 )
 from .graph import sccs
 from .shiftspace import Dfa, Presentation, factor_dfa
@@ -93,7 +95,7 @@ def is_aggm(S):
     whose non-zero part has only trivial H-classes.  Each x in the J-class
     is u*r with r in R0 n L_x for one fixed R-class R0, so S acts faithfully
     on the right of the ideal iff it does on R0, and dually on the left with
-    one L-class L0: O(|S| * (|R0| + |L0|)) lookups instead of O(|S|^2).
+    one L-class L0: one gather per element on each, not |S|^2 products.
     """
     if S._aggm is None:
         S._aggm = _distinguished(S)
@@ -134,9 +136,8 @@ def _h_trivial(g, j_elems):
 def _faithful_both_sides(S, j_elems):
     g = S.green()
     x = j_elems[0]
-    l0 = g.l_classes[g.l_class[x]] + (() if S.zero is None else (S.zero,))
     return (len(set(S.right_action(g.r_classes[g.r_class[x]]))) == S.n
-            and len(set(S.left_action(l0))) == S.n)
+            and len(set(S.left_action(g.l_classes[g.l_class[x]]))) == S.n)
 
 
 def separating_contexts(S, j_elems):
@@ -146,19 +147,22 @@ def separating_contexts(S, j_elems):
     Groups s by the pairs (x, y) in J x J with x*s*y in J, under an
     equivalent key.  With r in R0 n L_x for one R-class R0, x*s*y is in J
     iff r*s is in J and L(r*s) n R(y) holds an idempotent (Clifford-Miller).
-    So the key is the tuple, over one r in R0 per L-class, of the R-classes
-    of the idempotents in L(r*s), or None where there are none (as when r*s
-    is not in J): |S| * #L products instead of |S| * |J|^2.
+    So the key of s is its positions on R0 read through one table, from
+    position to the signature of L(r*s): the set of R-classes of its
+    idempotents, one id standing for none and for r*s outside J.  L is a
+    right congruence, so all of R0 groups s as one r per L-class does: one
+    gather per element instead of |S| * |J|^2 products.
     """
     g = S.green()
-    lsig = {
-        l: frozenset(g.r_class[e] for e in g.l_classes[l] if S.is_idempotent(e)) or None
-        for l in {g.l_class[x] for x in j_elems}
-    }
-    reps = {g.l_class[r]: r for r in g.r_classes[g.r_class[j_elems[0]]]}
+    r0 = g.r_classes[g.r_class[j_elems[0]]]
+    m = len(r0)
+    sigs = {l: frozenset(g.r_class[e] for e in g.l_classes[l] if S.is_idempotent(e))
+            for l in set(map(g.l_class.__getitem__, r0))}
+    ids = {frozenset(): m}  # the sentinel's id; the others are below m
+    table = right_table([ids.setdefault(sigs[g.l_class[r]], len(ids) - 1) for r in r0], m)
     profiles = {}
-    for s, act in enumerate(S.right_action(tuple(reps.values()))):
-        profiles.setdefault(tuple(lsig.get(g.l_class[v]) for v in act), []).append(s)
+    for s, act in enumerate(S.right_action(r0)):
+        profiles.setdefault(gatherer(act)(table), []).append(s)
     return profiles
 
 

@@ -384,37 +384,38 @@ def wreath_embed(S, j_id, idempotent=None):
     K = rees.group
     entries = EntrySemigroup(K)
     coord = rees.coord
-    mats = []
-    for s, act in enumerate(S.right_action(rees.v)):
-        rows = []
-        for bi, y in enumerate(act):
-            if y in coord:
-                a, k, b2 = coord[y]
-                check(a == 0, "v[b] * s stays in the R-class of e0", (bi, s))
-                rows.append((b2, k))
-            else:
-                rows.append(None)
-        mats.append(RowMonomialMatrix(entries, rows))
+    g = S.green()
+    r_id = g.r_class[rees.e0]
+    r0 = g.r_classes[r_id]
+    # the action on R(e0) reads a product that leaves R(e0) as gone for good:
+    # by stability, a product of R(e0) by a generator still in J lies in R(e0)
+    for gen in S.generators:
+        for r in r0:
+            y = S.mul(r, gen)
+            check(g.j_class[y] != j_id or g.r_class[y] == r_id,
+                  "R(e0) times a generator stays in R(e0) or leaves J", (r, gen))
+    acts = S.right_action(r0)
+    # per position in R(e0), the row (b, k) of its coordinates (0, k, b); None
+    # for the sentinel
+    cell = [(b, k) for _, k, b in map(coord.__getitem__, r0)] + [None]
+    cols = [r0.index(v) for v in rees.v]
+    mats = [RowMonomialMatrix(entries, [cell[act[i]] for i in cols]) for act in acts]
     if len(set(mats)) != S.n:
         raise NotFaithful("Schutzenberger representation on the R-class is not faithful")
     lookup = {m: s for s, m in enumerate(mats)}
-    for x in range(S.n):
-        mx, row = mats[x], S.left_row(x)
-        for y in range(S.n):
-            if mx * mats[y] != mats[row[y]]:
-                raise CheckFailed("the embedding is multiplicative", (x, y))
+    # a morphism on every Cayley edge (x, generator) is one on every pair, by
+    # induction on the witness word of the right factor
+    for gen in S.generators:
+        for x, mx in enumerate(mats):
+            if mx * mats[gen] != mats[S.mul(x, gen)]:
+                raise CheckFailed("the embedding is multiplicative", (x, gen))
     # action reading: matrices act exactly as right multiplication in coordinates
-    g = S.green()
-    r0 = g.r_classes[g.r_class[rees.e0]]
-    for s, act in enumerate(S.right_action(r0)):
+    for s, act in enumerate(acts):
         rows = mats[s].rows
-        for x, y in zip(r0, act):
+        for x, c in zip(r0, map(cell.__getitem__, act)):
             _, gx, bx = coord[x]
             row = rows[bx]
-            if y in coord:
-                ok = row is not None and coord[y] == (0, K.mul(gx, row[1]), row[0])
-            else:
-                ok = row is None
+            ok = c is None if row is None else c == (row[0], K.mul(gx, row[1]))
             if not ok:
                 raise CheckFailed("matrices act as right multiplication in coordinates", (x, s))
     # maximal-subgroup normal form: column b0 carries the group element

@@ -17,7 +17,13 @@ from soficsemi.errors import (
     NotIrreducible,
     check,
 )
-from soficsemi.finsemi import DEFAULT_CAP, FiniteSemigroup, PartialTransformation, close_generators
+from soficsemi.finsemi import (
+    DEFAULT_CAP,
+    FiniteSemigroup,
+    PartialTransformation,
+    close_generators,
+    gatherer,
+)
 from soficsemi.shiftspace import Dfa, Presentation, _split_block, block_label, factor_dfa
 from soficsemi.syntactic import is_aggm
 from soficsemi.wreath import RowMonomialMatrix, _kernel_tuples
@@ -467,3 +473,54 @@ def first_unseparated_by_scan(S):
     order = [x for x in range(S.n) if x != S.zero] + [S.zero]
     return next(((m, n) for m in order for n in range(m + 1, S.n) if not separated(S, m, n)),
                 None)
+
+
+def right_action_tuples(S, points):
+    """Per element s, the tuple (x*s for x in points): one fold along the
+    witness tree, where x*(p*g) = (x*p)*g is one Cayley lookup."""
+    cols, parent, lastgen = S._cols, S._parent, S._lastgen
+    acts = [None] * S.n
+    for s in S._order:
+        p = parent[s]
+        acts[s] = tuple(map(cols[lastgen[s]].__getitem__, points if p is None else acts[p]))
+    return acts
+
+
+def left_action_tuples(S, points):
+    """Per element s, the positions in points of s*x for x in points, which
+    must be closed under left multiplication; s*x = p*(g*x), so the action of
+    s is one gather of the action of p."""
+    pos = {x: i for i, x in enumerate(points)}
+    gens = [tuple(pos[S.mul(g, x)] for x in points) for g in S.generators]
+    gathers = [gatherer(gen) for gen in gens]
+    acts = [None] * S.n
+    for s in S._order:
+        p, j = S._parent[s], S._lastgen[s]
+        acts[s] = gens[j] if p is None else gathers[j](acts[p])
+    return acts
+
+
+def faithful_both_sides_by_tuples(S, j_elems):
+    """Faithfulness on R0 and on L0 u {0} of a (0-)minimal J-class, whose
+    products all stay in them, from per-element tuples."""
+    g = S.green()
+    x = j_elems[0]
+    l0 = g.l_classes[g.l_class[x]] + (() if S.zero is None else (S.zero,))
+    return (len(set(right_action_tuples(S, g.r_classes[g.r_class[x]]))) == S.n
+            and len(set(left_action_tuples(S, l0))) == S.n)
+
+
+def separating_contexts_by_tuples(S, j_elems):
+    """The separating-context partition keyed, per element s, by the tuple
+    over one r in R0 per L-class of the R-classes of the idempotents in
+    L(r*s), or None where there are none or r*s leaves J."""
+    g = S.green()
+    lsig = {
+        l: frozenset(g.r_class[e] for e in g.l_classes[l] if S.is_idempotent(e)) or None
+        for l in {g.l_class[x] for x in j_elems}
+    }
+    reps = {g.l_class[r]: r for r in g.r_classes[g.r_class[j_elems[0]]]}
+    profiles = {}
+    for s, act in enumerate(right_action_tuples(S, tuple(reps.values()))):
+        profiles.setdefault(tuple(lsig.get(g.l_class[v]) for v in act), []).append(s)
+    return profiles

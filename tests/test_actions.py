@@ -3,8 +3,6 @@ embedding read from them, against brute-force `S.mul` oracles.
 
 The oracles are per-(point, element) loops over `S.mul`."""
 
-import random
-
 import pytest
 
 from corpus import (
@@ -46,12 +44,13 @@ ACTION_CASES = {
 
 
 def right_action_oracle(S, points):
-    return [tuple(S.mul(x, s) for x in points) for s in range(S.n)]
+    pos = {x: i for i, x in enumerate(points)}
+    return [tuple(pos.get(S.mul(x, s), len(points)) for x in points) for s in range(S.n)]
 
 
 def left_action_oracle(S, points):
     pos = {x: i for i, x in enumerate(points)}
-    return [tuple(pos[S.mul(s, x)] for x in points) for s in range(S.n)]
+    return [tuple(pos.get(S.mul(s, x), len(points)) for x in points) for s in range(S.n)]
 
 
 def rlm_maps_oracle(S, j_id, l_ids):
@@ -84,28 +83,27 @@ def wreath_rows_oracle(S, j_id, rees):
     return rows
 
 
-def point_sets(S):
-    """A few right point sets and left ideals S^1 x, which are closed under
-    left multiplication."""
-    rng = random.Random(S.n)
-    right = [tuple(range(S.n)), tuple(rng.choices(range(S.n), k=7))]
-    left = []
-    for x in {0, S.n // 2, S.n - 1}:
-        left.append(tuple(sorted({x} | {S.mul(s, x) for s in range(S.n)})))
-    return right, left
-
-
 @pytest.mark.parametrize("case", sorted(ACTION_CASES))
 def test_actions_match_mul(case):
+    """Per element, the positions of the products in the point set, the
+    sentinel len(points) where a product leaves it, packed as `bytes` up to
+    255 points and as a tuple above: on all of S (where positions are
+    elements), on every R-class on the right and on every L-class on the
+    left."""
     semigroups = ACTION_CASES[case]()
+    if case == "tables":
+        semigroups.append(group_with_zero(257))  # 258 elements and a 257-element R-class
     for S in semigroups:
-        right, left = point_sets(S)
-        for points in right:
-            assert S.right_action(points) == right_action_oracle(S, points), (S, points)
-        for points in left:
-            assert S.left_action(points) == left_action_oracle(S, points), (S, points)
+        g = S.green()
+        for action, oracle, classes in ((S.right_action, right_action_oracle, g.r_classes),
+                                        (S.left_action, left_action_oracle, g.l_classes)):
+            for points in (range(S.n), *classes):
+                acts = action(points)
+                assert {type(a) for a in acts} == {bytes if len(points) <= 255 else tuple}
+                assert list(map(tuple, acts)) == oracle(S, points), (S, points)
     if case == "tables":
         assert any(list(S._order) != list(range(S.n)) for S in semigroups)
+        assert max(map(len, semigroups[-1].green().r_classes)) == 257
 
 
 @pytest.mark.parametrize("case", sorted(ACTION_CASES))

@@ -774,7 +774,8 @@ def test_table_products_match_the_given_entries(case, monkeypatch):
         assert all(S.mul(x, y) == table[x][y] for x, y in pairs), S
         assert [S.is_idempotent(x) for x in range(n)] == [table[x][x] == x for x in range(n)]
         assert [S.left_row(g) for g in range(n)] == table
-        assert S.right_action(range(n)) == [tuple(row[y] for row in table) for y in range(n)]
+        assert [tuple(a) for a in S.right_action(range(n))] == [tuple(row[y] for row in table)
+                                                                for y in range(n)]
         assert all(S.eval_word(S.word(x)) == x for x in range(n)), S
         rank = {x: i for i, x in enumerate(S._order)}
         assert sorted(rank) == list(range(n))

@@ -39,6 +39,18 @@ def test_witness_tree_stays_in_finsemi():
     assert not found, found
 
 
+def test_only_the_fold_walks_the_witness_order():
+    """Every walk along the witness tree is one `FiniteSemigroup._fold` call:
+    `_order` is read in `_fold` and set in `_set_fields`, nowhere else."""
+    found = []
+    for name, tree in package_trees():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name not in ("_fold", "_set_fields"):
+                found += [f"{name}:{node.lineno} {func.name}" for node in ast.walk(func)
+                          if isinstance(node, ast.Attribute) and node.attr == "_order"]
+    assert not found, found
+
+
 def test_packed_carriers_stay_in_their_classes():
     """Only `finsemi` and `RowMonomialMatrix`'s own methods read a carrier's
     packed points, a closure's keys or a right table; every other line goes

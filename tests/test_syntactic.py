@@ -29,12 +29,21 @@ from soficsemi import (
     aggm_forward_check,
     factor_dfa,
     fischer_cover,
+    format_presentation,
     image_apex,
     is_aggm,
     syntactic_semigroup,
 )
 from soficsemi.errors import NoCompatibleTriangle, NotAGGM
-from oracles import context_profile_classes, image_by_products, in_language, j_below_set
+from oracles import (
+    context_profile_classes,
+    faithful_both_sides_by_tuples,
+    image_by_products,
+    in_language,
+    j_below_set,
+    separating_contexts_by_tuples,
+)
+from test_finsemi import GREEN_ORACLE_CASES
 from soficsemi.finsemi import parse_semigroup
 from soficsemi.syntactic import (
     _faithful_both_sides,
@@ -184,6 +193,9 @@ def test_fischer_cover_period2_and_full():
     Df = syntactic_semigroup(full_shift(2))
     cf = fischer_cover(Df)
     assert cf.n_states == 1 and len(cf.edges) == 2
+    for k in (1, 2, 3):  # a one-state cover, one loop per letter
+        text = format_presentation(fischer_cover(syntactic_semigroup(full_shift(k))))
+        assert text == format_presentation(full_shift(k))
 
 
 def test_image_apex_identity_and_unminimized():
@@ -345,6 +357,39 @@ def test_aggm_matches_oracle_on_parsed_tables():
         T = relabelled(S, seed)
         assert list(T._order) != list(range(T.n))
         assert_aggm_matches_oracle(T)
+
+
+POSITION_CASES = {
+    "corpus": lambda: [syntactic_semigroup(P).semigroup for _, P in corpus_presentations()],
+    "anchors": lambda: [syntactic_semigroup(random_presentation(seed, n, "abc")).semigroup
+                        for seed, n in ((47, 10), (22, 10), (159, 18))],
+    "groups-with-zero": lambda: [group_with_zero(k) for k in (2, 3, 257)],
+    **{f"green-{name}": cases for name, cases in GREEN_ORACLE_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("case", list(POSITION_CASES))
+def test_positions_match_the_tuple_actions(case):
+    """The AGGM check on packed positions gives the verdicts and partitions
+    of the per-element tuples it replaced (`tests/oracles.py`): faithfulness
+    on every (0-)minimal J-class, and the separating contexts of every
+    J-class (only of the (0-)minimal ones above 2000 elements)."""
+    semigroups = POSITION_CASES[case]()
+    for S in semigroups:
+        g = S.green()
+        zcls = None if S.zero is None else g.j_class[S.zero]
+        minimal = [c for c in range(len(g.j_classes))
+                   if c != zcls and j_below_set(g, c) <= {c, zcls}]
+        for c in range(len(g.j_classes)) if S.n <= 2000 else minimal:
+            J = g.j_classes[c]
+            if c in minimal:
+                assert _faithful_both_sides(S, J) == faithful_both_sides_by_tuples(S, J), (S, c)
+            assert (list(separating_contexts(S, J).values())
+                    == list(separating_contexts_by_tuples(S, J).values())), (S, c)
+    if case == "groups-with-zero":  # H is not trivial; Z257 is on the tuple path
+        assert [is_aggm(S)[0] for S in semigroups] == [False] * 3
+        g = semigroups[-1].green()
+        assert max(map(len, g.r_classes)) == 257
 
 
 def test_distinguished_class_check_survives_optimize():

@@ -10,7 +10,14 @@ from collections import namedtuple
 import pytest
 
 import soficsemi
-from corpus import cyclic_group, even_shift, golden_mean, period2_syntactic_table, period_shift
+from corpus import (
+    cyclic_group,
+    even_shift,
+    golden_mean,
+    period2_syntactic_table,
+    period_shift,
+    random_presentation,
+)
 from soficsemi import (
     FiniteSemigroup,
     PartialTransformation,
@@ -29,6 +36,7 @@ from soficsemi.errors import (
     CheckFailed,
     DimensionMismatch,
     HypothesisViolated,
+    NotFaithful,
     NotIdempotent,
     NotTransitive,
     RankTooHigh,
@@ -100,6 +108,76 @@ def test_wreath_embed_trivial_group_is_rlm_action():
     emb = wreath_embed(S, j)
     assert emb.group.n == 1
     assert [m.support() for m in emb.matrices] == rlm_maps_oracle(S, j, emb.rees.b_ids)
+
+
+def embedded_classes():
+    """(S, distinguished J-class id) of a few syntactic semigroups whose
+    distinguished class has more than one R-class."""
+    found = []
+    for P in (golden_mean(), even_shift(), random_presentation(1, 5, "ab")):
+        D = syntactic_semigroup(P)
+        found.append((D.semigroup, distinguished_jclass_id(D)))
+    return found
+
+
+def test_wreath_embed_refuses_an_r_class_edge_into_another_r_class(monkeypatch):
+    """The action on R(e0) reads a product that leaves R(e0) as having left
+    J for good; one product of R(e0) by a generator sent into another
+    R-class of J is refused by name, with that edge as the witness."""
+    for S, c in embedded_classes()[1:]:  # a generator outside J, so that
+        g = S.green()                      # the Rees coordinates never read the edge
+        e0 = wreath_embed(S, c).rees.e0
+        r0 = g.r_classes[g.r_class[e0]]
+        other = next(x for x in g.j_classes[c] if g.r_class[x] != g.r_class[e0])
+        gen = next(y for y in S.generators if g.j_class[y] != c)
+        edge = (r0[-1], gen)
+        mul = S.mul
+        monkeypatch.setattr(S, "mul", lambda x, y: other if (x, y) == edge else mul(x, y))
+        with pytest.raises(CheckFailed) as err:
+            wreath_embed(S, c)
+        assert str(err.value).startswith("R(e0) times a generator stays in R(e0) or leaves J")
+        assert err.value.witness == edge
+        monkeypatch.undo()
+
+
+def test_wreath_embed_multiplicativity_matches_all_pairs(monkeypatch):
+    """With one matrix corrupted at a time (one row toggled between zero and
+    (0, 0)), the check on Cayley edges (x, generator) rejects exactly the
+    embeddings that some pair (x, y) breaks, and the pair it names really
+    fails."""
+    init, rejected = RowMonomialMatrix.__init__, 0
+    for S, c in embedded_classes():
+        for s in range(S.n):
+            made = []
+
+            def corrupting(self, entries, rows, s=s, made=made):
+                rows = list(rows)
+                if len(made) == s:
+                    rows[0] = (0, 0) if rows[0] is None else None
+                init(self, entries, rows)
+                made.append(self)
+
+            monkeypatch.setattr(RowMonomialMatrix, "__init__", corrupting)
+            try:
+                wreath_embed(S, c)
+                err = None
+            except (CheckFailed, NotFaithful) as exc:
+                err = exc
+            monkeypatch.undo()
+            if len(set(made)) < S.n:
+                assert isinstance(err, NotFaithful)
+                continue
+            broken = any(made[x] * made[y] != made[S.mul(x, y)]
+                         for x in range(S.n) for y in range(S.n))
+            named = isinstance(err, CheckFailed) and str(err).startswith(
+                "the embedding is multiplicative")
+            assert named == broken, (S, s)
+            if named:
+                x, gen = err.witness
+                assert gen in S.generators
+                assert made[x] * made[gen] != made[S.mul(x, gen)]
+                rejected += 1
+    assert rejected > 0
 
 
 def test_wreath_embed_zero_simple_with_z2_subgroup():
