@@ -286,6 +286,7 @@ class FiniteSemigroup:
         self.identity = self._find_identity()
         self._green = None
         self._aggm = None
+        self._r0_action = None  # (R-class id, its right action), for the AGGM test
 
     # -- basic operations -------------------------------------------------
 
@@ -866,24 +867,22 @@ def parse_semigroup(text):
         if len(row) != n:
             raise ValueError(f"table row {i - 1} has {len(row)} entries")
         table.append(row)
-    zero = None
-    identity = None
-    generators = None
+    found = {}
     for parts in lines[n + 1:]:
-        if parts[0] == "generators":
-            generators = [int(v) for v in parts[1:]]
-            if len(generators) != k:
-                raise ValueError("generator count does not match header")
-        elif parts[0] in ("zero", "identity") and len(parts) != 2:
-            raise ValueError(f"expected '{parts[0]} <element>'")
-        elif parts[0] == "zero":
-            zero = int(parts[1])
-        elif parts[0] == "identity":
-            identity = int(parts[1])
-        else:
+        key = parts[0]
+        if key not in ("generators", "zero", "identity"):
             raise ValueError(f"unknown line {' '.join(parts)}")
+        if key in found:
+            raise ValueError(f"repeated '{key}' line")
+        if key != "generators" and len(parts) != 2:
+            raise ValueError(f"expected '{key} <element>'")
+        found[key] = [int(v) for v in parts[1:]]
+    generators = found.get("generators")
     if generators is None:
         raise ValueError("missing generators line")
+    if len(generators) != k:
+        raise ValueError("generator count does not match header")
+    zero, identity = (found[key][0] if key in found else None for key in ("zero", "identity"))
     S = FiniteSemigroup(table, generators)
     if zero is not None and S.zero != zero:
         raise ValueError("declared zero is not a zero")

@@ -135,9 +135,19 @@ def _h_trivial(g, j_elems):
 
 def _faithful_both_sides(S, j_elems):
     g = S.green()
-    x = j_elems[0]
-    return (len(set(S.right_action(g.r_classes[g.r_class[x]]))) == S.n
-            and len(set(S.left_action(g.l_classes[g.l_class[x]]))) == S.n)
+    # the left action first, so that it is gone before the kept right one is built
+    return (len(set(S.left_action(g.l_classes[g.l_class[j_elems[0]]]))) == S.n
+            and len(set(_r0_action(S, j_elems))) == S.n)
+
+
+def _r0_action(S, j_elems):
+    """The right action on the R-class of j_elems[0], kept on S for the last
+    R-class asked: `is_aggm` and `separating_contexts` read the same one."""
+    g = S.green()
+    r_id = g.r_class[j_elems[0]]
+    if S._r0_action is None or S._r0_action[0] != r_id:
+        S._r0_action = (r_id, S.right_action(g.r_classes[r_id]))
+    return S._r0_action[1]
 
 
 def separating_contexts(S, j_elems):
@@ -161,7 +171,7 @@ def separating_contexts(S, j_elems):
     ids = {frozenset(): m}  # the sentinel's id; the others are below m
     table = right_table([ids.setdefault(sigs[g.l_class[r]], len(ids) - 1) for r in r0], m)
     profiles = {}
-    for s, act in enumerate(S.right_action(r0)):
+    for s, act in enumerate(_r0_action(S, j_elems)):
         profiles.setdefault(gatherer(act)(table), []).append(s)
     return profiles
 

@@ -252,8 +252,20 @@ class ReesCoordinates:
 
 
 def rees_coordinates(S, j_id, idempotent=None):
+    """Normalized Rees coordinates of the regular J-class j_id at e0 (its
+    anchor or the given idempotent), in one pass over J.
+
+    x = u[a] * h * v[b] has h = u*[a] * x * v*[b] for any u*[a], v*[b] with
+    u*[a] * u[a] = e0 = v[b] * v*[b]; each is read off one non-zero sandwich
+    entry.  The Rees law follows from the round trip and one check on the
+    sandwich products, not from all |J|^2 pairs: x * y = u[a] * (g * (v[b] *
+    u[a']) * g') * v[b'] by associativity, so it has coordinates (a, g * C *
+    g', b') when v[b] * u[a'] is C in H(e0), and x * y <=_J v[b] * u[a'] <_J J
+    when that product leaves J; "a sandwich product in J lies in H(e0)"
+    leaves no third case (Rhodes and Steinberg, The q-theory of Finite
+    Semigroups, the Rees theorem).
+    """
     g = S.green()
-    j_elems = g.j_classes[j_id]
     e0 = g.anchor(j_id)
     if idempotent is not None:
         e0 = idempotent
@@ -262,47 +274,44 @@ def rees_coordinates(S, j_id, idempotent=None):
     group = maximal_subgroup(S, e0)
     gpos = {s: i for i, s in enumerate(group.names)}
 
-    a_ids = sorted(
-        {g.r_class[x] for x in j_elems},
-        key=lambda c: (c != g.r_class[e0], min(g.r_classes[c])),
-    )
-    b_ids = sorted(
-        {g.l_class[x] for x in j_elems},
-        key=lambda c: (c != g.l_class[e0], min(g.l_classes[c])),
-    )
-    jset = set(j_elems)
+    # one ascending pass over J: the R- and L-classes numbered by their least
+    # members, e0's first, and the least member of every eggbox cell
+    a_pos, b_pos, cells = {g.r_class[e0]: 0}, {g.l_class[e0]: 0}, {}
+    for x in g.j_classes[j_id]:
+        r, l = g.r_class[x], g.l_class[x]
+        a_pos.setdefault(r, len(a_pos))
+        b_pos.setdefault(l, len(b_pos))
+        cells.setdefault((r, l), x)
+    a_ids, b_ids = tuple(a_pos), tuple(b_pos)
 
     def pick(r_id, l_id):
-        hits = [x for x in j_elems if g.r_class[x] == r_id and g.l_class[x] == l_id]
-        check(hits, "every eggbox cell of a regular J-class is non-empty", (r_id, l_id))
-        return min(hits)
+        x = cells.get((r_id, l_id))
+        check(x is not None, "every eggbox cell of a regular J-class is non-empty", (r_id, l_id))
+        return x
 
-    u = [e0 if a == a_ids[0] else pick(a, b_ids[0]) for a in a_ids]
-    v = [e0 if b == b_ids[0] else pick(a_ids[0], b) for b in b_ids]
+    def inverse(gi):
+        return group.names[group_inverse(group, gi)]
 
-    def as_group(x):
-        return gpos.get(x)
+    u = [e0] + [pick(a, b_ids[0]) for a in a_ids[1:]]
+    v = [e0] + [pick(a_ids[0], b) for b in b_ids[1:]]
 
     # normalize row b0 and column a0 of the sandwich matrix to identities
     for i in range(1, len(u)):
-        c = S.mul(e0, u[i])
-        gi = as_group(c)
+        gi = gpos.get(S.mul(e0, u[i]))
         if gi is not None:
-            inv = group.names[group_inverse(group, gi)]
-            u[i] = S.mul(u[i], inv)
+            u[i] = S.mul(u[i], inverse(gi))
     for i in range(1, len(v)):
-        c = S.mul(v[i], e0)
-        gi = as_group(c)
+        gi = gpos.get(S.mul(v[i], e0))
         if gi is not None:
-            inv = group.names[group_inverse(group, gi)]
-            v[i] = S.mul(inv, v[i])
+            v[i] = S.mul(inverse(gi), v[i])
 
     sandwich = []
-    for b in range(len(v)):
-        row = []
-        for a in range(len(u)):
-            row.append(as_group(S.mul(v[b], u[a])))
-        sandwich.append(tuple(row))
+    for vb in v:
+        row = [S.mul(vb, ua) for ua in u]
+        for ua, p in zip(u, row):
+            check(p in gpos or g.j_class[p] != j_id, "a sandwich product in J lies in H(e0)",
+                  (vb, ua))
+        sandwich.append(tuple(map(gpos.get, row)))
     sandwich = tuple(sandwich)
     check(all(c in (None, group.identity) for c in sandwich[0]),
           "row b0 of the sandwich matrix is normalized", sandwich[0])
@@ -310,54 +319,33 @@ def rees_coordinates(S, j_id, idempotent=None):
           "column a0 of the sandwich matrix is normalized", sandwich)
     check(sandwich[0][0] == group.identity, "the sandwich corner is the identity", sandwich[0][0])
 
-    ustar = [e0]
-    for i in range(1, len(u)):
-        s = min(s for s in range(S.n) if S.mul(s, u[i]) == e0)
-        ustar.append(S.mul(e0, s))
-    vstar = [e0]
-    for i in range(1, len(v)):
-        t = min(t for t in range(S.n) if S.mul(v[i], t) == e0)
-        vstar.append(S.mul(t, e0))
+    ustar, vstar = [], []
+    for a in range(len(u)):
+        b = next((b for b, row in enumerate(sandwich) if row[a] is not None), None)
+        check(b is not None, "every column of the sandwich matrix has an entry", a)
+        ustar.append(S.mul(inverse(sandwich[b][a]), v[b]))
+    for b, row in enumerate(sandwich):
+        a = next((a for a, c in enumerate(row) if c is not None), None)
+        check(a is not None, "every row of the sandwich matrix has an entry", b)
+        vstar.append(S.mul(u[a], inverse(row[a])))
 
     coord = {}
     decoord = {}
-    for x in j_elems:
-        a = a_ids.index(g.r_class[x])
-        b = b_ids.index(g.l_class[x])
-        gi = as_group(S.mul(S.mul(ustar[a], x), vstar[b]))
+    for x in g.j_classes[j_id]:
+        a, b = a_pos[g.r_class[x]], b_pos[g.l_class[x]]
+        gi = gpos.get(S.mul(S.mul(ustar[a], x), vstar[b]))
         check(gi is not None, "coordinate fell outside the maximal subgroup", x)
         key = (a, gi, b)
         check(key not in decoord, "coordinates are injective", x)
         coord[x] = key
         decoord[key] = x
-    check(len(decoord) == len(j_elems) == len(a_ids) * group.n * len(b_ids),
+    check(len(decoord) == len(a_ids) * group.n * len(b_ids),
           "coordinates cover A x G x B", len(decoord))
     for key, x in decoord.items():
         a, gi, b = key
         rebuilt = S.mul(S.mul(u[a], group.names[gi]), v[b])
         check(rebuilt == x, "decoordinatize(coordinatize) is the identity", x)
-    # multiplication agrees with the Rees product
-    for x in j_elems:
-        ax, gx, bx = coord[x]
-        for y in j_elems:
-            ay, gy, by = coord[y]
-            z = S.mul(x, y)
-            link = sandwich[bx][ay]
-            if link is None:
-                ok = z not in jset
-            else:
-                ok = z in jset and coord[z] == (ax, group.mul(group.mul(gx, link), gy), by)
-            if not ok:
-                raise CheckFailed("multiplication in J agrees with the Rees product", (x, y))
-    return ReesCoordinates(
-        group=group,
-        a_ids=tuple(a_ids),
-        b_ids=tuple(b_ids),
-        sandwich=sandwich,
-        e0=e0,
-        coord=coord,
-        v=tuple(v),
-    )
+    return ReesCoordinates(group, a_ids, b_ids, sandwich, e0, coord, tuple(v))
 
 
 # -- wreath embedding -----------------------------------------------------

@@ -14,6 +14,7 @@ from soficsemi.errors import (
     DimensionMismatch,
     HypothesisViolated,
     NotFactorial,
+    NotIdempotent,
     NotIrreducible,
     check,
 )
@@ -23,10 +24,12 @@ from soficsemi.finsemi import (
     PartialTransformation,
     close_generators,
     gatherer,
+    group_inverse,
+    maximal_subgroup,
 )
 from soficsemi.shiftspace import Dfa, Presentation, _split_block, block_label, factor_dfa
 from soficsemi.syntactic import is_aggm
-from soficsemi.wreath import RowMonomialMatrix, _kernel_tuples
+from soficsemi.wreath import ReesCoordinates, RowMonomialMatrix, _kernel_tuples
 
 
 def close_by_products(gens, cap=DEFAULT_CAP):
@@ -524,3 +527,118 @@ def separating_contexts_by_tuples(S, j_elems):
     for s, act in enumerate(right_action_tuples(S, tuple(reps.values()))):
         profiles.setdefault(tuple(lsig.get(g.l_class[v]) for v in act), []).append(s)
     return profiles
+
+
+def rees_coordinates_by_scan(S, j_id, idempotent=None):
+    """Normalized Rees coordinates found by scans: each cell's least member
+    by a pass over J, u* and v* by a search over all of S, and the Rees law
+    checked on all |J|^2 pairs of J, read from the left rows of J (the Cayley
+    graph along the witness tree, not `S.mul`)."""
+    g = S.green()
+    j_elems = g.j_classes[j_id]
+    e0 = g.anchor(j_id)
+    if idempotent is not None:
+        e0 = idempotent
+        if not (0 <= e0 < S.n and S.is_idempotent(e0) and g.j_class[e0] == j_id):
+            raise NotIdempotent(f"element {e0} is not an idempotent of J-class {j_id}")
+    group = maximal_subgroup(S, e0)
+    gpos = {s: i for i, s in enumerate(group.names)}
+
+    a_ids = sorted(
+        {g.r_class[x] for x in j_elems},
+        key=lambda c: (c != g.r_class[e0], min(g.r_classes[c])),
+    )
+    b_ids = sorted(
+        {g.l_class[x] for x in j_elems},
+        key=lambda c: (c != g.l_class[e0], min(g.l_classes[c])),
+    )
+    jset = set(j_elems)
+
+    def pick(r_id, l_id):
+        hits = [x for x in j_elems if g.r_class[x] == r_id and g.l_class[x] == l_id]
+        check(hits, "every eggbox cell of a regular J-class is non-empty", (r_id, l_id))
+        return min(hits)
+
+    u = [e0 if a == a_ids[0] else pick(a, b_ids[0]) for a in a_ids]
+    v = [e0 if b == b_ids[0] else pick(a_ids[0], b) for b in b_ids]
+
+    def as_group(x):
+        return gpos.get(x)
+
+    # normalize row b0 and column a0 of the sandwich matrix to identities
+    for i in range(1, len(u)):
+        c = S.mul(e0, u[i])
+        gi = as_group(c)
+        if gi is not None:
+            inv = group.names[group_inverse(group, gi)]
+            u[i] = S.mul(u[i], inv)
+    for i in range(1, len(v)):
+        c = S.mul(v[i], e0)
+        gi = as_group(c)
+        if gi is not None:
+            inv = group.names[group_inverse(group, gi)]
+            v[i] = S.mul(inv, v[i])
+
+    sandwich = []
+    for b in range(len(v)):
+        row = []
+        for a in range(len(u)):
+            row.append(as_group(S.mul(v[b], u[a])))
+        sandwich.append(tuple(row))
+    sandwich = tuple(sandwich)
+    check(all(c in (None, group.identity) for c in sandwich[0]),
+          "row b0 of the sandwich matrix is normalized", sandwich[0])
+    check(all(row[0] in (None, group.identity) for row in sandwich),
+          "column a0 of the sandwich matrix is normalized", sandwich)
+    check(sandwich[0][0] == group.identity, "the sandwich corner is the identity", sandwich[0][0])
+
+    ustar = [e0]
+    for i in range(1, len(u)):
+        s = min(s for s in range(S.n) if S.mul(s, u[i]) == e0)
+        ustar.append(S.mul(e0, s))
+    vstar = [e0]
+    for i in range(1, len(v)):
+        t = min(t for t in range(S.n) if S.mul(v[i], t) == e0)
+        vstar.append(S.mul(t, e0))
+
+    coord = {}
+    decoord = {}
+    for x in j_elems:
+        a = a_ids.index(g.r_class[x])
+        b = b_ids.index(g.l_class[x])
+        gi = as_group(S.mul(S.mul(ustar[a], x), vstar[b]))
+        check(gi is not None, "coordinate fell outside the maximal subgroup", x)
+        key = (a, gi, b)
+        check(key not in decoord, "coordinates are injective", x)
+        coord[x] = key
+        decoord[key] = x
+    check(len(decoord) == len(j_elems) == len(a_ids) * group.n * len(b_ids),
+          "coordinates cover A x G x B", len(decoord))
+    for key, x in decoord.items():
+        a, gi, b = key
+        rebuilt = S.mul(S.mul(u[a], group.names[gi]), v[b])
+        check(rebuilt == x, "decoordinatize(coordinatize) is the identity", x)
+    # multiplication agrees with the Rees product, the group's read from its table
+    gmul = [[group.mul(h, k) for k in range(group.n)] for h in range(group.n)]
+    for x in j_elems:
+        ax, gx, bx = coord[x]
+        products = S.left_row(x)
+        for y in j_elems:
+            ay, gy, by = coord[y]
+            z = products[y]
+            link = sandwich[bx][ay]
+            if link is None:
+                ok = z not in jset
+            else:
+                ok = z in jset and coord[z] == (ax, gmul[gmul[gx][link]][gy], by)
+            if not ok:
+                raise CheckFailed("multiplication in J agrees with the Rees product", (x, y))
+    return ReesCoordinates(
+        group=group,
+        a_ids=tuple(a_ids),
+        b_ids=tuple(b_ids),
+        sandwich=sandwich,
+        e0=e0,
+        coord=coord,
+        v=tuple(v),
+    )

@@ -305,6 +305,19 @@ def test_cover_spec_rejects_unknown_and_repeated_keys(capsys, tmp_path, spec, li
     assert out == f"ERR validation cover spec {line}\n"
 
 
+@pytest.mark.parametrize("key, lines", [
+    ("zero", "zero 0\nzero 1\n"),  # 0 is not a zero; the last line won
+    ("identity", "identity 1\nidentity 0\n"),
+    ("generators", "generators 1 0\n"),
+])
+def test_semigroup_rejects_repeated_lines(capsys, tmp_path, key, lines):
+    sg = tmp_path / "sl.sg"
+    sg.write_text("semigroup 2 2\n0 1\n1 1\ngenerators 0 1\n" + lines)
+    code, out = run(capsys, ["green", str(sg)])
+    assert code == 1
+    assert out == f"ERR validation repeated '{key}' line\n"
+
+
 def test_cap_exit_code(capsys, tmp_path, gm_path):
     h = tmp_path / "z2.sg"
     h.write_text("semigroup 2 1\n0 1\n1 0\ngenerators 1\nidentity 0\n")

@@ -24,6 +24,7 @@ from corpus import (
     trivial_semigroup,
 )
 from soficsemi import (
+    FiniteSemigroup,
     SemigroupMorphism,
     aggm_backward_check,
     aggm_forward_check,
@@ -155,6 +156,19 @@ def test_aggm_forward_on_presentations():
     for P in (golden_mean(), even_shift(), period_shift(3)):
         report = aggm_forward_check(P)
         assert report["is_aggm"]
+
+
+def test_aggm_forward_check_reads_the_r0_action_once(monkeypatch):
+    """`is_aggm` and `separating_contexts` read one right action on R0: one
+    `right_action` call per `aggm_forward_check` run."""
+    calls, right_action = [], FiniteSemigroup.right_action
+    monkeypatch.setattr(FiniteSemigroup, "right_action",
+                        lambda S, points: calls.append(points) or right_action(S, points))
+    for P in (golden_mean(), even_shift(), random_presentation(47, 10, "abc")):
+        calls.clear()
+        report = aggm_forward_check(P)
+        g = report["data"].semigroup.green()
+        assert calls == [g.r_classes[g.r_class[report["jclass"][0]]]]
 
 
 def test_aggm_backward_reconstructs_period2():

@@ -14,6 +14,7 @@ from corpus import (
     cyclic_group,
     even_shift,
     golden_mean,
+    group_with_zero,
     period2_syntactic_table,
     period_shift,
     random_presentation,
@@ -54,9 +55,11 @@ from oracles import (
     eta,
     j_support_loop,
     preimage_completeness_check,
+    rees_coordinates_by_scan,
     rho_loop,
 )
-from test_actions import rlm_maps_oracle
+from test_actions import ACTION_CASES, rlm_maps_oracle
+from test_finsemi import GREEN_ORACLE_CASES
 
 
 def distinguished_jclass_id(D):
@@ -100,6 +103,109 @@ def test_rees_coordinates_t3_rank1():
     rc = rees_coordinates(S, rank1)
     assert rc.group.n == 1
     assert {len(rc.a_ids), len(rc.b_ids)} == {1, 2}
+
+
+def t3():
+    """The full transformation monoid on 3 points (27 elements): its ranks
+    3 and 2 have the groups S3 and Z2."""
+    return close_generators([PartialTransformation(m) for m in ((1, 2, 0), (1, 0, 2), (0, 0, 2))])
+
+
+REES_CASES = {
+    **{f"actions-{k}": f for k, f in ACTION_CASES.items()},
+    **{f"green-{k}": f for k, f in GREEN_ORACLE_CASES.items()},  # anchor 47 among them
+    "t3-and-groups-with-zero": lambda: [t3(), *map(group_with_zero, (2, 3, 5))],
+}
+REES_FIELDS = ("a_ids", "b_ids", "sandwich", "e0", "coord", "v")
+
+
+@pytest.mark.parametrize("case", sorted(REES_CASES))
+def test_rees_coordinates_match_the_scan_oracle(case):
+    """On every regular J-class, at its anchor and up to four other
+    idempotents, the one-pass coordinates equal those found by scans over J
+    and S, whose check of the Rees law on all pairs of J passes."""
+    for S in REES_CASES[case]():
+        g = S.green()
+        for c, members in enumerate(g.j_classes):
+            if not g.regular[c]:
+                continue
+            e0 = g.anchor(c)
+            for e in [e0, *[x for x in members if x != e0 and S.is_idempotent(x)][:4]]:
+                got, want = rees_coordinates(S, c, e), rees_coordinates_by_scan(S, c, e)
+                assert ([getattr(got, f) for f in REES_FIELDS]
+                        == [getattr(want, f) for f in REES_FIELDS]), (S, c, e)
+                assert got.group.names == want.group.names
+
+
+def test_rees_coordinates_multiply_linearly_in_j(monkeypatch):
+    """No pass over pairs of J and no search over S: on anchor 47's
+    distinguished class (|S| 1093, |J| 621, 27 x 23 cells) the coordinates
+    take at most 5 (|J| + |A| |B|) products, where the all-pairs check of
+    the Rees law alone took |J|^2."""
+    D = syntactic_semigroup(random_presentation(47, 10, "abc"))
+    S, c = D.semigroup, distinguished_jclass_id(D)
+    calls, mul = [], S.mul
+    monkeypatch.setattr(S, "mul", lambda x, y: calls.append(x) or mul(x, y))
+    rees = rees_coordinates(S, c)
+    cells = len(rees.a_ids) * len(rees.b_ids)
+    assert (S.n, len(rees.coord), len(rees.a_ids), len(rees.b_ids)) == (1093, 621, 27, 23)
+    assert len(calls) <= 5 * (len(rees.coord) + cells), len(calls)
+
+
+def sandwich_factors(S, c):
+    """The coordinates of class c at its anchor, with u[a] (coordinates
+    (a, 1, 0)) and v[b] (coordinates (0, 1, b))."""
+    rees = rees_coordinates(S, c)
+    one = rees.group.identity
+    u = {a: x for x, (a, k, b) in rees.coord.items() if k == one and b == 0}
+    return rees, [u[a] for a in range(len(rees.a_ids))], rees.v
+
+
+def test_rees_coordinates_refuse_a_sandwich_product_in_j_outside_h(monkeypatch):
+    """The Rees law rests on every product v[b] * u[a] in J lying in H(e0);
+    one such product sent into another R-class of J is refused by name, with
+    (v[b], u[a]) as the witness."""
+    for S, c in embedded_classes():
+        g = S.green()
+        rees, u, v = sandwich_factors(S, c)
+        assert len(u) > 1 and len(v) > 1
+        pair = (v[-1], u[-1])
+        stray = next(x for x in g.j_classes[c] if g.r_class[x] != g.r_class[rees.e0])
+        mul = S.mul
+        monkeypatch.setattr(S, "mul", lambda x, y: stray if (x, y) == pair else mul(x, y))
+        with pytest.raises(CheckFailed) as err:
+            rees_coordinates(S, c)
+        assert str(err.value).startswith("a sandwich product in J lies in H(e0)")
+        assert err.value.witness == pair
+        monkeypatch.undo()
+
+
+def test_rees_coordinates_refuse_a_sandwich_line_with_no_entry(monkeypatch):
+    """Every product v[b] * u[a] of one column a, or of one row b, sent out
+    of J is refused by name with that index as the witness, rows where
+    every column keeps an entry besides (the columns are checked first)."""
+    tripped = set()
+    for S, c in embedded_classes():
+        g = S.green()
+        rees, u, v = sandwich_factors(S, c)
+        C, outside = rees.sandwich, next(x for x in range(S.n) if g.j_class[x] != c)
+        columns = {a: {(vb, u[a]) for vb in v} for a in range(1, len(u))}
+        rows = {b: {(v[b], ua) for ua in u} for b in range(1, len(v))
+                if all(any(row[a] is not None for k, row in enumerate(C) if k != b)
+                       for a in range(len(u)))}
+        for message, lines in (("every column of the sandwich matrix has an entry", columns),
+                               ("every row of the sandwich matrix has an entry", rows)):
+            for k, pairs in lines.items():
+                mul = S.mul
+                monkeypatch.setattr(S, "mul",
+                                    lambda x, y: outside if (x, y) in pairs else mul(x, y))
+                with pytest.raises(CheckFailed) as err:
+                    rees_coordinates(S, c)
+                assert str(err.value).startswith(message)
+                assert err.value.witness == k
+                tripped.add(message)
+                monkeypatch.undo()
+    assert len(tripped) == 2
 
 
 def test_wreath_embed_trivial_group_is_rlm_action():
