@@ -14,7 +14,6 @@ whose zero block kills a row.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 
 from .errors import (
     CheckFailed,
@@ -202,10 +201,9 @@ class RowMonomialMatrix:
         return all(r is None for r in self.rows)
 
     def entry(self, i, j):
-        r = self.rows[i]
-        if r is not None and r[0] == j:
-            return r[1]
-        return None
+        n = len(self.entries.columns)
+        c, t = divmod(self._b[i], n)
+        return t if c == j else None  # the sentinel's column is p, never j
 
     def block(self, i, j):
         """The carrier of entry (i, j), None where it is 0."""
@@ -391,21 +389,24 @@ def wreath_embed(S, j_id, idempotent=None):
     if len(set(mats)) != S.n:
         raise NotFaithful("Schutzenberger representation on the R-class is not faithful")
     lookup = {m: s for s, m in enumerate(mats)}
+    # action reading: a generator's matrix acts exactly as right multiplication
+    # by it in coordinates.  Both sides are right actions, so with the check
+    # below it holds for every s, by induction on the witness word of s.
+    for gen in S.generators:
+        rows = mats[gen].rows
+        for x, c in zip(r0, map(cell.__getitem__, acts[gen])):
+            _, gx, bx = coord[x]
+            row = rows[bx]
+            ok = c is None if row is None else c == (row[0], K.mul(gx, row[1]))
+            if not ok:
+                raise CheckFailed("matrices act as right multiplication in coordinates",
+                                  (x, gen))
     # a morphism on every Cayley edge (x, generator) is one on every pair, by
     # induction on the witness word of the right factor
     for gen in S.generators:
         for x, mx in enumerate(mats):
             if mx * mats[gen] != mats[S.mul(x, gen)]:
                 raise CheckFailed("the embedding is multiplicative", (x, gen))
-    # action reading: matrices act exactly as right multiplication in coordinates
-    for s, act in enumerate(acts):
-        rows = mats[s].rows
-        for x, c in zip(r0, map(cell.__getitem__, act)):
-            _, gx, bx = coord[x]
-            row = rows[bx]
-            ok = c is None if row is None else c == (row[0], K.mul(gx, row[1]))
-            if not ok:
-                raise CheckFailed("matrices act as right multiplication in coordinates", (x, s))
     # maximal-subgroup normal form: column b0 carries the group element
     for ki, k_elt in enumerate(K.names):
         m = mats[k_elt]
@@ -566,8 +567,11 @@ def build_cover(D, H, alpha, e_word, z_word, cap=DEFAULT_CAP):
 
     Verifies, exhaustively on the generated semigroup: the zero criterion
     (eta(u) = 0 iff the image of u is 0), single-column block support on the
-    minimal non-zero J-class with all blocks preimages of one base matrix,
-    that the corner entries of the canonical idempotent sweep the whole
+    minimal non-zero J-class with all blocks preimages of one base matrix
+    (both in one pass over S' by `s_prime_check`: blocks are twist
+    preimages of one another exactly when they have one alpha-image, so the
+    table of alpha-images that gives rho also decides J'), that the corner
+    entries of the canonical idempotent sweep the whole
     kernel of alpha, that theta (the corner-entry map) is an isomorphism
     from the maximal subgroup at eta(e) onto H, and that
     alpha . theta = rho restricted to that subgroup.
@@ -644,8 +648,8 @@ def build_cover(D, H, alpha, e_word, z_word, cap=DEFAULT_CAP):
           "twists must be the kernel tuples, identity first", len(twists))
     # T, the semigroup of blocks, closed once; S' multiplies blocks by T's table
     T = close_generators(lifted + [t * lifted[n - 1] for t in twists], cap=cap)
-    t_index = {blk: t for t, blk in enumerate(T.names)}
-    inner = EntrySemigroup(T, dead=t_index.get(RowMonomialMatrix.zero(h_entries, b)))
+    dead = next((t for t, blk in enumerate(T.names) if blk.is_zero()), None)
+    inner = EntrySemigroup(T, dead=dead)
     letter_pos = {a: i for i, a in enumerate(X)}
     m = omega_exponent(T, T.eval_word([letter_pos[a] for a in z_word]))
     count_x1 = sum(1 for a in z_word if a == X[0])
@@ -679,17 +683,6 @@ def build_cover(D, H, alpha, e_word, z_word, cap=DEFAULT_CAP):
         zero_prime,
     )
 
-    # rho: the S element whose matrix is the alpha-image of any block (one
-    # image per block of T), compared with phi of the witness word, which is
-    # computed along the closure's witness tree
-    block_rho = [
-        emb.lookup.get(blk.map_entries(lambda h: alpha[h], emb.entries)) for blk in T.names
-    ]
-    phi_w = SemigroupMorphism.from_generator_map(
-        s_prime, S, [phi[a] for a in X], check=False
-    ).mapping
-    rho = rho_check(s_prime, block_rho, phi_w, D.zero, X)
-
     # eta(e_word) need not be idempotent in S'; the idempotent above e is the
     # omega power of eta(z)^omega * eta(e_word), which is fixed under left
     # multiplication by eta(z)^omega as the argument requires.
@@ -699,7 +692,6 @@ def build_cover(D, H, alpha, e_word, z_word, cap=DEFAULT_CAP):
         s_prime, s_prime.mul(z_om, s_prime.eval_word([letter_pos[a] for a in e_word]))
     )
     check(s_prime.is_idempotent(e_prime), "the element above e must be idempotent", e_prime)
-    check(rho[e_prime] == e, "the idempotent above e must map onto e", e_prime)
     check(s_prime.mul(z_om, e_prime) == e_prime, "z^omega must fix the idempotent above e", e_prime)
     emat = s_prime.names[e_prime]
     cols = {r[0] for r in emat.rows if r is not None}
@@ -713,7 +705,18 @@ def build_cover(D, H, alpha, e_word, z_word, cap=DEFAULT_CAP):
     check(gp.j_class[e_prime] == j_prime, "the idempotent above e must lie in J'", e_prime)
     check(gp.regular[j_prime], "J' must be regular", j_prime)
 
-    j_support_check(s_prime, gp.j_classes[j_prime], twists, t_index, X)
+    # rho: the S element whose matrix is the alpha-image of any block (one
+    # image per block of T), compared with phi of the witness word, which is
+    # computed along the closure's witness tree; the same images show which
+    # blocks are twist preimages of one another in J'
+    block_rho = [
+        emb.lookup.get(blk.map_entries(lambda h: alpha[h], emb.entries)) for blk in T.names
+    ]
+    phi_w = SemigroupMorphism.from_generator_map(
+        s_prime, S, [phi[a] for a in X], check=False
+    ).mapping
+    rho = s_prime_check(s_prime, block_rho, phi_w, D.zero, gp.j_classes[j_prime], X)
+    check(rho[e_prime] == e, "the idempotent above e must map onto e", e_prime)
 
     # eta(e): entries in scalar column b0 with values in the kernel, and the
     # corner entries of its blocks sweep the whole kernel (this is what makes
@@ -776,29 +779,42 @@ def build_cover(D, H, alpha, e_word, z_word, cap=DEFAULT_CAP):
     )
 
 
-# -- the whole-S' checks of the cover --------------------------------------
-#
-# Each element is checked by one C-level set test on its points, in one pass
-# over all of S' (or J'); only when one fails do the separate tests name the
-# first failure.
+# -- the whole-S' check of the cover ---------------------------------------
 
 
-def rho_check(s_prime, block_rho, phi_w, zero, letters):
-    """rho . eta = phi on all of S', and rho per element.
+def s_prime_check(s_prime, block_rho, phi_w, zero, members, letters):
+    """rho . eta = phi on all of S', rho per element, and the support of J'.
 
     eta(u) = 0 exactly when phi(u) = 0; every other element is total on [p],
     and its blocks (T-indices, `block_rho[t]` the S element of block t's
-    alpha-image) all give phi(u).  `gives[v]` holds the points of [p] x T
-    whose block gives the S element v, and the sentinel alone for the zero.
-    When phi sends the zero of S' and nothing else to the zero, every
-    element passes that holds all its points in `gives[phi(u)]`: one pass of
-    C-level set tests over all of S'.  Otherwise the loop below repeats the
-    tests element by element, with `point_rho` (a point's block image, None
-    for the sentinel) for the points, and names the first failure.
+    alpha-image) all give phi(u).  Each member of J' has its blocks in one
+    column, all of them twist preimages of one block.
+
+    No block product is needed for the twists.  Row i of tau * B is row i
+    of B with entry tau_i * e_i, so B' = tau * B for a kernel b-tuple tau
+    exactly when supp B' = supp B and alpha(e'_i) = alpha(e_i) on each row:
+    H is a group and alpha a morphism onto K, so e'_i * e_i^-1 lies in the
+    kernel exactly then, and the twists are all the kernel tuples
+    (`build_cover` checks alpha and the twists; theta's checks confirm that
+    H is a group).  That is when B and B' have one alpha-image, so one
+    `block_rho`, since `emb.lookup` is injective (the embedding is
+    faithful).  Once rho holds, every block of u gives phi(u), so the
+    blocks of u are twist preimages of one another, and a member of J' only
+    has to hold its points in one column.
+
+    `gives[v]` holds the points of [p] x T whose block gives the S element
+    v, and the sentinel alone for the zero.  When phi sends the zero of S'
+    and nothing else to the zero, every element passes that holds all its
+    points in `gives[phi(u)]`, and a member of J' in the part of that set in
+    its first point's column (built once per (phi(u), column)): one pass of
+    C-level set tests over all of S' checks both.  Otherwise the loops below
+    repeat the tests element by element, with `point_rho` (a point's block
+    image, None for the sentinel) for the points, and name the first
+    failure: rho over all of S', then the column of each member of J'.
     """
-    _, entry_of = s_prime.names[0].point_tables()
+    col_of, entry_of = s_prime.names[0].point_tables()
     point_rho = [None if t is None else block_rho[t] for t in entry_of]
-    zero_prime, n = s_prime.zero, s_prime.n
+    zero_prime, n, points = s_prime.zero, s_prime.n, s_prime.names.points
     if (zero_prime is not None and phi_w[zero_prime] == zero and phi_w.count(zero) == 1
             and s_prime.names[0].dim):  # an element with no points would pass vacuously
         gives = [set() for _ in range(max(phi_w) + 1)]
@@ -807,11 +823,17 @@ def rho_check(s_prime, block_rho, phi_w, zero, letters):
                 gives[v].add(q)
         gives[zero] = {len(point_rho) - 1}  # the sentinel
         gives = list(map(frozenset, gives))
-        if all(map(frozenset.issuperset, map(gives.__getitem__, phi_w),
-                   map(s_prime.names.points, range(n)))):
+        allowed = list(map(gives.__getitem__, phi_w))
+        in_column = {}
+        for x in members:
+            key = phi_w[x], col_of[points(x)[0]]
+            if key not in in_column:
+                in_column[key] = frozenset(q for q in allowed[x] if col_of[q] == key[1])
+            allowed[x] = in_column[key]
+        if all(map(frozenset.issuperset, allowed, map(points, range(n)))):
             return tuple(phi_w)
-    for x, points in enumerate(map(s_prime.names.points, range(n))):
-        want, images = phi_w[x], set(map(point_rho.__getitem__, points))
+    for x in range(n):
+        want, images = phi_w[x], set(map(point_rho.__getitem__, points(x)))
         if x == zero_prime:
             if want == zero:
                 continue
@@ -820,46 +842,17 @@ def rho_check(s_prime, block_rho, phi_w, zero, letters):
             continue
         elif want == zero:
             failed = "phi(u) = 0 must force eta(u) = 0"
-        elif None in map(entry_of.__getitem__, points):
+        elif None in map(entry_of.__getitem__, points(x)):
             failed = "non-zero elements are total on [p]"
         elif len(images) != 1:
             failed = "block entries must agree under alpha"
         else:
             failed = "rho . eta must equal phi"
         raise CheckFailed(failed, s_prime.word_letters(x, letters))
+    for x in members:
+        if len(set(map(col_of.__getitem__, points(x)))) != 1:
+            raise CheckFailed("blocks of J' lie in one column", s_prime.word_letters(x, letters))
     return tuple(phi_w)
-
-
-def j_support_check(s_prime, members, twists, t_index, letters):
-    """Each member of J' has its blocks in one column, all of them twist
-    preimages of one block (the twists form a group, so any block of the
-    row will do).
-
-    `allowed[q0]`, built once per first point q0, holds the points of q0's
-    column whose blocks are twist preimages of q0's block (`t_index` maps
-    blocks to T-indices); a member passes when it holds all the member's
-    points, which one pass of C-level set tests checks over all of J'.
-    """
-    col_of, entry_of = s_prime.names[0].point_tables()
-    blocks = s_prime.names[0].entries.names
-    point_lists = list(map(s_prime.names.points, members))
-    firsts = list(map(itemgetter(0), point_lists))
-    preimages = {None: set()}
-    allowed = {}
-    for q0 in set(firsts):
-        t0 = entry_of[q0]
-        if t0 not in preimages:
-            block = blocks[t0]  # read once: its right table serves every twist
-            preimages[t0] = {t_index.get(tw * block) for tw in twists}
-        # the points of one column differ by their entry indices
-        allowed[q0] = frozenset(q0 - t0 + t for t in preimages[t0] if t is not None)
-    passed = list(map(frozenset.issuperset, map(allowed.__getitem__, firsts), point_lists))
-    if False in passed:
-        at = passed.index(False)
-        one_column = len({col_of[q] for q in point_lists[at]}) == 1
-        raise CheckFailed("block entries must be preimages of one matrix" if one_column
-                          else "blocks of J' lie in one column",
-                          s_prime.word_letters(members[at], letters))
 
 
 def _kernel_tuples(kernel, b, H):

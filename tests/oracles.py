@@ -353,8 +353,8 @@ def preimage_completeness_check(result, w):
 
 
 def rho_loop(s_prime, block_rho, phi_w, zero, letters):
-    """`wreath.rho_check` as five tests per element, in the order the
-    gather's fallback repeats them; reads every point's entry index."""
+    """The rho part of `wreath.s_prime_check` as five tests per element, in
+    the order its fallback repeats them; reads every point's entry index."""
     _, entry_of = s_prime.names[0].point_tables()
     zero_prime = s_prime.zero
     rho = []
@@ -379,8 +379,9 @@ def rho_loop(s_prime, block_rho, phi_w, zero, letters):
 
 
 def j_support_loop(s_prime, members, twists, t_index, letters):
-    """`wreath.j_support_check` with the twist preimages of every block of T
-    built up front and each member's columns and entries collected as sets."""
+    """The J' part of `wreath.s_prime_check` by block products: the twist
+    preimages of every block of T built up front, and each member's columns
+    and entries collected as sets."""
     col_of, entry_of = s_prime.names[0].point_tables()
     preimages = [{t_index.get(t * blk) for t in twists} for blk in s_prime.names[0].entries.names]
     for x in members:
@@ -392,6 +393,30 @@ def j_support_loop(s_prime, members, twists, t_index, letters):
             raise CheckFailed(
                 "block entries must be preimages of one matrix", s_prime.word_letters(x, letters)
             )
+
+
+def action_by_scan(S, emb):
+    """The first pair (x, s), s over all of S and x over R(e0), at which the
+    matrix of s does not act as right multiplication by s in Rees
+    coordinates: (b, g) -> (column of row b, g * entry of row b) against the
+    coordinates (0, g', b') of x*s, or a zero row when x*s leaves R(e0).
+    None when every pair agrees."""
+    g, rees, K = S.green(), emb.rees, emb.group
+    r_id = g.r_class[rees.e0]
+    for s, mat in enumerate(emb.matrices):
+        rows = mat.rows
+        for x in g.r_classes[r_id]:
+            y = S.mul(x, s)
+            _, gx, bx = rees.coord[x]
+            row = rows[bx]
+            if g.r_class[y] != r_id:
+                ok = row is None
+            else:
+                _, gy, by = rees.coord[y]
+                ok = row is not None and (by, gy) == (row[0], K.mul(gx, row[1]))
+            if not ok:
+                return x, s
+    return None
 
 
 def eggbox_by_buckets(S):

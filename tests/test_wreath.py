@@ -46,11 +46,12 @@ from soficsemi.finsemi import Carriers, close_generators, maximal_subgroup
 from soficsemi.wreath import (
     CoverResult,
     EntrySemigroup,
+    WreathEmbedding,
     _kernel_tuples,
-    j_support_check,
-    rho_check,
+    s_prime_check,
 )
 from oracles import (
+    action_by_scan,
     close_by_products,
     eta,
     j_support_loop,
@@ -273,6 +274,9 @@ def test_wreath_embed_multiplicativity_matches_all_pairs(monkeypatch):
             if len(set(made)) < S.n:
                 assert isinstance(err, NotFaithful)
                 continue
+            if s in S.generators:  # read against the action before any product
+                assert str(err).startswith("matrices act as right multiplication"), (S, s)
+                continue
             broken = any(made[x] * made[y] != made[S.mul(x, y)]
                          for x in range(S.n) for y in range(S.n))
             named = isinstance(err, CheckFailed) and str(err).startswith(
@@ -284,6 +288,38 @@ def test_wreath_embed_multiplicativity_matches_all_pairs(monkeypatch):
                 assert made[x] * made[gen] != made[S.mul(x, gen)]
                 rejected += 1
     assert rejected > 0
+
+
+def test_wreath_embed_refuses_a_corrupted_generator_row(monkeypatch):
+    """The action check reads the generators' matrices only; the last row of
+    one generator's matrix, changed so that the matrix is no other element's,
+    is refused by name, with the first pair (x in R(e0), generator) that the
+    scan over all of S names, and the clean embedding passes that scan."""
+    init = RowMonomialMatrix.__init__
+    for S, c in embedded_classes():
+        clean = wreath_embed(S, c)
+        assert action_by_scan(S, clean) is None
+        last, taken = len(clean.rees.b_ids) - 1, set(clean.matrices)
+        for gen in S.generators:
+            rows = list(clean.matrices[gen].rows)
+            for rows[last] in [None, *itertools.product(range(last + 1), range(clean.group.n))]:
+                if RowMonomialMatrix(clean.entries, rows) not in taken:
+                    break
+            made = []
+
+            def corrupting(self, entries, given, made=made, rows=rows):
+                init(self, entries, rows if len(made) == gen else given)
+                made.append(self)
+
+            monkeypatch.setattr(RowMonomialMatrix, "__init__", corrupting)
+            with pytest.raises(CheckFailed) as err:
+                wreath_embed(S, c)
+            monkeypatch.undo()
+            assert str(err.value).startswith(
+                "matrices act as right multiplication in coordinates"), (S, gen)
+            corrupted = WreathEmbedding(clean.rees, clean.entries, made, None)
+            assert err.value.witness == action_by_scan(S, corrupted)
+            assert err.value.witness[1] == gen
 
 
 def test_wreath_embed_zero_simple_with_z2_subgroup():
@@ -633,6 +669,9 @@ def test_row_monomial_and_block_arithmetic():
                 prod = RowMonomialMatrix(E, a) * RowMonomialMatrix(E, c)
                 assert prod.rows == entrywise_product(a, c, E)
                 assert prod == RowMonomialMatrix(E, prod.rows)
+                assert [[prod.entry(i, j) for j in range(size)] for i in range(size)] == [
+                    [None if r is None or r[0] != j else r[1] for j in range(size)]
+                    for r in prod.rows]
 
     Z3 = EntrySemigroup(cyclic_group(3))
     dead = EntrySemigroup(P2, dead=P2.zero)
@@ -802,8 +841,8 @@ def test_cover_check_survives_optimize():
 
 
 def cover_check_args(D, res, alpha):
-    """The arguments `build_cover` passes to `rho_check` and to
-    `j_support_check`, rebuilt from its result."""
+    """The arguments `build_cover` passes to `s_prime_check`, rebuilt from
+    its result, and the twists and T-index that `j_support_loop` reads."""
     S, emb = res.s_prime, res.embedding
     T = S.names[0].entries.semigroup
     block_rho = [emb.lookup.get(blk.map_entries(lambda h: alpha[h], emb.entries))
@@ -814,8 +853,14 @@ def cover_check_args(D, res, alpha):
               for values in _kernel_tuples(res.kernel, len(emb.rees.b_ids), res.group_h)]
     t_index = {blk: t for t, blk in enumerate(T.names)}
     members = S.green().j_classes[res.j_prime]
-    return ([S, block_rho, list(phi_w), D.zero, D.alphabet],
-            [S, members, twists, t_index, D.alphabet])
+    return [S, block_rho, list(phi_w), D.zero, members, D.alphabet], (twists, t_index)
+
+
+def reference_loops(s_prime, block_rho, phi_w, zero, members, letters, twists, t_index):
+    """`rho_loop` over all of S', then `j_support_loop` over J'."""
+    rho = rho_loop(s_prime, block_rho, phi_w, zero, letters)
+    j_support_loop(s_prime, members, twists, t_index, letters)
+    return rho
 
 
 def with_rows(S, x, change):
@@ -831,13 +876,13 @@ def with_rows(S, x, change):
 
 
 def check_faults(k=2):
-    """One corrupted input per case for each whole-S' check of the even-shift
-    Zk cover: (case, the check's outcome, the reference loop's outcome), an
+    """One corrupted input per case for the whole-S' check of the even-shift
+    Zk cover: (case, the check's outcome, the reference loops' outcome), an
     outcome being the CheckFailed message and witness word, or None."""
     D = even3_data()
     res = build_cover(D, cyclic_group(k), [0] * k, ("a", "b", "b"), ("a",))
-    rho_args, j_args = cover_check_args(D, res, [0] * k)
-    S, members, twists, t_index, _ = j_args
+    args, (twists, t_index) = cover_check_args(D, res, [0] * k)
+    S, _, phi_w, _, members, _ = args
     blocks = S.names[0].entries.names
     x = next(x for x in range(S.n) if x != S.zero)
     m = members[len(members) // 2]
@@ -859,26 +904,21 @@ def check_faults(k=2):
     def zero_matrix(rows):
         rows[:] = [None] * len(rows)
 
-    wrong_image = list(rho_args[1])
+    wrong_image = list(args[1])
     t = S.names[x].rows[0][1]
     wrong_image[t] = next(s for s in range(D.semigroup.n) if s not in (wrong_image[t], D.zero))
-    phi_zero, eta_zero = list(rho_args[2]), list(rho_args[2])
+    phi_zero, eta_zero = list(phi_w), list(phi_w)
     phi_zero[x] = D.zero
     eta_zero[S.zero] = phi_zero[m]
     cases = {
-        "clean rho": (rho_check, rho_loop, rho_args),
-        "clean J'": (j_support_check, j_support_loop, j_args),
-        "zero row": (rho_check, rho_loop, [with_rows(S, x, zero_row), *rho_args[1:]]),
-        "wrong alpha-image": (rho_check, rho_loop, [S, wrong_image, *rho_args[2:]]),
-        "phi(u) = 0": (rho_check, rho_loop, [*rho_args[:2], phi_zero, *rho_args[3:]]),
-        "eta(u) = 0": (rho_check, rho_loop, [*rho_args[:2], eta_zero, *rho_args[3:]]),
-        "zero matrix off the zero": (rho_check, rho_loop,
-                                     [with_rows(S, x, zero_matrix), rho_args[1], phi_zero,
-                                      *rho_args[3:]]),
-        "second column": (j_support_check, j_support_loop,
-                          [with_rows(S, m, second_column), *j_args[1:]]),
-        "not a preimage": (j_support_check, j_support_loop,
-                           [with_rows(S, m, not_a_preimage), *j_args[1:]]),
+        "clean": args,
+        "zero row": [with_rows(S, x, zero_row), *args[1:]],
+        "wrong alpha-image": [S, wrong_image, *args[2:]],
+        "phi(u) = 0": [*args[:2], phi_zero, *args[3:]],
+        "eta(u) = 0": [*args[:2], eta_zero, *args[3:]],
+        "zero matrix off the zero": [with_rows(S, x, zero_matrix), args[1], phi_zero, *args[3:]],
+        "second column": [with_rows(S, m, second_column), *args[1:]],
+        "not a preimage": [with_rows(S, m, not_a_preimage), *args[1:]],
     }
 
     def outcome(func, args):
@@ -888,26 +928,28 @@ def check_faults(k=2):
             return str(exc), exc.witness
         return None
 
-    return [(case, outcome(check, args), outcome(oracle, args))
-            for case, (check, oracle, args) in cases.items()]
+    return [(case, outcome(s_prime_check, args),
+             outcome(reference_loops, [*args, twists, t_index]))
+            for case, args in cases.items()]
 
 
+# A block that is no twist preimage of its row's others has another
+# alpha-image, so rho, which runs first, names it.
 FAULT_MESSAGES = {
-    "clean rho": None,
-    "clean J'": None,
+    "clean": None,
     "zero row": "non-zero elements are total on [p]",
     "wrong alpha-image": "rho . eta must equal phi",
     "phi(u) = 0": "phi(u) = 0 must force eta(u) = 0",
     "eta(u) = 0": "eta(u) = 0 must force phi(u) = 0",
     "zero matrix off the zero": "phi(u) = 0 must force eta(u) = 0",
     "second column": "blocks of J' lie in one column",
-    "not a preimage": "block entries must be preimages of one matrix",
+    "not a preimage": "block entries must agree under alpha",
 }
 
 
 def test_cover_checks_match_reference_loops_on_faults():
-    """Each fault is caught by the set tests with the reference loop's
-    message and witness word, and the clean inputs pass both."""
+    """Each fault is caught by the set tests with the reference loops'
+    message and witness word, and the clean input passes both."""
     assert_faults_match_reference_loops(2, bytes)
 
 
@@ -921,13 +963,63 @@ def assert_faults_match_reference_loops(k, packed):
     D = even3_data()
     res = build_cover(D, cyclic_group(k), [0] * k, ("a", "b", "b"), ("a",))
     assert type(res.s_prime.names[0]._b) is packed
-    rho_args, _ = cover_check_args(D, res, [0] * k)
-    assert rho_check(*rho_args) == rho_loop(*rho_args) == res.rho
+    args, loop_args = cover_check_args(D, res, [0] * k)
+    assert s_prime_check(*args) == reference_loops(*args, *loop_args) == res.rho
     for case, got, want in check_faults(k):
         assert got == want, case
         message = FAULT_MESSAGES[case]
         assert (got is None) if message is None else got[0].startswith(message + ", witness ("), \
             (case, got)
+
+
+COVER_SPECS = {"even": (even3_data, ("a", "b", "b")), "golden_mean": (gm3_data, ("a", "b"))}
+
+
+@pytest.mark.parametrize("shift", sorted(COVER_SPECS))
+def test_twist_preimages_are_the_blocks_of_one_alpha_image(shift):
+    """The argument `s_prime_check` rests on: for every block B of T, the
+    blocks of T with B's alpha-image are exactly the twist preimages tau * B
+    that lie in T (on `golden_mean` some lie outside it).
+    K = 1 on these covers, as on every syntactic semigroup (ROADMAP item
+    4), so alpha sends all of H to the identity and the twists are all the
+    diagonal H-tuples."""
+    data, e_word = COVER_SPECS[shift]
+    D = data()
+    for k in (2, 3, 4, 5):
+        res = build_cover(D, cyclic_group(k), [0] * k, e_word, ("a",))
+        assert res.embedding.group.n == 1 and len(res.kernel) == k
+        (_, block_rho, *_), (twists, t_index) = cover_check_args(D, res, [0] * k)
+        blocks = res.s_prime.names[0].entries.names
+        assert None not in block_rho
+        for t, blk in enumerate(blocks):
+            same = {u for u, v in enumerate(block_rho) if v == block_rho[t]}
+            assert same == {t_index.get(tw * blk) for tw in twists} - {None}, (shift, k, t)
+
+
+def test_cover_check_makes_no_block_product_and_runs_once(monkeypatch):
+    """`build_cover` checks S' once, over J' as well, and that check
+    multiplies no matrices: on the even-shift Z3 cover it tells twist
+    preimages by their alpha-images."""
+    import soficsemi.wreath as wreath
+
+    calls, inside, products = [], [], []
+    check, mul = wreath.s_prime_check, RowMonomialMatrix.__mul__
+
+    def counted_check(*args):
+        calls.append(args)
+        inside.append(True)
+        try:
+            return check(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(wreath, "s_prime_check", counted_check)
+    monkeypatch.setattr(RowMonomialMatrix, "__mul__",
+                        lambda a, b: (inside and products.append(a)) or mul(a, b))
+    res = build_cover(even3_data(), cyclic_group(3), [0, 0, 0], ("a", "b", "b"), ("a",))
+    assert len(calls) == 1 and calls[0][0] is res.s_prime
+    assert calls[0][4] == res.s_prime.green().j_classes[res.j_prime]
+    assert products == []
 
 
 def test_cover_checks_catch_faults_under_optimize():
