@@ -204,7 +204,7 @@ def cmd_idempotent(args):
         ("rho", res.value),
         ("stop_index", res.stop_index),
         ("loop_states", T.m),
-        ("bound_terms", f"|X|+...+|X|^{T.m * (S.n + 1) - 1}"),
+        ("bound_terms", f"|X|+...+|X|^{res.r}"),
         ("bound", _format_bound(res.bound)),
         ("witness", res.term.pretty()),
     ]

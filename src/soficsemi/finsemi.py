@@ -35,15 +35,6 @@ DEFAULT_CAP = 2_000_000  # element cap of a closure unless the caller passes one
 
 
 # -- packed carriers ------------------------------------------------------
-#
-# A carrier (a PartialTransformation here, a RowMonomialMatrix in `wreath`)
-# is a packed tuple `_b` of points in [0, N), N standing for "no point", and
-# a right table that sends each point q to the point of q*carrier and N to
-# N: `_right_table()` builds it, `_right()` builds it on first use and keeps
-# it.  x*y is then one gather of x's points through y's table, `_square()`
-# gives the packed points of x*x without a right table, and `_wrap(b)`
-# makes a carrier of x's kind from packed points without validation
-# (products of valid carriers are valid).
 
 
 def pack_points(points, sentinel):
@@ -74,37 +65,31 @@ def gatherer(b):
     return itemgetter(*b)
 
 
-class PartialTransformation:
-    """Partial self-map of {0..dim-1}; the product x*y applies x first, then y.
+class PackedCarrier:
+    """A carrier (a PartialTransformation here, a RowMonomialMatrix in
+    `wreath`): a packed tuple `_b` of dim points in [0, N), N standing for
+    "no point", over a context `_ctx` that fixes N with dim (None for a map,
+    the entry semigroup for a matrix).
 
-    A packed carrier: point i is stored as its image, with dim standing for
-    "undefined", so the right table is the images followed by dim.
+    Each kind gives `_right_table()`: the point of q*carrier for each point
+    q, and N for N; and `_MISMATCH`, the message of a product whose factors
+    differ in dim or context.  `_right()` builds the table on first use and
+    keeps it in `_pad`, so x*y is one gather of x's points through y's
+    table; `_square()` gives the packed points of x*x without keeping a
+    table, and `_wrap(b)` makes a carrier of x's kind and context from
+    packed points without validation (products of valid carriers are
+    valid).  Carriers of different kinds are never equal, and their product
+    is not defined.
     """
 
-    __slots__ = ("dim", "_b", "_pad")
-
-    def __init__(self, mapping, dim=None):
-        mapping = tuple(mapping)
-        if dim is None:
-            dim = len(mapping)
-        if len(mapping) != dim:
-            raise DimensionMismatch(f"mapping has {len(mapping)} entries, dim is {dim}")
-        for v in mapping:
-            if v is not None and not (0 <= v < dim):
-                raise DimensionMismatch(f"image {v} outside 0..{dim - 1}")
-        self.dim = dim
-        self._b = pack_points((dim if v is None else v for v in mapping), dim)
-        self._pad = None
+    __slots__ = ("_b", "_pad", "_ctx")
 
     def _wrap(self, b):
-        new = object.__new__(PartialTransformation)
-        new.dim = self.dim
+        new = object.__new__(type(self))
         new._b = b
         new._pad = None
+        new._ctx = self._ctx
         return new
-
-    def _right_table(self):
-        return right_table(self._b, self.dim)
 
     def _right(self):
         if self._pad is None:
@@ -115,6 +100,50 @@ class PartialTransformation:
         return gatherer(self._b)(self._right_table())
 
     @property
+    def dim(self):
+        return len(self._b)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other._ctx is not self._ctx or len(other._b) != len(self._b):
+            raise DimensionMismatch(self._MISMATCH)
+        return self._wrap(gatherer(self._b)(other._right()))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._ctx is self._ctx and other._b == self._b
+
+    def __hash__(self):
+        return hash(self._b)
+
+
+class PartialTransformation(PackedCarrier):
+    """Partial self-map of {0..dim-1}; the product x*y applies x first, then y.
+
+    Point i is stored as its image, with dim standing for "undefined", so
+    the right table is the images followed by dim.
+    """
+
+    __slots__ = ()
+    _MISMATCH = "composing maps of different dimensions"
+
+    def __init__(self, mapping, dim=None):
+        mapping = tuple(mapping)
+        if dim is None:
+            dim = len(mapping)
+        if len(mapping) != dim:
+            raise DimensionMismatch(f"mapping has {len(mapping)} entries, dim is {dim}")
+        for v in mapping:
+            if v is not None and not (0 <= v < dim):
+                raise DimensionMismatch(f"image {v} outside 0..{dim - 1}")
+        self._b = pack_points((dim if v is None else v for v in mapping), dim)
+        self._pad = None
+        self._ctx = None
+
+    def _right_table(self):
+        return right_table(self._b, self.dim)
+
+    @property
     def mapping(self):
         dim = self.dim
         return tuple(None if v == dim else v for v in self._b)
@@ -122,20 +151,6 @@ class PartialTransformation:
     def __call__(self, i):
         v = self._b[i]
         return None if v == self.dim else v
-
-    def __mul__(self, other):
-        if not isinstance(other, PartialTransformation):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionMismatch("composing maps of different dimensions")
-        return self._wrap(gatherer(self._b)(other._right()))
-
-    def __eq__(self, other):
-        # the packed entries have length dim, so equal entries mean equal dim
-        return isinstance(other, PartialTransformation) and self._b == other._b
-
-    def __hash__(self):
-        return hash(self._b)
 
     def __repr__(self):
         dim = self.dim
@@ -449,8 +464,7 @@ def close_generators(gens, cap=DEFAULT_CAP):
         raise ValueError("need at least one generator")
     first = gens[0]
     for g in gens:  # what a product checks, checked once
-        if (type(g) is not type(first) or g.dim != first.dim
-                or getattr(g, "entries", None) is not getattr(first, "entries", None)):
+        if (type(g), g._ctx, g.dim) != (type(first), first._ctx, first.dim):
             raise DimensionMismatch("generators differ in kind, dimension or entries")
     tables = [g._right() for g in gens]
     index = {}

@@ -3,8 +3,9 @@ components of a digraph given by a successor function.
 
 Green's relations (the orbit of images and the R- and J-quotients, never
 the Cayley graph of all elements), the Perron root of the entropy
-(live-state graph) and irreducibility of a presentation all reduce to
-these two searches.
+(live-state graph), irreducibility of a presentation and the image phi(T)
+of a loop language (pairs of DFA state and element) all reduce to these
+two searches.
 """
 
 from __future__ import annotations

@@ -28,10 +28,10 @@ from .errors import (
 )
 from .finsemi import (
     DEFAULT_CAP,
+    PackedCarrier,
     PartialTransformation,
     SemigroupMorphism,
     close_generators,
-    gatherer,
     group_inverse,
     maximal_subgroup,
     omega_exponent,
@@ -60,22 +60,22 @@ class EntrySemigroup:
         self.dead = dead
 
 
-class RowMonomialMatrix:
+class RowMonomialMatrix(PackedCarrier):
     """Square p x p matrix with at most one non-zero entry per row, entries
-    indexing an EntrySemigroup E.
+    indexing an EntrySemigroup E, its context.
 
-    A packed carrier like `PartialTransformation`: a row with entry t in
-    column c is the point c*|E| + t of [p] x E, a zero row the sentinel
-    p*|E|.  The matrix acts on the right of [p] x E by (c, t) -> (column
-    of row c, t * entry of row c), and sends (c, t) to the sentinel when
-    row c is zero or the entry product is the dead index (Rhodes and
-    Steinberg, The q-theory of Finite Semigroups, wreath products).  That
-    action is its right table, so a product is one gather.  `rows` decodes
-    the (column, entry index) pairs on demand.  Only the public constructor
-    validates; products of valid matrices are valid.
+    A packed carrier: a row with entry t in column c is the point c*|E| + t
+    of [p] x E, a zero row the sentinel p*|E|.  The matrix acts on the right
+    of [p] x E by (c, t) -> (column of row c, t * entry of row c), and sends
+    (c, t) to the sentinel when row c is zero or the entry product is the
+    dead index (Rhodes and Steinberg, The q-theory of Finite Semigroups,
+    wreath products).  That action is its right table; its square follows
+    the row rule.  `rows` decodes the (column, entry index) pairs on demand.
+    Only the public constructor validates.
     """
 
-    __slots__ = ("entries", "_b", "_pad")
+    __slots__ = ()
+    _MISMATCH = "matrices differ in size or entry semigroup"
 
     def __init__(self, entries, rows):
         rows = tuple(rows)
@@ -89,16 +89,13 @@ class RowMonomialMatrix:
             if not (0 <= c < p and 0 <= t < n) or t == entries.dead:
                 raise DimensionMismatch(f"row {r} out of range or dead")
             points.append(c * n + t)
-        self.entries = entries
         self._b = pack_points(points, p * n)
         self._pad = None
+        self._ctx = entries
 
-    def _wrap(self, b):
-        new = object.__new__(RowMonomialMatrix)
-        new.entries = self.entries
-        new._b = b
-        new._pad = None
-        return new
+    @property
+    def entries(self):
+        return self._ctx
 
     def _right_table(self):
         # a row r in column c with entry t sends (r, s) to point[c*n + s*t]:
@@ -118,11 +115,6 @@ class RowMonomialMatrix:
                 c, t = divmod(q, n)
                 images += map(point[c * n:c * n + n].__getitem__, entries.columns[t])
         return right_table(images, sentinel)
-
-    def _right(self):
-        if self._pad is None:
-            self._pad = self._right_table()
-        return self._pad
 
     def _square(self):
         # row i of x*x: row i's column c picks row c, whose entry multiplies
@@ -144,10 +136,6 @@ class RowMonomialMatrix:
                         continue
             out.append(sentinel)
         return pack_points(out, sentinel)
-
-    @property
-    def dim(self):
-        return len(self._b)
 
     @property
     def points(self):
@@ -175,23 +163,6 @@ class RowMonomialMatrix:
     @classmethod
     def diagonal(cls, entries, values):
         return cls(entries, tuple(enumerate(values)))
-
-    def __mul__(self, other):
-        if not isinstance(other, RowMonomialMatrix):
-            return NotImplemented
-        if other.entries is not self.entries or len(other._b) != len(self._b):
-            raise DimensionMismatch("matrices differ in size or entry semigroup")
-        return self._wrap(gatherer(self._b)(other._right()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RowMonomialMatrix)
-            and self.entries is other.entries
-            and self._b == other._b
-        )
-
-    def __hash__(self):
-        return hash(self._b)
 
     def __repr__(self):
         body = ";".join("-" if r is None else f"{r[0]}:{r[1]}" for r in self.rows)

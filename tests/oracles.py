@@ -143,6 +143,27 @@ def apex_pairwise(S, A):
     return top
 
 
+def in_minimal_ideal(S, subset, x):
+    """Is x in the minimal ideal of the subsemigroup `subset` of S?
+    Equivalently: every element of the subset is a factor of x inside it."""
+    subset = sorted(subset)
+    sub1 = subset + [None]
+    for t in subset:
+        found = False
+        for u in sub1:
+            ut = t if u is None else S.mul(u, t)
+            for v in sub1:
+                w = ut if v is None else S.mul(ut, v)
+                if w == x:
+                    found = True
+                    break
+            if found:
+                break
+        if not found:
+            return False
+    return True
+
+
 def minimal_ideal_of_subset(S, subset):
     """Kernel of the subsemigroup of S on `subset` (must be closed), from
     the Green structure of its own multiplication table."""

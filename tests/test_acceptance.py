@@ -54,8 +54,7 @@ from soficsemi import (
 from soficsemi.cli import main
 from soficsemi.errors import NotAGGM
 from soficsemi.shiftspace import format_presentation, is_primitive
-from soficsemi.zimin import in_minimal_ideal
-from oracles import eta, preimage_completeness_check
+from oracles import eta, in_minimal_ideal, preimage_completeness_check
 from test_finsemi import action_quotient, assert_green_matches_oracle
 
 GOLDEN_ENTROPY = math.log2((1 + math.sqrt(5)) / 2)

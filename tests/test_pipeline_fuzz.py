@@ -17,7 +17,7 @@ from soficsemi import (
     loop_language,
     syntactic_semigroup,
 )
-from oracles import context_profile_classes
+from oracles import context_profile_classes, in_minimal_ideal
 
 
 def spanning_cycle_presentation(seed):
@@ -50,6 +50,7 @@ def test_pipeline_on_random_presentations():
         res = evaluate_zimin(loop_language(P, 0), D.semigroup, D.letter_map)
         _, j = is_aggm(D.semigroup)
         assert res.value in j
+        assert in_minimal_ideal(D.semigroup, res.image, res.value)
         h = entropy_estimate(P, n_max=10).value
         assert (is_periodic(P) is not None) == (h == 0.0)
         q = factor_dfa(P).count_words(7)

@@ -23,7 +23,7 @@ FIELDS = {
                   "column", "alphabet", "embedding", "kernel", "report"),
     ZiminTerm: ("prev", "v", "exponent"),
     LoopLanguage: ("dfa", "m", "vertex", "alphabet"),
-    ZiminResult: ("value", "stop_index", "bound", "term", "image"),
+    ZiminResult: ("value", "stop_index", "r", "bound", "term", "image"),
 }
 GREEN_FIELDS = ("r_class", "l_class", "j_class", "r_classes", "l_classes", "j_classes",
                 "j_below", "regular", "anchors")
@@ -86,6 +86,21 @@ def test_zimin_term_is_equal_and_hashed_by_value():
     assert t != ZiminTerm.leaf(["a"]).extend(["b"], 3)
     assert t != ZiminTerm.leaf(["b"]).extend(["b"], 2)
     assert t != ("a", "b")
+
+
+def test_zimin_term_of_thousands_of_levels_compares_and_hashes():
+    """Equality and hash walk the chain, not the recursion stack: anchor 47's
+    idempotent stops at level 1093."""
+    def chain(levels, last=2):
+        t = ZiminTerm.leaf(["a"])
+        for n in range(2, levels):
+            t = t.extend(["a", "b"], n)
+        return t.extend(["b"], last)
+
+    t, same = chain(3000), chain(3000)
+    assert t is not same and t == same and hash(t) == hash(same)
+    assert {t: 1}[same] == 1
+    assert t != chain(3000, last=3) and t != chain(2999)
 
 
 def test_entropy_result_reads_as_its_value():

@@ -1,16 +1,25 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import soficsemi
+from soficsemi.finsemi import FiniteSemigroup, PartialTransformation
+from soficsemi.wreath import EntrySemigroup, RowMonomialMatrix
 
 WITNESS_TREE_FIELDS = {"_order", "_parent", "_lastgen", "_cols", "_index"}
 # packed points (a carrier's, a closure's keys) and right tables
-PACKED_FIELDS = {"_b", "_keys", "_pad", "_right", "_right_table", "_square", "_wrap"}
+PACKED_FIELDS = {"_b", "_ctx", "_keys", "_pad", "_right", "_right_table", "_square", "_wrap"}
+# what only the packed-carrier base defines: the product, equality, hash and
+# the lazy right table
+CARRIER_PROTOCOL = {"_wrap", "_right", "__mul__", "__eq__", "__hash__"}
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def package_trees():
@@ -67,6 +76,84 @@ def test_packed_carriers_stay_in_their_classes():
                   if isinstance(node, ast.Attribute) and node.attr in PACKED_FIELDS
                   and id(node) not in own]
     assert not found, found
+
+
+def test_one_home_for_the_carrier_protocol():
+    """One base class defines the carriers' product, equality, hash and lazy
+    right table; a carrier type (a class with a `_right_table`) gives its
+    right table, its square and its readers, and defines none of those."""
+    homes, found = [], []
+    for name, tree in package_trees():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods = {m.name for m in cls.body if isinstance(m, ast.FunctionDef)}
+                if CARRIER_PROTOCOL <= methods:
+                    homes.append(f"{name} {cls.name}")
+                if "_right_table" in methods and methods & CARRIER_PROTOCOL:
+                    found.append(f"{name} {cls.name} {sorted(methods & CARRIER_PROTOCOL)}")
+    assert homes == ["finsemi.py PackedCarrier"], homes
+    assert not found, found
+
+
+def test_finsemi_never_names_a_matrix_field():
+    """`finsemi` checks a carrier's kind through its type and context, not
+    through the matrices' `entries`."""
+    tree = dict(package_trees())["finsemi.py"]
+    found = [node.lineno for node in ast.walk(tree)
+             if "entries" in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "arg", None))
+             or isinstance(node, ast.Constant) and node.value == "entries"]
+    assert not found, found
+
+
+def test_a_map_and_a_matrix_never_meet():
+    """Carriers of different kinds with the same packed points are unequal,
+    and their product is not defined."""
+    pt = PartialTransformation([0])
+    mat = RowMonomialMatrix(EntrySemigroup(FiniteSemigroup([[0]])), [(0, 0)])
+    assert pt._b == mat._b
+    assert pt != mat and mat != pt
+    with pytest.raises(TypeError):
+        pt * mat
+    with pytest.raises(TypeError):
+        mat * pt
+
+
+def benchmark_hooks():
+    """The (module, attribute) pairs the benchmark reaches into: those its
+    tracer wraps (`bench/layers.py`, loaded without installing anything)
+    and those `bench/make_references.py` assigns to, a dotted attribute
+    being a class attribute."""
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    hooks = {(mod, attr) for mod, attr, _ in layers.SPANS + layers.COUNTS}
+    refs = ast.parse((BENCH / "make_references.py").read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(refs)
+               if isinstance(node, ast.ImportFrom) and node.module == "soficsemi"
+               for alias in node.names}
+    for node in ast.walk(refs):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                mod, _, attr = ast.unparse(target).partition(".")
+                if mod in modules and attr:
+                    hooks.add((mod, attr))
+    return sorted(hooks)
+
+
+def test_the_benchmark_hooks_exist():
+    """A simplification that renames or deletes a wrapped function would
+    otherwise break only the benchmark's traced runs."""
+    hooks = benchmark_hooks()
+    assert ("zimin", "ZiminTerm.pretty") in hooks
+    missing = []
+    for mod, attr in hooks:
+        obj = importlib.import_module("soficsemi." + mod)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{mod}.{attr}")
+    assert not missing, missing
 
 
 def test_one_semigroup_representation():

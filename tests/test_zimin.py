@@ -24,8 +24,8 @@ from soficsemi import (
     syntactic_semigroup,
 )
 from soficsemi.errors import InvalidState
-from soficsemi.zimin import ZiminTerm, in_minimal_ideal, minimal_ideal, phi_image_of_language
-from oracles import minimal_ideal_of_subset, out_edges, word_length
+from soficsemi.zimin import ZiminTerm, minimal_ideal, phi_image_of_language
+from oracles import in_minimal_ideal, minimal_ideal_of_subset, out_edges, word_length
 
 
 def take(stream, k):
@@ -106,10 +106,12 @@ def test_evaluate_zimin_trivial_and_absorbing():
     S1 = trivial_semigroup()
     res = evaluate_zimin(T, S1, {"a": 0, "b": 0})
     assert res.value == 0 and res.stop_index == 1
+    assert in_minimal_ideal(S1, res.image, res.value)
 
     SL = chain_semilattice()
     res2 = evaluate_zimin(T, SL, {"a": 1, "b": 1})
     assert res2.value == 1  # the absorbing element
+    assert in_minimal_ideal(SL, res2.image, res2.value)
 
 
 def test_evaluate_zimin_period2():
